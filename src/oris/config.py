@@ -244,6 +244,11 @@ def parse_config(path) -> ExperimentConfig:
             raise
         except ValueError as exc:
             problems.append(str(exc))
+    if values["oracle.kind"] == "exponential" and values["oracle.beta"] >= 0:
+        # alpha, dt >= 0, so alpha * dt + beta >= 0: every label would slip
+        problems.append(
+            f"oracle.beta must be < 0 for the exponential oracle, got {values['oracle.beta']}"
+        )
     for key in ("learner.epochs", "learner.batch"):
         if values[key] < 1:
             problems.append(f"{key} must be >= 1, got {values[key]}")

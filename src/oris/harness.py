@@ -65,8 +65,11 @@ class HarnessConfig:
             raise ValueError(f"pick_prob must be in [0, 1], got {self.pick_prob}")
         if not 0.0 < self.theta0 <= 1.0:
             raise ValueError(f"theta0 must be in (0, 1], got {self.theta0}")
-        if self.diversity_cap < 1:
-            raise ValueError("diversity_cap must be >= 1")
+        if self.diversity_cap < self.budget:
+            # the thinned pool could not hold `budget` clusters
+            raise ValueError(
+                f"diversity_cap must be >= budget; got cap={self.diversity_cap}, B={self.budget}"
+            )
 
 
 @dataclass

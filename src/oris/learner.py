@@ -24,21 +24,37 @@ class SoftmaxClassifier:
         return self.weights.shape[0]
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _probs(weights, bias, X) -> np.ndarray:
+    """softmax(X @ W.T + b) over the last axis, computed in place in one
+    fresh buffer that the caller may overwrite."""
+    z = X @ weights.T
+    z += bias
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
+
+
+def _grads_inplace(probs, X, onehot):
+    """Gradients of the mean cross-entropy w.r.t. (W, b) from the batch's
+    probabilities, which are overwritten with (probs - onehot) / n."""
+    probs -= onehot
+    probs /= len(X)
+    return probs.T @ X, np.add.reduce(probs, axis=0)
+
+
+def _onehot(y, num_classes) -> np.ndarray:
+    Y = np.zeros((len(y), num_classes))
+    Y[np.arange(len(y)), y] = 1.0
+    return Y
 
 
 def cross_entropy_and_grads(weights, bias, X, y):
     """Mean cross-entropy over the batch and its gradients w.r.t. (W, b)."""
-    n = len(y)
-    probs = softmax(X @ weights.T + bias)
-    loss = float(-np.log(probs[np.arange(n), y]).mean())
-    g = probs.copy()
-    g[np.arange(n), y] -= 1.0
-    g /= n
-    return loss, g.T @ X, g.sum(axis=0)
+    probs = _probs(weights, bias, X)
+    loss = float(-np.log(probs[np.arange(len(y)), y]).mean())
+    dW, db = _grads_inplace(probs, X, _onehot(y, len(bias)))
+    return loss, dW, db
 
 
 def fit(training_set, labels: LabelSpace, seed=0, epochs: int = 50,
@@ -47,6 +63,11 @@ def fit(training_set, labels: LabelSpace, seed=0, epochs: int = 50,
 
     training_set is a list of (embedding, emitted label) pairs. Zero init plus
     a seeded epoch shuffle makes the result a pure function of (set, seed).
+
+    Each epoch permutes the rows once and walks contiguous minibatches; the
+    loss is never formed. The float64 arithmetic is op for op that of
+    cross_entropy_and_grads applied to X[order[lo:lo + batch_size]], so the
+    weights are bit-identical to that plain loop (see tests/helpers.py).
     """
     if not training_set:
         raise ValueError("cannot fit on an empty training set")
@@ -57,23 +78,28 @@ def fit(training_set, labels: LabelSpace, seed=0, epochs: int = 50,
     if y.min() < 0 or y.max() >= len(labels):
         raise ValueError("label outside label space")
     num_classes = len(labels)
+    Y = _onehot(y, num_classes)
     W = np.zeros((num_classes, X.shape[1]))
     b = np.zeros(num_classes)
     rng = np.random.default_rng(seed)
     n = len(y)
     for _ in range(epochs):
         order = rng.permutation(n)
+        Xp = X[order]
+        Yp = Y[order]
         for lo in range(0, n, batch_size):
-            idx = order[lo:lo + batch_size]
-            _, dW, db = cross_entropy_and_grads(W, b, X[idx], y[idx])
-            W -= lr * dW
-            b -= lr * db
+            Xb = Xp[lo:lo + batch_size]
+            dW, db = _grads_inplace(_probs(W, b, Xb), Xb, Yp[lo:lo + batch_size])
+            dW *= lr
+            W -= dW
+            db *= lr
+            b -= db
     return SoftmaxClassifier(W, b)
 
 
 def predict_proba(clf: SoftmaxClassifier, emb) -> np.ndarray:
     """Class probabilities for one embedding or a (n, E) batch."""
-    return softmax(np.asarray(emb, dtype=np.float64) @ clf.weights.T + clf.bias)
+    return _probs(clf.weights, clf.bias, np.asarray(emb, dtype=np.float64))
 
 
 def predict(clf: SoftmaxClassifier, emb) -> np.ndarray:

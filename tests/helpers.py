@@ -65,3 +65,36 @@ def scalar_entropy_bits(labels_in_window):
         p = labels_in_window.count(c) / n
         entropy -= p * math.log2(p)
     return entropy
+
+
+def reference_cross_entropy_grads(weights, bias, X, y):
+    """The plain softmax cross-entropy gradient, written as a new array per
+    step with fancy-indexed target updates."""
+    n = len(y)
+    z = X @ weights.T + bias
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    g = probs.copy()
+    g[np.arange(n), y] -= 1.0
+    g /= n
+    return g.T @ X, g.sum(axis=0)
+
+
+def reference_fit(training_set, num_classes, seed=0, epochs=50, batch_size=32, lr=0.1):
+    """Plain minibatch SGD over X[order[lo:lo + batch_size]]: the reference
+    that learner.fit must match bit for bit. Returns (weights, bias)."""
+    X = np.stack([np.asarray(emb, dtype=np.float64) for emb, _ in training_set])
+    y = np.array([label for _, label in training_set])
+    W = np.zeros((num_classes, X.shape[1]))
+    b = np.zeros(num_classes)
+    rng = np.random.default_rng(seed)
+    n = len(y)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = order[lo:lo + batch_size]
+            dW, db = reference_cross_entropy_grads(W, b, X[idx], y[idx])
+            W -= lr * dW
+            b -= lr * db
+    return W, b

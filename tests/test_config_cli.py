@@ -49,6 +49,23 @@ oracle.beta = 9
     assert model.beta == 9.0
 
 
+def test_config_rejects_exponential_oracle_without_negative_beta(tmp_path):
+    for beta in ("9", "0"):
+        with pytest.raises(ConfigError, match="oracle.beta must be < 0"):
+            parse_config(_write(tmp_path, f"oracle.kind = exponential\noracle.beta = {beta}\n"))
+    with pytest.raises(ConfigError, match="oracle.beta must be < 0"):
+        parse_config(_write(tmp_path, "oracle.kind = exponential\n"))  # default beta 9
+    cfg = parse_config(_write(tmp_path, "oracle.kind = exponential\noracle.alpha = 0.6\n"
+                                        "oracle.beta = -19\n"))
+    assert cfg.decay_model().beta == -19.0
+    assert parse_config(_write(tmp_path, "oracle.kind = sigmoid\noracle.beta = 9\n"))
+
+
+def test_config_rejects_diversity_cap_below_budget(tmp_path):
+    with pytest.raises(ConfigError, match="diversity_cap must be >= budget"):
+        parse_config(_write(tmp_path, "harness.diversity_cap = 499\nharness.budget = 500\n"))
+
+
 def test_config_rejects_f_greater_than_budget(tmp_path):
     with pytest.raises(ConfigError, match="update frequency"):
         parse_config(_write(tmp_path, "harness.update_freq = 600\nharness.budget = 500\n"))

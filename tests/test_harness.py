@@ -244,6 +244,9 @@ def test_aggregate_matches_hand_calculation(tmp_path):
 
 def test_harness_config_validation():
     for bad in (dict(update_freq=0), dict(update_freq=600), dict(agent="bogus"),
-                dict(pick_prob=1.5), dict(theta0=0.0), dict(seeds=())):
+                dict(pick_prob=1.5), dict(theta0=0.0), dict(seeds=()),
+                dict(diversity_cap=499), dict(agent="diversity", diversity_cap=0)):
         with pytest.raises(ValueError):
             _base_cfg(budget=500, **{**dict(update_freq=25), **bad})
+    # a pool of exactly `budget` documents still yields `budget` clusters
+    assert _base_cfg(agent="diversity", budget=500, update_freq=25, diversity_cap=500)

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_f1_macro, max_relative_error
+from helpers import (
+    brute_force_f1_macro,
+    max_relative_error,
+    reference_cross_entropy_grads,
+    reference_fit,
+)
 from oris.corpus import LabelSpace, generate_synthetic
 from oris.learner import (
     SoftmaxClassifier,
@@ -45,6 +50,51 @@ def test_fit_deterministic_under_seed():
     assert np.array_equal(a.bias, b.bias)
     c = fit(pairs, LABELS2, seed=10)
     assert not np.array_equal(a.weights, c.weights)
+
+
+def _noisy_pairs(n, seed, num_classes=5, dim=8, absent=None):
+    """Gaussian class clusters with 20% of labels replaced at random."""
+    rng = np.random.default_rng(seed)
+    classes = [c for c in range(num_classes) if c != absent]
+    centers = 3.0 * rng.standard_normal((num_classes, dim))
+    true = rng.choice(classes, size=n)
+    noisy = np.where(rng.random(n) < 0.2, rng.choice(classes, size=n), true)
+    X = centers[true] + rng.standard_normal((n, dim))
+    return [(X[i], int(noisy[i])) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 600])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 500])
+def test_fit_bit_identical_to_reference_loop(n, batch_size, seed):
+    pairs = _noisy_pairs(n, seed=100 * n + seed)
+    epochs = 2 if n * 50 // batch_size > 5000 else 50
+    clf = fit(pairs, LABELS5, seed=seed, epochs=epochs, batch_size=batch_size, lr=0.1)
+    W, b = reference_fit(pairs, 5, seed=seed, epochs=epochs, batch_size=batch_size, lr=0.1)
+    assert np.array_equal(clf.weights, W)
+    assert np.array_equal(clf.bias, b)
+
+
+def test_fit_bit_identical_to_reference_loop_with_absent_class():
+    pairs = _noisy_pairs(200, seed=11, absent=3)
+    assert 3 not in {label for _, label in pairs}
+    clf = fit(pairs, LABELS5, seed=4, epochs=20, batch_size=32, lr=0.1)
+    W, b = reference_fit(pairs, 5, seed=4, epochs=20, batch_size=32, lr=0.1)
+    assert np.array_equal(clf.weights, W)
+    assert np.array_equal(clf.bias, b)
+
+
+def test_cross_entropy_grads_bit_identical_to_reference():
+    rng = np.random.default_rng(12)
+    for n in (1, 5, 32):
+        W = rng.standard_normal((5, 8))
+        b = rng.standard_normal(5)
+        X = rng.standard_normal((n, 8))
+        y = rng.integers(0, 5, size=n)
+        _, dW, db = cross_entropy_and_grads(W, b, X, y)
+        ref_dW, ref_db = reference_cross_entropy_grads(W, b, X, y)
+        assert np.array_equal(dW, ref_dW)
+        assert np.array_equal(db, ref_db)
 
 
 def test_fit_rejects_empty():
