@@ -21,7 +21,6 @@ from .dqn import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
-    Transition,
     decide,
     evaluate_policy,
     select_action,

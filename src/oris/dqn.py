@@ -21,48 +21,51 @@ from .nnet import AdamState, DenseNet, optimizer_step, smooth_l1
 from .reward import DISCARD, PICK, PickMemory, RewardConfig, compute_reward, inclusivity
 
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-
-
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring sampled uniformly with replacement."""
+    """Fixed-capacity FIFO ring of (state, action, reward, next state) rows,
+    sampled uniformly with replacement.
 
-    def __init__(self, capacity: int = 50000, seed=0):
+    Rows live in preallocated arrays; untouched pages of the state arrays
+    cost no memory until the ring fills them.
+    """
+
+    def __init__(self, capacity: int, state_dim: int, seed=0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if state_dim < 1:
+            raise ValueError(f"state_dim must be >= 1, got {state_dim}")
         self.capacity = capacity
         self.rng = np.random.default_rng(seed)
-        self._items: list[Transition] = []
+        self._states = np.empty((capacity, state_dim))
+        self._actions = np.empty(capacity, dtype=np.int64)
+        self._rewards = np.empty(capacity)
+        self._next_states = np.empty((capacity, state_dim))
+        self._size = 0
         self._write = 0
 
     def __len__(self):
-        return len(self._items)
+        return self._size
 
-    def push(self, transition: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._write] = transition
-            self._write = (self._write + 1) % self.capacity
+    def push(self, state, action: int, reward: float, next_state) -> None:
+        """Store one row, overwriting the oldest once the ring is full."""
+        i = self._write
+        self._states[i] = state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_states[i] = next_state
+        self._write = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        if not self._items:
+    def sample(self, batch_size: int):
+        """(states, actions, rewards, next_states) of min(batch_size, len)
+        rows drawn uniformly with replacement."""
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
-        n = min(batch_size, len(self._items))
-        idx = self.rng.integers(0, len(self._items), size=n)
-        return [self._items[i] for i in idx]
-
-
-def store_and_sample(buf: ReplayBuffer, transition: Transition, batch_size: int):
-    buf.push(transition)
-    return buf.sample(batch_size)
+        n = min(batch_size, self._size)
+        idx = self.rng.integers(0, self._size, size=n)
+        return self._states[idx], self._actions[idx], self._rewards[idx], self._next_states[idx]
 
 
 @dataclass
@@ -137,16 +140,15 @@ def select_action(net: DenseNet, state, eps: float, rng) -> int:
 
 def train_step(source: DenseNet, target: DenseNet, batch, cfg: AgentConfig,
                opt: AdamState) -> float:
-    """One Q-update: bootstrap targets from the target net, smooth-L1 on the
-    taken action's Q-value, one optimizer step on the source net. Returns mean loss.
+    """One Q-update on a (states, actions, rewards, next_states) batch, as
+    ReplayBuffer.sample returns it: bootstrap targets from the target net,
+    smooth-L1 on the taken action's Q-value, one optimizer step on the
+    source net. Returns mean loss.
     """
-    if not batch:
+    states, actions, rewards, next_states = batch
+    n = len(actions)
+    if not n:
         raise ValueError("empty batch")
-    n = len(batch)
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch])
-    rewards = np.array([t.reward for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
 
     q_next = target.forward(next_states)
     targets = rewards + cfg.gamma * q_next.max(axis=1)
@@ -165,12 +167,8 @@ def soft_update(source: DenseNet, target: DenseNet, tau: float) -> None:
     """target <- tau * source + (1 - tau) * target, elementwise."""
     if source.layer_sizes != target.layer_sizes:
         raise ValueError("source and target architectures differ")
-    for src, dst in zip(source.weights, target.weights):
-        dst *= 1.0 - tau
-        dst += tau * src
-    for src, dst in zip(source.biases, target.biases):
-        dst *= 1.0 - tau
-        dst += tau * src
+    target.params *= 1.0 - tau
+    target.params += tau * source.params
 
 
 @dataclass
@@ -220,7 +218,7 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig | None 
     net = DenseNet([emb_dim + num_classes, *cfg.hidden, 2], seed=net_ss)
     target = net.copy()
     opt = AdamState(net, lr=cfg.lr)
-    buf = ReplayBuffer(cfg.replay_capacity, seed=buffer_ss)
+    buf = ReplayBuffer(cfg.replay_capacity, emb_dim + num_classes, seed=buffer_ss)
     sched = EpsilonSchedule(cfg.eps_start, cfg.eps_end, cfg.eps_decay)
     action_rng = np.random.default_rng(action_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
@@ -236,9 +234,9 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig | None 
         total_reward = 0.0
         incl_sum = 0.0
         losses: list[float] = []
+        state = encode_state(docs[order[0]].embedding, tracker, dt_scale)
         for t in range(n):
             doc = docs[order[t]]
-            state = encode_state(doc.embedding, tracker, dt_scale)
             eps = sched.value()
             sched.advance()
             action = select_action(net, state, eps, action_rng)
@@ -251,14 +249,17 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig | None 
             r = compute_reward(action, memory, reward_cfg)
             total_reward += r
             tracker.advance_step()
+            # nothing changes the tracker before the next document is read,
+            # so next_state is also that step's state
             if t + 1 < n:
                 next_state = encode_state(docs[order[t + 1]].embedding, tracker, dt_scale)
             else:
                 next_state = state
-            buf.push(Transition(state, action, r, next_state))
+            buf.push(state, action, r, next_state)
             if len(buf) >= warmup:
                 losses.append(train_step(net, target, buf.sample(cfg.minibatch), cfg, opt))
             soft_update(net, target, cfg.tau)
+            state = next_state
             if picks >= cfg.budget:
                 break
         logs.append(EpisodeLog(

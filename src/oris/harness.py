@@ -4,16 +4,13 @@ Per arriving document the configured agent picks or discards; picks are
 labeled by the (possibly error-prone) simulated annotator and appended to
 the training set. Every update_freq picks the classifier is refit from
 scratch and both machine f1 (held-out test set) and human f1 (all picks so
-far) are recorded. Seeded runs are fully independent and may execute in
-parallel (capped by the ORIS_THREADS environment variable).
+far) are recorded. Seeded runs are fully independent.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,19 +218,10 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
         diversity_select(train_docs, cfg.budget, cap=cfg.diversity_cap)
     ) if cfg.agent == "diversity" else frozenset()
 
-    jobs = list(enumerate(cfg.seeds))
-    workers = max(1, int(os.environ.get("ORIS_THREADS", "1")))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda job: _single_run(train_docs, test_docs, cfg, net, diversity_ids, *job),
-                jobs,
-            ))
-    else:
-        results = [
-            _single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id, seed)
-            for run_id, seed in jobs
-        ]
+    results = [
+        _single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id, seed)
+        for run_id, seed in enumerate(cfg.seeds)
+    ]
     rows = [row for res in results for row in res.rows]
     partial = [res.run_id for res in results if not res.completed]
     return ExperimentRecord(rows=rows, partial_runs=partial)

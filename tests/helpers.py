@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from oris.nnet import smooth_l1
+
 
 def finite_difference_net_grads(net, x, grad_out, h=1e-5):
     """Central-difference gradients of sum(forward(x) * grad_out) w.r.t. every
@@ -98,3 +100,94 @@ def reference_fit(training_set, num_classes, seed=0, epochs=50, batch_size=32, l
             W -= lr * dW
             b -= lr * db
     return W, b
+
+
+class ReferenceNet:
+    """The plain DenseNet: one array per weight matrix and bias, and new
+    arrays on every forward and backward pass. The reference that the flat,
+    workspace-based oris.nnet.DenseNet must match bit for bit."""
+
+    def __init__(self, net):
+        self.weights = [np.array(w) for w in net.weights]
+        self.biases = [np.array(b) for b in net.biases]
+        self._cache = None
+
+    def forward(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        a = np.atleast_2d(x)
+        acts = [a]
+        pre = []
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ W.T + b
+            pre.append(z)
+            a = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
+            acts.append(a)
+        self._cache = (acts, pre)
+        return acts[-1][0] if single else acts[-1]
+
+    def backward(self, grad_out):
+        acts, pre = self._cache
+        g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
+        grads = [None] * len(self.weights)
+        for i in reversed(range(len(self.weights))):
+            grads[i] = (g.T @ acts[i], g.sum(axis=0))
+            if i > 0:
+                g = (g @ self.weights[i]) * (pre[i - 1] > 0.0)
+        return grads
+
+
+class ReferenceAdam:
+    """Per-tensor first/second moments, as (mW, mb) pairs per layer."""
+
+    def __init__(self, net, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(net.weights, net.biases)]
+        self.v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(net.weights, net.biases)]
+
+
+def reference_optimizer_step(net, grads, opt):
+    """The per-tensor Adam loop, a new temporary per expression."""
+    opt.step_count += 1
+    bc1 = 1.0 - opt.beta1 ** opt.step_count
+    bc2 = 1.0 - opt.beta2 ** opt.step_count
+    for i, (dW, db) in enumerate(grads):
+        for param, grad, m, v in (
+            (net.weights[i], dW, opt.m[i][0], opt.v[i][0]),
+            (net.biases[i], db, opt.m[i][1], opt.v[i][1]),
+        ):
+            m *= opt.beta1
+            m += (1.0 - opt.beta1) * grad
+            v *= opt.beta2
+            v += (1.0 - opt.beta2) * grad * grad
+            param -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+
+
+def reference_soft_update(source, target, tau):
+    for src, dst in zip(source.weights + source.biases, target.weights + target.biases):
+        dst *= 1.0 - tau
+        dst += tau * src
+
+
+def reference_train_step(source, target, transitions, gamma, opt):
+    """The list-based Q-update over (state, action, reward, next_state)
+    tuples, stacked into arrays on every call. Returns mean loss."""
+    n = len(transitions)
+    states = np.stack([t[0] for t in transitions])
+    actions = np.array([t[1] for t in transitions])
+    rewards = np.array([t[2] for t in transitions])
+    next_states = np.stack([t[3] for t in transitions])
+    q_next = target.forward(next_states)
+    targets = rewards + gamma * q_next.max(axis=1)
+    q = source.forward(states)
+    loss, dpred = smooth_l1(q[np.arange(n), actions], targets)
+    grad_out = np.zeros_like(q)
+    grad_out[np.arange(n), actions] = dpred / n
+    reference_optimizer_step(source, source.backward(grad_out), opt)
+    return float(loss.mean())
+
+
+def flatten_pairs(pairs):
+    """Concatenate per-layer (W, b) pairs in the flat W0, b0, W1, b1, ... layout."""
+    return np.concatenate([np.ravel(a) for pair in pairs for a in pair])

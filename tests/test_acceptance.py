@@ -15,7 +15,6 @@ from helpers import brute_force_f1_macro
 from oris.corpus import LabelSpace, generate_synthetic
 from oris.dqn import (
     AgentConfig,
-    Transition,
     decide,
     evaluate_policy,
     train_agent,
@@ -163,22 +162,20 @@ def test_criterion_04_gradient_checks():
 def test_criterion_05_dqn_gamma_zero_regression():
     rng = np.random.default_rng(42)
     dim = 6
-    batch = [Transition(rng.standard_normal(dim), int(rng.integers(2)),
-                        float(rng.uniform(0.0, 5.0)), rng.standard_normal(dim))
-             for _ in range(32)]
+    rows = [(rng.standard_normal(dim), int(rng.integers(2)), float(rng.uniform(0.0, 5.0)),
+             rng.standard_normal(dim)) for _ in range(32)]
+    states, actions, rewards, next_states = (np.array(col) for col in zip(*rows))
+    batch = (states, actions, rewards, next_states)
     cfg = AgentConfig(gamma=0.0, minibatch=32, hidden=(64, 64), lr=1e-2)
     net = DenseNet([dim, 64, 64, 2], seed=7)
     target = net.copy()
     opt = AdamState(net, lr=cfg.lr)
-    states = np.stack([t.state for t in batch])
-    actions = [t.action for t in batch]
-    rewards = [t.reward for t in batch]
     mae = math.inf
     for step in range(1, 2001):
         train_step(net, target, batch, cfg, opt)
         if step % 100 == 0:
             q = net.forward(states)
-            mae = float(np.abs(q[np.arange(len(batch)), actions] - rewards).mean())
+            mae = float(np.abs(q[np.arange(len(actions)), actions] - rewards).mean())
             if mae < 1e-2:
                 break
     assert mae < 1e-2

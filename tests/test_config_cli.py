@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import oris
 from oris.cli import main
 from oris.config import ConfigError, parse_config
 from oris.corpus import LabelSpace, load_dataset, load_word_vectors
@@ -126,6 +132,23 @@ def test_gen_synth_writes_loadable_dataset(tmp_path):
     assert len(train) == 60
     assert len(test) == 20
     assert table.dimension == 3
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    cfg_path = _write(tmp_path, SYNTH_CFG)
+    out = tmp_path / "synth"
+    env = dict(os.environ)
+    src = str(Path(oris.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "oris.cli", "gen-synth", "--config", str(cfg_path),
+         "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    in_process = tmp_path / "in_process"
+    assert main(["gen-synth", "--config", cfg_path, "--out-dir", str(in_process)]) == 0
+    for name in ("train.tsv", "test.tsv", "vectors.vec"):
+        assert (out / name).read_bytes() == (in_process / name).read_bytes()
 
 
 def test_run_al_on_generated_data_exits_zero(tmp_path, capsys):

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    ReferenceAdam,
+    ReferenceNet,
+    flatten_pairs,
+    reference_soft_update,
+    reference_train_step,
+)
 from oris.corpus import LabelSpace, generate_synthetic
 from oris.dqn import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
-    Transition,
     decide,
     select_action,
     soft_update,
-    store_and_sample,
     train_agent,
     train_step,
     write_training_log,
@@ -23,13 +28,26 @@ from oris.reward import DISCARD, PICK, RewardConfig
 LABELS2 = LabelSpace(["a", "b"])
 
 
-def _transition(rng, dim=4, reward=None):
-    return Transition(
-        state=rng.standard_normal(dim),
-        action=int(rng.integers(2)),
-        reward=float(rng.uniform(0, 5)) if reward is None else reward,
-        next_state=rng.standard_normal(dim),
-    )
+def _transition(rng, dim=4):
+    """(state, action, reward, next_state) with distinct random rows."""
+    return (rng.standard_normal(dim), int(rng.integers(2)), float(rng.uniform(0, 5)),
+            rng.standard_normal(dim))
+
+
+def _batch(transitions):
+    """The (states, actions, rewards, next_states) arrays that train_step takes."""
+    states, actions, rewards, next_states = zip(*transitions)
+    return np.stack(states), np.array(actions), np.array(rewards), np.stack(next_states)
+
+
+def _stored(buf):
+    """Every stored row as a hashable (state, action, reward, next_state)."""
+    return {_row(buf._states[i], buf._actions[i], buf._rewards[i], buf._next_states[i])
+            for i in range(len(buf))}
+
+
+def _row(state, action, reward, next_state):
+    return tuple(state), int(action), float(reward), tuple(next_state)
 
 
 class _FixedNet:
@@ -63,60 +81,71 @@ def test_select_action_eps_one_is_uniform():
 
 def test_replay_fifo_eviction():
     rng = np.random.default_rng(2)
-    buf = ReplayBuffer(capacity=2, seed=0)
+    buf = ReplayBuffer(capacity=2, state_dim=4, seed=0)
     first, second, third = (_transition(rng) for _ in range(3))
-    buf.push(first)
-    buf.push(second)
-    buf.push(third)
+    buf.push(*first)
+    buf.push(*second)
+    buf.push(*third)
     assert len(buf) == 2
-    kept_ids = {id(t) for t in buf._items}
-    assert id(first) not in kept_ids
-    assert {id(second), id(third)} <= kept_ids
+    kept = _stored(buf)
+    assert _row(*first) not in kept
+    assert {_row(*second), _row(*third)} <= kept
 
 
 def test_replay_capacity_never_exceeded_and_order_fifo():
     rng = np.random.default_rng(3)
-    buf = ReplayBuffer(capacity=5, seed=0)
+    buf = ReplayBuffer(capacity=5, state_dim=4, seed=0)
     items = [_transition(rng) for _ in range(12)]
     for i, t in enumerate(items):
-        buf.push(t)
+        buf.push(*t)
         assert len(buf) <= 5
-    assert set(id(t) for t in buf._items) == set(id(t) for t in items[-5:])
+    assert _stored(buf) == {_row(*t) for t in items[-5:]}
 
 
 def test_sample_single_item_buffer():
     rng = np.random.default_rng(4)
-    buf = ReplayBuffer(capacity=10, seed=0)
+    buf = ReplayBuffer(capacity=10, state_dim=4, seed=0)
     only = _transition(rng)
-    batch = store_and_sample(buf, only, 8)
-    assert len(batch) == 1  # min(batch, size)
-    assert all(t is only for t in batch)
+    buf.push(*only)
+    states, actions, rewards, next_states = buf.sample(8)
+    assert len(actions) == 1  # min(batch, size)
+    assert all(_row(*row) == _row(*only) for row in zip(states, actions, rewards, next_states))
 
 
 def test_sample_empty_raises():
     with pytest.raises(ValueError):
-        ReplayBuffer(capacity=3, seed=0).sample(1)
+        ReplayBuffer(capacity=3, state_dim=4, seed=0).sample(1)
 
 
 def test_sample_uniform_with_replacement():
     rng = np.random.default_rng(5)
-    buf = ReplayBuffer(capacity=10, seed=12)
+    buf = ReplayBuffer(capacity=10, state_dim=4, seed=12)
     items = [_transition(rng) for _ in range(10)]
     for t in items:
-        buf.push(t)
-    counts = {id(t): 0 for t in items}
+        buf.push(*t)
+    counts = {_row(*t): 0 for t in items}
     draws = 100_000
     for batch in iter(lambda: buf.sample(10), None):
-        for t in batch:
-            counts[id(t)] += 1
+        for row in zip(*batch):
+            counts[_row(*row)] += 1
         draws -= 10
         if draws <= 0:
             break
     n = sum(counts.values())
+    assert len(counts) == 10
     p = 1 / 10
     sigma = math.sqrt(n * p * (1 - p))
     for c in counts.values():
         assert abs(c - n * p) <= 3 * sigma
+
+
+def test_replay_rejects_wrong_state_width():
+    buf = ReplayBuffer(capacity=3, state_dim=4, seed=0)
+    with pytest.raises(ValueError):
+        buf.push(np.zeros(5), 0, 0.0, np.zeros(5))
+    for bad in (dict(capacity=0, state_dim=4), dict(capacity=3, state_dim=0)):
+        with pytest.raises(ValueError):
+            ReplayBuffer(**bad)
 
 
 def test_epsilon_schedule_shape():
@@ -136,7 +165,7 @@ def test_epsilon_schedule_shape():
 def test_train_step_gamma_zero_regresses_to_rewards():
     rng = np.random.default_rng(42)
     dim = 4
-    batch = [_transition(rng, dim) for _ in range(16)]
+    batch = _batch([_transition(rng, dim) for _ in range(16)])
     cfg = AgentConfig(gamma=0.0, minibatch=16, hidden=(32, 32), lr=1e-2)
     net = DenseNet([dim, 32, 32, 2], seed=7)
     target = net.copy()
@@ -144,9 +173,10 @@ def test_train_step_gamma_zero_regresses_to_rewards():
     for _ in range(800):
         loss = train_step(net, target, batch, cfg, opt)
         assert loss >= 0.0
-    q = net.forward(np.stack([t.state for t in batch]))
-    picked = q[np.arange(len(batch)), [t.action for t in batch]]
-    mae = np.abs(picked - [t.reward for t in batch]).mean()
+    states, actions, rewards, _ = batch
+    q = net.forward(states)
+    picked = q[np.arange(len(actions)), actions]
+    mae = np.abs(picked - rewards).mean()
     assert mae < 1e-2
 
 
@@ -159,11 +189,37 @@ def test_train_step_duplicated_batch_equals_single_sample():
     target = net_a.copy()
     opt_a = AdamState(net_a, lr=cfg.lr)
     opt_b = AdamState(net_b, lr=cfg.lr)
-    loss_a = train_step(net_a, target, [t] * 4, cfg, opt_a)
-    loss_b = train_step(net_b, target, [t], cfg, opt_b)
+    loss_a = train_step(net_a, target, _batch([t] * 4), cfg, opt_a)
+    loss_b = train_step(net_b, target, _batch([t]), cfg, opt_b)
     assert loss_a == pytest.approx(loss_b)
     for a, b in zip(net_a.weights + net_a.biases, net_b.weights + net_b.biases):
         assert np.allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("hidden", [(16,), (32, 24)])
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_train_step_and_soft_update_bit_identical_to_reference(hidden, batch, seed):
+    rng = np.random.default_rng(seed)
+    dim = 6
+    cfg = AgentConfig(gamma=0.9, tau=0.05, minibatch=batch, hidden=hidden, lr=1e-2)
+    net = DenseNet([dim, *hidden, 2], seed=seed)
+    target = net.copy()
+    opt = AdamState(net, lr=cfg.lr)
+    ref, ref_target = ReferenceNet(net), ReferenceNet(target)
+    ref_opt = ReferenceAdam(net, lr=cfg.lr)
+    for _ in range(20):
+        if rng.random() < 0.75:  # a warm-up step blends the target without an update
+            transitions = [_transition(rng, dim) for _ in range(batch)]
+            loss = train_step(net, target, _batch(transitions), cfg, opt)
+            assert loss == reference_train_step(ref, ref_target, transitions, cfg.gamma, ref_opt)
+        soft_update(net, target, cfg.tau)
+        reference_soft_update(ref, ref_target, cfg.tau)
+    assert np.array_equal(net.params, flatten_pairs(zip(ref.weights, ref.biases)))
+    assert np.array_equal(target.params, flatten_pairs(zip(ref_target.weights, ref_target.biases)))
+    assert np.array_equal(opt.m, flatten_pairs(ref_opt.m))
+    assert np.array_equal(opt.v, flatten_pairs(ref_opt.v))
+    assert opt.step_count == ref_opt.step_count > 0
 
 
 def test_soft_update_blend():

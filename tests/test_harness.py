@@ -194,16 +194,6 @@ def test_run_experiment_oris_requires_net():
         run_experiment(train, test, _base_cfg(agent="oris"))
 
 
-def test_threads_env_var_gives_identical_record(monkeypatch):
-    train = _docs([30, 30], seed=17)
-    test = _docs([5, 5], seed=18, start_id=200)
-    cfg = _base_cfg(budget=6, update_freq=3, seeds=(1, 2, 3), pick_prob=0.5)
-    sequential = run_experiment(train, test, cfg)
-    monkeypatch.setenv("ORIS_THREADS", "3")
-    threaded = run_experiment(train, test, cfg)
-    assert sequential == threaded
-
-
 def test_write_record_format_and_round_trip(tmp_path):
     rows = [RecordRow(run_id=r, budget_exhausted=b, machine_f1_macro=0.5 + 0.01 * b,
                       human_f1_macro=0.9, picks=b, oracle_errors=b // 2)

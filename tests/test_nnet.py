@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import finite_difference_net_grads, max_relative_error
+from helpers import (
+    ReferenceAdam,
+    ReferenceNet,
+    finite_difference_net_grads,
+    flatten_pairs,
+    max_relative_error,
+    reference_optimizer_step,
+)
 from oris.nnet import (
     AdamState,
     DenseNet,
@@ -188,3 +195,70 @@ def test_copy_is_independent():
     dup = net.copy()
     dup.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != dup.weights[0][0, 0]
+
+
+ARCHITECTURES = ([5, 16, 2], [9, 32, 24, 2])
+
+
+@pytest.mark.parametrize("sizes", ARCHITECTURES)
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_backward_adam_bit_identical_to_reference(sizes, batch, seed):
+    rng = np.random.default_rng(seed)
+    net = DenseNet(sizes, seed=seed)
+    ref = ReferenceNet(net)
+    opt = AdamState(net, lr=1e-2)
+    ref_opt = ReferenceAdam(net, lr=1e-2)
+    for _ in range(6):
+        x = rng.standard_normal((batch, sizes[0]))
+        grad_out = rng.standard_normal((batch, 2))
+        assert np.array_equal(net.forward(x[0]), ref.forward(x[0]))
+        net.backward(x[0], grad_out[0])
+        assert np.array_equal(net.grad, flatten_pairs(ref.backward(grad_out[0])))
+        assert np.array_equal(net.forward(x), ref.forward(x))
+        grads = net.backward(x, grad_out)
+        ref_grads = ref.backward(grad_out)
+        assert np.array_equal(net.grad, flatten_pairs(ref_grads))
+        optimizer_step(net, grads, opt)
+        reference_optimizer_step(ref, ref_grads, ref_opt)
+        assert np.array_equal(net.params, flatten_pairs(zip(ref.weights, ref.biases)))
+        assert np.array_equal(opt.m, flatten_pairs(ref_opt.m))
+        assert np.array_equal(opt.v, flatten_pairs(ref_opt.v))
+
+
+def test_forward_output_survives_later_forward():
+    net = DenseNet([3, 8, 2], seed=0)
+    rng = np.random.default_rng(0)
+    x1, x2 = rng.standard_normal((2, 4, 3))
+    out = net.forward(x1)
+    kept = out.copy()
+    single = net.forward(x1[0])
+    net.forward(x2)
+    net.forward(x2[0])
+    assert np.array_equal(out, kept)
+    assert np.array_equal(single, kept[0])
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    net = DenseNet([3, 4, 2], seed=0)
+    assert net.params.size == 4 * 3 + 4 + 2 * 4 + 2
+    net.params[:] = np.arange(net.params.size)
+    assert net.weights[0][1, 0] == 3.0 and net.biases[0][0] == 12.0
+    net.biases[1][1] = -1.0
+    assert net.params[-1] == -1.0
+
+
+def test_copy_and_from_parameters_own_their_buffers():
+    net = DenseNet([2, 3, 1], seed=0)
+    dup = net.copy()
+    built = DenseNet.from_parameters(net.weights, net.biases)
+    assert np.array_equal(dup.params, net.params) and np.array_equal(built.params, net.params)
+    for other in (dup, built):
+        assert not np.shares_memory(other.params, net.params)
+        assert not np.shares_memory(other.grad, net.grad)
+        assert all(np.shares_memory(w, other.params) for w in other.weights + other.biases)
+    before = net.params.copy()
+    dup.params += 1.0
+    built.weights[0][0, 0] += 1.0
+    assert np.array_equal(net.params, before)
+    assert not np.shares_memory(dup.params, built.params)
