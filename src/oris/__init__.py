@@ -9,7 +9,6 @@ from .corpus import (
     Document,
     EmbeddingTable,
     LabelSpace,
-    StreamSource,
     embed_document,
     generate_synthetic,
     load_dataset,
@@ -38,7 +37,7 @@ from .harness import (
     uncertainty_decide,
     write_record,
 )
-from .learner import SoftmaxClassifier, f1_macro, fit, human_f1, predict, predict_proba
+from .learner import SoftmaxClassifier, f1_macro, fit, predict, predict_proba
 from .nnet import AdamState, DenseNet, load_checkpoint, optimizer_step, save_checkpoint, smooth_l1
 from .oracle import DecayModel, OracleState, error_probability
 from .reward import DISCARD, PICK, PickMemory, RewardConfig, compute_reward, inclusivity

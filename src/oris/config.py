@@ -99,7 +99,6 @@ _SCHEMA = {
     "harness.agent": (_parse_choice(AGENT_KINDS), "random"),
     "harness.budget": (_parse_int, 500),
     "harness.update_freq": (_parse_int, 25),
-    "harness.runs": (_parse_int, 5),
     "harness.pick_prob": (_parse_float_or_auto, None),
     "harness.theta0": (_parse_float, 0.5),
     "harness.diversity_cap": (_parse_int, 5000),
@@ -170,7 +169,6 @@ class ExperimentConfig:
             update_freq=self.values["harness.update_freq"],
             seeds=tuple(self.seeds),
             oracle=self.decay_model(),
-            reward=self.reward_config(),
             k=self.values["encoder.k"],
             dt_scale=self.values["encoder.dt_scale"],
             pick_prob=self.values["harness.pick_prob"],
@@ -220,19 +218,6 @@ def parse_config(path) -> ExperimentConfig:
             problems.append(f"line {lineno}: bad value for {key}: {raw!r} ({reason})")
             continue
         explicit.add(key)
-
-    # Reconcile run count and seed list.
-    if "seeds" in explicit and "harness.runs" not in explicit:
-        values["harness.runs"] = len(values["seeds"])
-    elif "harness.runs" in explicit and "seeds" not in explicit:
-        if values["harness.runs"] >= 1:
-            values["seeds"] = list(range(1, values["harness.runs"] + 1))
-    if values["harness.runs"] != len(values["seeds"]):
-        problems.append(
-            f"harness.runs={values['harness.runs']} does not match {len(values['seeds'])} seeds"
-        )
-    if not values["seeds"]:
-        problems.append("seeds must be nonempty")
 
     cfg = ExperimentConfig(values=values)
     # Constraint validation is delegated to the component configs.

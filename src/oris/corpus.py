@@ -222,34 +222,12 @@ def generate_synthetic(
     return docs
 
 
-class StreamSource:
-    """Single-consumer iterator over a fixed document order."""
-
-    def __init__(self, docs, seed):
-        self._docs = list(docs)
-        self.seed = seed
-        self._cursor = 0
-
-    def __len__(self):
-        return len(self._docs)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Document:
-        if self._cursor >= len(self._docs):
-            raise StopIteration
-        doc = self._docs[self._cursor]
-        self._cursor += 1
-        return doc
-
-
-def shuffle_stream(docs, seed) -> StreamSource:
-    """Seeded permutation of the document list as a one-pass stream."""
+def shuffle_stream(docs, seed) -> list[Document]:
+    """Seeded permutation of the document list: the stream order."""
     if not docs:
         raise ValueError("cannot shuffle an empty document list")
     order = np.random.default_rng(seed).permutation(len(docs))
-    return StreamSource([docs[i] for i in order], seed)
+    return [docs[i] for i in order]
 
 
 def synthetic_token(doc_id: int) -> str:

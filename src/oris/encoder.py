@@ -31,6 +31,10 @@ class LastSeenTracker:
         buf = self._buffers[cls]
         return sum(self.current_step - s for s in buf) / len(buf)
 
+    def since_last(self, cls: int) -> int:
+        """Steps since the class's most recent recorded emission: the annotator's slip clock."""
+        return self.current_step - self._buffers[cls][-1]
+
     def averages(self) -> np.ndarray:
         return np.array([self.averaged_last_seen(c) for c in range(self.num_classes)])
 

@@ -10,7 +10,6 @@ far) are recorded. Seeded runs are fully independent.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +18,9 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from .corpus import LabelSpace, shuffle_stream
 from .dqn import decide
 from .encoder import LastSeenTracker, encode_state
-from .learner import f1_macro, fit, human_f1, predict, predict_proba
+from .learner import f1_macro, fit, predict, predict_proba
 from .oracle import DecayModel, OracleState
-from .reward import DISCARD, PICK, PickMemory, RewardConfig
+from .reward import DISCARD, PICK, normalized_entropy
 
 AGENT_KINDS = ("random", "uncertainty", "diversity", "oris")
 
@@ -37,7 +36,6 @@ class HarnessConfig:
     update_freq: int = 25
     seeds: tuple = (1, 2, 3, 4, 5)
     oracle: DecayModel = field(default_factory=DecayModel)
-    reward: RewardConfig = field(default_factory=RewardConfig)
     k: int = 3
     dt_scale: float = 1.0
     pick_prob: float | None = None  # None -> budget / stream length
@@ -60,6 +58,10 @@ class HarnessConfig:
             raise ValueError("need at least one seed")
         if self.pick_prob is not None and not 0.0 <= self.pick_prob <= 1.0:
             raise ValueError(f"pick_prob must be in [0, 1], got {self.pick_prob}")
+        if self.k < 1:
+            raise ValueError(f"history depth k must be >= 1, got {self.k}")
+        if self.dt_scale <= 0:
+            raise ValueError(f"dt_scale must be > 0, got {self.dt_scale}")
         if not 0.0 < self.theta0 <= 1.0:
             raise ValueError(f"theta0 must be in (0, 1], got {self.theta0}")
         if self.diversity_cap < self.budget:
@@ -99,9 +101,7 @@ def uncertainty_decide(clf, emb, b: int, budget: int, theta0: float) -> int:
     """
     if clf is None:
         return PICK
-    probs = predict_proba(clf, emb)
-    nonzero = probs[probs > 0]
-    entropy = float(-(nonzero * np.log2(nonzero)).sum()) / math.log2(len(probs))
+    entropy = normalized_entropy(predict_proba(clf, emb))
     return PICK if entropy >= theta0 * (1.0 - b / budget) else DISCARD
 
 
@@ -133,21 +133,13 @@ def diversity_select(docs, budget: int, linkage_method: str = "average",
     return sorted(selected)
 
 
-@dataclass
-class _RunResult:
-    run_id: int
-    rows: list[RecordRow]
-    completed: bool
-
-
 def _single_run(train_docs, test_docs, cfg: HarnessConfig, net, diversity_ids,
-                run_id: int, seed) -> _RunResult:
+                run_id: int, seed) -> tuple[list[RecordRow], bool]:
+    """Stream one seeded run; returns its rows and whether the budget was spent."""
     labels = cfg.labels
-    num_classes = len(labels)
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
-    oracle_state = OracleState(cfg.oracle, labels, seed=oracle_ss)
-    tracker = LastSeenTracker(num_classes, cfg.k)
-    memory = PickMemory(cfg.reward.m, num_classes)
+    tracker = LastSeenTracker(len(labels), cfg.k)
+    oracle_state = OracleState(cfg.oracle, labels, tracker, seed=oracle_ss)
     agent_rng = np.random.default_rng(agent_ss)
     fit_rng = np.random.default_rng(fit_ss)
     pick_prob = cfg.pick_prob
@@ -175,27 +167,24 @@ def _single_run(train_docs, test_docs, cfg: HarnessConfig, net, diversity_ids,
         else:
             action = decide(net, encode_state(doc.embedding, tracker, cfg.dt_scale))
         if action == PICK:
-            emitted = oracle_state.annotate(doc)
+            emitted = oracle_state.annotate(doc)  # also recorded in tracker
             b += 1
             if emitted != doc.true_class:
                 errors += 1
             training_set.append((doc.embedding, emitted))
             picked_true.append(doc.true_class)
             picked_emitted.append(emitted)
-            memory.push(emitted)
-            tracker.record_emission(emitted)
             if b % cfg.update_freq == 0:
                 clf = fit(training_set, labels, seed=int(fit_rng.integers(2 ** 31)),
                           epochs=cfg.learner_epochs, batch_size=cfg.learner_batch,
                           lr=cfg.learner_lr)
                 machine = f1_macro(test_y, predict(clf, test_X), labels)
-                human = human_f1(picked_true, picked_emitted, labels)
+                human = f1_macro(picked_true, picked_emitted, labels)
                 rows.append(RecordRow(run_id, b, machine, human, b, errors))
         oracle_state.advance_step()
-        tracker.advance_step()
         if b >= cfg.budget:
             break
-    return _RunResult(run_id=run_id, rows=rows, completed=b >= cfg.budget)
+    return rows, b >= cfg.budget
 
 
 def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> ExperimentRecord:
@@ -218,12 +207,10 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
         diversity_select(train_docs, cfg.budget, cap=cfg.diversity_cap)
     ) if cfg.agent == "diversity" else frozenset()
 
-    results = [
-        _single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id, seed)
-        for run_id, seed in enumerate(cfg.seeds)
-    ]
-    rows = [row for res in results for row in res.rows]
-    partial = [res.run_id for res in results if not res.completed]
+    runs = [_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id, seed)
+            for run_id, seed in enumerate(cfg.seeds)]
+    rows = [row for run_rows, _ in runs for row in run_rows]
+    partial = [run_id for run_id, (_, completed) in enumerate(runs) if not completed]
     return ExperimentRecord(rows=rows, partial_runs=partial)
 
 

@@ -128,7 +128,3 @@ def f1_macro(true, pred, labels: LabelSpace) -> float:
             total += 2 * tp / denom
     return total / len(labels)
 
-
-def human_f1(picked_true, picked_emitted, labels: LabelSpace) -> float:
-    """Annotator quality: f1-macro of emitted labels against ground truth."""
-    return f1_macro(picked_true, picked_emitted, labels)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Document, LabelSpace
+from .encoder import LastSeenTracker
 
 DECAY_KINDS = ("sigmoid", "exponential", "perfect")
 
@@ -53,42 +54,39 @@ def error_probability(model: DecayModel, dt) -> float:
 
 
 class OracleState:
-    """Per-class recency bookkeeping for one annotator over one stream.
+    """One annotator over one stream, reading recency from a shared tracker.
 
-    The memory records the step of the most recent *emitted* label per class
-    (the only signal an observer has), and every class starts as just-seen at
-    step 0.
+    The tracker records the step of every *emitted* label (the only signal
+    an observer has), so the agent's state and the annotator's slips read
+    the same recency; every class starts as just-seen at step 0.
     """
 
-    def __init__(self, model: DecayModel, labels: LabelSpace, seed=0):
+    def __init__(self, model: DecayModel, labels: LabelSpace, tracker: LastSeenTracker, seed=0):
+        if tracker.num_classes != len(labels):
+            raise ValueError(
+                f"tracker has {tracker.num_classes} classes, label space has {len(labels)}"
+            )
         self.model = model
         self.labels = labels
-        self.last_seen_step = {c: 0 for c in range(len(labels))}
-        self.current_step = 0
+        self.tracker = tracker
         self.rng = np.random.default_rng(seed)
-
-    def time_since_seen(self, cls: int) -> int:
-        return self.current_step - self.last_seen_step[cls]
 
     def annotate(self, doc: Document) -> int:
         """Return a label for doc: the true class, or with the decay-model's
-        slip probability a uniformly random other class. Refreshes memory
-        with whatever label was emitted.
+        slip probability a uniformly random other class. Records whatever
+        label was emitted in the tracker.
         """
         true = doc.true_class
         if not 0 <= true < len(self.labels):
             raise ValueError(f"document class {true} outside label space")
-        p = error_probability(self.model, self.time_since_seen(true))
+        p = error_probability(self.model, self.tracker.since_last(true))
         emitted = true
         if p > 0.0 and self.rng.random() < p:
             others = [c for c in range(len(self.labels)) if c != true]
             emitted = others[self.rng.integers(len(others))]
-        self.refresh_memory(emitted)
+        self.tracker.record_emission(emitted)
         return emitted
-
-    def refresh_memory(self, emitted: int) -> None:
-        self.last_seen_step[emitted] = self.current_step
 
     def advance_step(self) -> None:
         """One stream step passed (picked or not)."""
-        self.current_step += 1
+        self.tracker.advance_step()

@@ -56,18 +56,22 @@ class PickMemory:
         return len(self._window)
 
 
+def normalized_entropy(p) -> float:
+    """Shannon entropy in bits of the probability vector p, divided by
+    log2(len(p)) so it lies in [0, 1]."""
+    nonzero = p[p > 0]
+    return float(-(nonzero * np.log2(nonzero)).sum()) / math.log2(len(p))
+
+
 def inclusivity(memory: PickMemory, num_classes: int) -> float:
-    """Shannon entropy of the window's empirical class frequencies, divided
-    by log2(num_classes). Empty window -> 0. Windows shorter than m use
-    frequencies over the actual length.
+    """Normalized entropy of the window's empirical class frequencies.
+    Empty window -> 0. Windows shorter than m use frequencies over the
+    actual length.
     """
     n = len(memory)
     if n == 0:
         return 0.0
-    counts = np.bincount(memory.labels(), minlength=num_classes)
-    p = counts[counts > 0] / n
-    entropy = float(-(p * np.log2(p)).sum())
-    return entropy / math.log2(num_classes)
+    return normalized_entropy(np.bincount(memory.labels(), minlength=num_classes) / n)
 
 
 def compute_reward(action: int, memory: PickMemory, cfg: RewardConfig) -> float:

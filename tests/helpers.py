@@ -1,11 +1,18 @@
 """Independent oracles used by the tests: finite differences, brute-force
-confusion-matrix f1, and scalar entropy. Deliberately slow and simple."""
+confusion-matrix f1, scalar entropy, and plain reference versions of the
+optimized or refactored code. Deliberately slow and simple."""
 
 import math
 
 import numpy as np
 
+from oris.dqn import decide
+from oris.encoder import LastSeenTracker, encode_state
+from oris.harness import RecordRow, random_decide
+from oris.learner import f1_macro, fit, predict, predict_proba
 from oris.nnet import smooth_l1
+from oris.oracle import error_probability
+from oris.reward import DISCARD, PICK
 
 
 def finite_difference_net_grads(net, x, grad_out, h=1e-5):
@@ -191,3 +198,90 @@ def reference_train_step(source, target, transitions, gamma, opt):
 def flatten_pairs(pairs):
     """Concatenate per-layer (W, b) pairs in the flat W0, b0, W1, b1, ... layout."""
     return np.concatenate([np.ravel(a) for pair in pairs for a in pair])
+
+
+class ReferenceOracle:
+    """The annotator with its own dict of last-emitted steps and its own step
+    counter, kept apart from the agent's tracker: the reference for
+    oris.oracle.OracleState, which reads the shared LastSeenTracker."""
+
+    def __init__(self, model, num_classes, seed=0):
+        self.model = model
+        self.num_classes = num_classes
+        self.last_seen_step = {c: 0 for c in range(num_classes)}
+        self.current_step = 0
+        self.rng = np.random.default_rng(seed)
+
+    def annotate(self, doc):
+        true = doc.true_class
+        p = error_probability(self.model, self.current_step - self.last_seen_step[true])
+        emitted = true
+        if p > 0.0 and self.rng.random() < p:
+            others = [c for c in range(self.num_classes) if c != true]
+            emitted = others[self.rng.integers(len(others))]
+        self.last_seen_step[emitted] = self.current_step
+        return emitted
+
+    def advance_step(self):
+        self.current_step += 1
+
+
+def reference_uncertainty_decide(clf, emb, b, budget, theta0):
+    if clf is None:
+        return PICK
+    probs = predict_proba(clf, emb)
+    nonzero = probs[probs > 0]
+    entropy = float(-(nonzero * np.log2(nonzero)).sum()) / math.log2(len(probs))
+    return PICK if entropy >= theta0 * (1.0 - b / budget) else DISCARD
+
+
+def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id, seed):
+    """One run of the online loop as first written, with two recency states
+    (ReferenceOracle and a LastSeenTracker) updated side by side. Returns
+    (rows, completed): the reference that harness._single_run must match."""
+    labels = cfg.labels
+    oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
+    oracle_state = ReferenceOracle(cfg.oracle, len(labels), seed=oracle_ss)
+    tracker = LastSeenTracker(len(labels), cfg.k)
+    agent_rng = np.random.default_rng(agent_ss)
+    fit_rng = np.random.default_rng(fit_ss)
+    pick_prob = cfg.pick_prob
+    if pick_prob is None:
+        pick_prob = min(1.0, cfg.budget / len(train_docs))
+    test_X = np.stack([d.embedding for d in test_docs])
+    test_y = np.array([d.true_class for d in test_docs])
+    order = np.random.default_rng(seed).permutation(len(train_docs))
+
+    training_set, picked_true, picked_emitted, rows = [], [], [], []
+    clf = None
+    b = errors = 0
+    for doc in (train_docs[i] for i in order):
+        if cfg.agent == "random":
+            action = random_decide(agent_rng, pick_prob)
+        elif cfg.agent == "uncertainty":
+            action = reference_uncertainty_decide(clf, doc.embedding, b, cfg.budget, cfg.theta0)
+        elif cfg.agent == "diversity":
+            action = PICK if doc.id in diversity_ids else DISCARD
+        else:
+            action = decide(net, encode_state(doc.embedding, tracker, cfg.dt_scale))
+        if action == PICK:
+            emitted = oracle_state.annotate(doc)
+            b += 1
+            if emitted != doc.true_class:
+                errors += 1
+            training_set.append((doc.embedding, emitted))
+            picked_true.append(doc.true_class)
+            picked_emitted.append(emitted)
+            tracker.record_emission(emitted)
+            if b % cfg.update_freq == 0:
+                clf = fit(training_set, labels, seed=int(fit_rng.integers(2 ** 31)),
+                          epochs=cfg.learner_epochs, batch_size=cfg.learner_batch,
+                          lr=cfg.learner_lr)
+                machine = f1_macro(test_y, predict(clf, test_X), labels)
+                human = f1_macro(picked_true, picked_emitted, labels)
+                rows.append(RecordRow(run_id, b, machine, human, b, errors))
+        oracle_state.advance_step()
+        tracker.advance_step()
+        if b >= cfg.budget:
+            break
+    return rows, b >= cfg.budget

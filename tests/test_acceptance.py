@@ -233,8 +233,7 @@ def ordering_experiment():
     net, _ = train_agent(rl, ORDERING_LABELS, agent_cfg, RewardConfig(), seed=1)
 
     base = dict(labels=ORDERING_LABELS, budget=ORDERING_BUDGET, update_freq=ORDERING_FREQ,
-                seeds=ORDERING_SEEDS, oracle=DecayModel("sigmoid", alpha=0.3, beta=9.0),
-                reward=RewardConfig())
+                seeds=ORDERING_SEEDS, oracle=DecayModel("sigmoid", alpha=0.3, beta=9.0))
     records = {
         "random": run_experiment(train, test, HarnessConfig(
             agent="random", pick_prob=1.3 * ORDERING_BUDGET / len(train), **base)),

@@ -72,6 +72,18 @@ def test_config_rejects_diversity_cap_below_budget(tmp_path):
         parse_config(_write(tmp_path, "harness.diversity_cap = 499\nharness.budget = 500\n"))
 
 
+def test_config_rejects_bad_encoder_k_and_dt_scale(tmp_path):
+    # caught at parse time whatever the agent, not when a tracker is built
+    for agent in ("random", "uncertainty", "diversity", "oris"):
+        with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+            parse_config(_write(tmp_path, f"harness.agent = {agent}\nencoder.k = 0\n"))
+        with pytest.raises(ConfigError, match="dt_scale must be > 0, got 0.0"):
+            parse_config(_write(tmp_path, f"harness.agent = {agent}\nencoder.dt_scale = 0\n"))
+    with pytest.raises(ConfigError, match="dt_scale must be > 0, got -0.5"):
+        parse_config(_write(tmp_path, "encoder.dt_scale = -0.5\n"))
+    assert parse_config(_write(tmp_path, "encoder.k = 1\nencoder.dt_scale = 1e-3\n"))
+
+
 def test_config_rejects_f_greater_than_budget(tmp_path):
     with pytest.raises(ConfigError, match="update frequency"):
         parse_config(_write(tmp_path, "harness.update_freq = 600\nharness.budget = 500\n"))
@@ -92,12 +104,12 @@ def test_config_type_errors_reported(tmp_path):
 
 
 def test_config_runs_and_seeds_reconciled(tmp_path):
-    cfg = parse_config(_write(tmp_path, "harness.runs = 3\n"))
-    assert cfg.seeds == [1, 2, 3]
+    # the run count is the seed count; there is no separate key for it
+    with pytest.raises(ConfigError, match="unknown key 'harness.runs'"):
+        parse_config(_write(tmp_path, "harness.runs = 3\n"))
     cfg = parse_config(_write(tmp_path, "seeds = 11, 12\n"))
-    assert cfg["harness.runs"] == 2
-    with pytest.raises(ConfigError, match="does not match"):
-        parse_config(_write(tmp_path, "seeds = 1, 2\nharness.runs = 5\n"))
+    assert cfg.seeds == [11, 12]
+    assert cfg.harness_config().seeds == (11, 12)
 
 
 def test_config_missing_file():

@@ -181,10 +181,7 @@ def test_generate_synthetic_validates_dimension():
 
 def test_shuffle_stream_single_doc():
     doc = Document(0, [], 0, np.zeros(2))
-    stream = shuffle_stream([doc], seed=1)
-    assert next(stream) is doc
-    with pytest.raises(StopIteration):
-        next(stream)
+    assert shuffle_stream([doc], seed=1) == [doc]
 
 
 def test_shuffle_stream_deterministic_and_seed_sensitive():

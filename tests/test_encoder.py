@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oris.encoder import LastSeenTracker, encode_state
 
@@ -125,3 +127,29 @@ def test_validation():
         LastSeenTracker(num_classes=0, k=3)
     with pytest.raises(ValueError):
         LastSeenTracker(num_classes=2, k=0)
+
+
+@given(
+    num_classes=st.integers(min_value=1, max_value=5),
+    k=st.integers(min_value=1, max_value=4),
+    script=st.lists(st.one_of(st.just(None), st.integers(min_value=0, max_value=4)),
+                    max_size=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_since_last_and_averages_match_replay(num_classes, k, script):
+    # script: None advances the step, an int emits that class (mod num_classes)
+    tracker = LastSeenTracker(num_classes, k)
+    history = {c: [0] * k for c in range(num_classes)}  # every emission step, padded
+    step = 0
+    for op in script:
+        if op is None:
+            tracker.advance_step()
+            step += 1
+        else:
+            tracker.record_emission(op % num_classes)
+            history[op % num_classes].append(step)
+        assert tracker.current_step == step
+        for c in range(num_classes):
+            assert tracker.since_last(c) == step - history[c][-1]
+        expected = [sum(step - s for s in history[c][-k:]) / k for c in range(num_classes)]
+        assert tracker.averages().tolist() == expected

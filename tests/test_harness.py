@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_single_run
 from oris.corpus import Document, LabelSpace, generate_synthetic
 from oris.harness import (
     ExperimentRecord,
@@ -235,8 +236,47 @@ def test_aggregate_matches_hand_calculation(tmp_path):
 def test_harness_config_validation():
     for bad in (dict(update_freq=0), dict(update_freq=600), dict(agent="bogus"),
                 dict(pick_prob=1.5), dict(theta0=0.0), dict(seeds=()),
-                dict(diversity_cap=499), dict(agent="diversity", diversity_cap=0)):
+                dict(diversity_cap=499), dict(agent="diversity", diversity_cap=0),
+                dict(k=0), dict(k=-2), dict(dt_scale=0.0), dict(dt_scale=-1.0)):
         with pytest.raises(ValueError):
             _base_cfg(budget=500, **{**dict(update_freq=25), **bad})
     # a pool of exactly `budget` documents still yields `budget` clusters
     assert _base_cfg(agent="diversity", budget=500, update_freq=25, diversity_cap=500)
+
+
+LABELS3 = LabelSpace(["a", "b", "c"])
+REFERENCE_ORACLES = {
+    "sigmoid": DecayModel("sigmoid", alpha=0.5, beta=4.0),
+    "exponential": DecayModel("exponential", alpha=0.3, beta=-4.0),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_corpus():
+    train = _docs([150, 90, 60], dim=5, sep=2.0, seed=21, labels=LABELS3)
+    test = _docs([40, 40, 40], dim=5, sep=2.0, seed=22, labels=LABELS3, start_id=len(train))
+    net = DenseNet([5 + 3, 8, 2], seed=4)  # untrained: picks depend on the recency tail
+    return train, test, net
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("oracle", sorted(REFERENCE_ORACLES))
+@pytest.mark.parametrize("agent", ["random", "uncertainty", "diversity", "oris"])
+def test_run_experiment_matches_reference_loop(reference_corpus, agent, oracle, k):
+    train, test, net = reference_corpus
+    cfg = HarnessConfig(labels=LABELS3, agent=agent, budget=60, update_freq=15,
+                        seeds=(1, 2, 3), oracle=REFERENCE_ORACLES[oracle], k=k,
+                        diversity_cap=200, learner_epochs=5)
+    record = run_experiment(train, test, cfg, net=net if agent == "oris" else None)
+    diversity_ids = frozenset(diversity_select(train, cfg.budget, cap=cfg.diversity_cap)
+                              if agent == "diversity" else ())
+    ref_rows, ref_partial = [], []
+    for run_id, seed in enumerate(cfg.seeds):
+        rows, completed = reference_single_run(train, test, cfg, net, diversity_ids,
+                                               run_id, seed)
+        ref_rows.extend(rows)
+        if not completed:
+            ref_partial.append(run_id)
+    assert record.rows == ref_rows  # floats compared exactly
+    assert record.partial_runs == ref_partial
+    assert sum(r.oracle_errors for r in record.rows) > 0  # the annotator did slip

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from oris.corpus import Document, LabelSpace
+from oris.encoder import LastSeenTracker
 from oris.oracle import DecayModel, OracleState, error_probability
 
 LABELS5 = LabelSpace(["c0", "c1", "c2", "c3", "c4"])
@@ -14,6 +15,10 @@ LABELS5 = LabelSpace(["c0", "c1", "c2", "c3", "c4"])
 
 def _doc(cls):
     return Document(id=0, tokens=[], true_class=cls, embedding=np.zeros(2))
+
+
+def _oracle(model, seed, k=1):
+    return OracleState(model, LABELS5, LastSeenTracker(len(LABELS5), k), seed=seed)
 
 
 def test_sigmoid_midpoint_exact():
@@ -62,7 +67,7 @@ def test_error_probability_monotone_and_bounded(kind, alpha, beta, dts):
 
 
 def test_annotate_perfect_is_identity():
-    state = OracleState(DecayModel("perfect"), LABELS5, seed=0)
+    state = _oracle(DecayModel("perfect"), seed=0)
     for cls in range(5):
         for _ in range(20):
             assert state.annotate(_doc(cls)) == cls
@@ -71,7 +76,7 @@ def test_annotate_perfect_is_identity():
 
 def test_annotate_certain_slip_never_emits_truth():
     # exponential with beta=0 gives probability exp(alpha*dt) >= 1 -> always slip
-    state = OracleState(DecayModel("exponential", alpha=0.0, beta=0.0), LABELS5, seed=3)
+    state = _oracle(DecayModel("exponential", alpha=0.0, beta=0.0), seed=3)
     for _ in range(200):
         assert state.annotate(_doc(2)) != 2
 
@@ -79,7 +84,7 @@ def test_annotate_certain_slip_never_emits_truth():
 def test_annotate_error_rate_matches_formula():
     # all classes just seen (dt = 0): expected error rate 1/(1+e^9)
     model = DecayModel("sigmoid", alpha=0.3, beta=9.0)
-    state = OracleState(model, LABELS5, seed=11)
+    state = _oracle(model, seed=11)
     n = 100_000
     p = 1.0 / (1.0 + math.exp(9.0))
     errors = 0
@@ -92,47 +97,63 @@ def test_annotate_error_rate_matches_formula():
 
 
 def test_slip_target_uniform_over_other_classes():
-    state = OracleState(DecayModel("exponential", alpha=0.0, beta=0.0), LABELS5, seed=5)
+    state = _oracle(DecayModel("exponential", alpha=0.0, beta=0.0), seed=5)
     true = 2
     counts = {c: 0 for c in range(5) if c != true}
     n = 100_000
     for _ in range(n):
         emitted = state.annotate(_doc(true))
-        counts[emitted] += 1
-        state.last_seen_step = {c: state.current_step for c in range(5)}  # keep dt at 0
+        counts[emitted] += 1  # the step never advances, so dt stays 0
     result = chisquare(list(counts.values()))
     assert result.pvalue > 0.01
 
 
 def test_refresh_memory_on_emitted_label():
-    state = OracleState(DecayModel("perfect"), LABELS5, seed=0)
+    state = _oracle(DecayModel("perfect"), seed=0)
     for _ in range(7):
         state.advance_step()
     state.annotate(_doc(3))
-    assert state.time_since_seen(3) == 0
-    assert state.time_since_seen(0) == 7
+    assert state.tracker.since_last(3) == 0
+    assert state.tracker.since_last(0) == 7
 
 
 def test_unseen_class_dt_grows_per_stream_step():
-    state = OracleState(DecayModel("perfect"), LABELS5, seed=0)
+    state = _oracle(DecayModel("perfect"), seed=0)
     for step in range(1, 101):
         state.advance_step()
-        assert state.time_since_seen(4) == step
-    assert state.current_step == 100
+        assert state.tracker.since_last(4) == step
+    assert state.tracker.current_step == 100
 
 
 def test_interleaved_emissions_bound_dt():
     # replay a scripted alternation of classes 0 and 1 every other step;
     # each class's dt can never exceed the two-step gap between its emissions
-    state = OracleState(DecayModel("perfect"), LABELS5, seed=0)
+    state = _oracle(DecayModel("perfect"), seed=0)
     for step in range(40):
         cls = step % 2
-        assert state.time_since_seen(cls) <= 2
+        assert state.tracker.since_last(cls) <= 2
         state.annotate(_doc(cls))
         state.advance_step()
 
 
 def test_advance_step_increments():
-    state = OracleState(DecayModel("perfect"), LABELS5, seed=0)
+    state = _oracle(DecayModel("perfect"), seed=0)
     state.advance_step()
-    assert state.current_step == 1
+    assert state.tracker.current_step == 1
+
+
+def test_oracle_rejects_tracker_of_other_class_count():
+    with pytest.raises(ValueError, match="tracker has 4 classes"):
+        OracleState(DecayModel("perfect"), LABELS5, LastSeenTracker(4, 1), seed=0)
+
+
+def test_oracle_reads_latest_emission_of_deep_tracker():
+    # with k = 3 the slip clock is the most recent emission, not the k-average
+    state = _oracle(DecayModel("perfect"), seed=0, k=3)
+    for _ in range(4):
+        state.advance_step()
+    state.annotate(_doc(1))
+    state.advance_step()
+    state.advance_step()
+    assert state.tracker.since_last(1) == 2
+    assert state.tracker.averaged_last_seen(1) == (2 + 6 + 6) / 3
