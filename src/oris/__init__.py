@@ -40,7 +40,7 @@ from .harness import (
 from .learner import SoftmaxClassifier, f1_macro, fit, predict, predict_proba
 from .nnet import AdamState, DenseNet, load_checkpoint, optimizer_step, save_checkpoint, smooth_l1
 from .oracle import DecayModel, OracleState, error_probability
-from .reward import DISCARD, PICK, PickMemory, RewardConfig, compute_reward, inclusivity
+from .reward import DISCARD, PICK, RewardConfig, compute_reward, inclusivity
 from .config import ConfigError, ExperimentConfig, parse_config
 
 __version__ = "0.1.0"

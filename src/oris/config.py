@@ -24,18 +24,6 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
-def _parse_int(raw):
-    return int(raw)
-
-
-def _parse_float(raw):
-    return float(raw)
-
-
-def _parse_str(raw):
-    return raw
-
-
 def _parse_str_list(raw):
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
@@ -69,48 +57,48 @@ def _parse_choice(options):
 
 # key -> (parser, default)
 _SCHEMA = {
-    "data.train": (_parse_str, None),
-    "data.test": (_parse_str, None),
-    "data.rl_train": (_parse_str, None),
-    "data.vectors": (_parse_str, None),
+    "data.train": (str, None),
+    "data.test": (str, None),
+    "data.rl_train": (str, None),
+    "data.vectors": (str, None),
     "data.classes": (_parse_str_list, ["c0", "c1", "c2", "c3", "c4"]),
     "seeds": (_parse_int_list, [1, 2, 3, 4, 5]),
     "oracle.kind": (_parse_choice(DECAY_KINDS), "sigmoid"),
-    "oracle.alpha": (_parse_float, 0.3),
-    "oracle.beta": (_parse_float, 9.0),
-    "encoder.k": (_parse_int, 3),
-    "encoder.dt_scale": (_parse_float, 1.0),
-    "reward.rho": (_parse_float, 5.0),
-    "reward.delta": (_parse_float, 8.0),
-    "reward.lambda": (_parse_float, 0.01),
-    "reward.m": (_parse_int, 10),
-    "agent.gamma": (_parse_float, 0.99),
-    "agent.tau": (_parse_float, 0.005),
-    "agent.minibatch": (_parse_int, 512),
-    "agent.budget": (_parse_int, 500),
-    "agent.episodes": (_parse_int, 10000),
-    "agent.replay_capacity": (_parse_int, 50000),
+    "oracle.alpha": (float, 0.3),
+    "oracle.beta": (float, 9.0),
+    "encoder.k": (int, 3),
+    "encoder.dt_scale": (float, 1.0),
+    "reward.rho": (float, 5.0),
+    "reward.delta": (float, 8.0),
+    "reward.lambda": (float, 0.01),
+    "reward.m": (int, 10),
+    "agent.gamma": (float, 0.99),
+    "agent.tau": (float, 0.005),
+    "agent.minibatch": (int, 512),
+    "agent.budget": (int, 500),
+    "agent.episodes": (int, 10000),
+    "agent.replay_capacity": (int, 50000),
     "agent.warmup": (_parse_int_or_auto, None),
-    "agent.lr": (_parse_float, 1e-4),
-    "agent.eps_start": (_parse_float, 0.9),
-    "agent.eps_end": (_parse_float, 0.05),
-    "agent.eps_decay": (_parse_float, 5e-4),
+    "agent.lr": (float, 1e-4),
+    "agent.eps_start": (float, 0.9),
+    "agent.eps_end": (float, 0.05),
+    "agent.eps_decay": (float, 5e-4),
     "agent.hidden": (_parse_int_list, [256, 256]),
     "harness.agent": (_parse_choice(AGENT_KINDS), "random"),
-    "harness.budget": (_parse_int, 500),
-    "harness.update_freq": (_parse_int, 25),
+    "harness.budget": (int, 500),
+    "harness.update_freq": (int, 25),
     "harness.pick_prob": (_parse_float_or_auto, None),
-    "harness.theta0": (_parse_float, 0.5),
-    "harness.diversity_cap": (_parse_int, 5000),
-    "learner.epochs": (_parse_int, 50),
-    "learner.batch": (_parse_int, 32),
-    "learner.lr": (_parse_float, 0.1),
+    "harness.theta0": (float, 0.5),
+    "harness.diversity_cap": (int, 5000),
+    "learner.epochs": (int, 50),
+    "learner.batch": (int, 32),
+    "learner.lr": (float, 0.1),
     "synth.train_per_class": (_parse_int_list, []),
     "synth.test_per_class": (_parse_int_list, []),
     "synth.rl_per_class": (_parse_int_list, []),
-    "synth.dim": (_parse_int, 8),
-    "synth.sep": (_parse_float, 5.0),
-    "synth.seed": (_parse_int, 7),
+    "synth.dim": (int, 8),
+    "synth.sep": (float, 5.0),
+    "synth.seed": (int, 7),
 }
 
 
@@ -225,8 +213,6 @@ def parse_config(path) -> ExperimentConfig:
                   cfg.agent_config, cfg.harness_config):
         try:
             build()
-        except ConfigError:
-            raise
         except ValueError as exc:
             problems.append(str(exc))
     if values["oracle.kind"] == "exponential" and values["oracle.beta"] >= 0:

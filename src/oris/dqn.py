@@ -1,24 +1,27 @@
 """The sampling agent: replay buffer, epsilon-greedy policy, episode training
 loop with soft target updates, and greedy inference decisions.
 
-Training streams shuffled copies of the corpus; a pick queries an error-free
-annotator (so the learned policy is not tied to one decay behavior), updates
-the pick window and recency tracker, and earns the inclusivity reward. Every
-step stores a transition and, once the buffer has warmed up, performs one
-Q-update followed by a soft target blend.
+One generator, _episode, streams a shuffled copy of the corpus for both
+training and evaluation: a pick queries an error-free annotator (so the
+learned policy is not tied to one decay behavior), updates the pick window
+and recency tracker, and earns the inclusivity reward. Training stores every
+step's transition and, once the buffer has warmed up, performs one Q-update
+followed by a soft target blend; evaluation only sums the rewards.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .encoder import LastSeenTracker, encode_state
 from .nnet import AdamState, DenseNet, optimizer_step, smooth_l1
-from .reward import DISCARD, PICK, PickMemory, RewardConfig, compute_reward, inclusivity
+from .reward import DISCARD, PICK, RewardConfig, compute_reward, inclusivity
 
 
 class ReplayBuffer:
@@ -118,9 +121,13 @@ class AgentConfig:
             raise ValueError("eps_decay must be >= 0 and lr > 0")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden sizes must be positive, got {self.hidden}")
+        if self.warmup is not None and not 1 <= self.warmup <= self.replay_capacity:
+            # a larger warm-up is never reached: no Q-update would ever run
+            raise ValueError(f"warmup must be in 1..replay_capacity "
+                             f"({self.replay_capacity}), got {self.warmup}")
 
     def resolved_warmup(self) -> int:
-        return self.minibatch if self.warmup is None else max(1, self.warmup)
+        return self.minibatch if self.warmup is None else self.warmup
 
 
 def decide(net: DenseNet, state) -> int:
@@ -199,69 +206,83 @@ def write_training_log(logs, path) -> None:
             ])
 
 
-def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig | None = None,
+def _episode(docs, order, labels, budget: int, reward_cfg: RewardConfig, k: int,
+             dt_scale: float, choose):
+    """Stream docs in order with error-free labels until budget picks; per
+    step yield (state, action, reward, next_state, inclusivity or None), with
+    choose(state) supplying the action. Nothing changes the tracker before the
+    next document is read, so next_state is the next step's state (the last
+    document's is its own state).
+    """
+    num_classes = len(labels)
+    tracker = LastSeenTracker(num_classes, k)
+    window = deque(maxlen=reward_cfg.m)
+    picks = 0
+    state = encode_state(docs[order[0]].embedding, tracker, dt_scale)
+    for t in range(len(order)):
+        action = choose(state)
+        incl = None
+        if action == PICK:
+            picks += 1
+            emitted = docs[order[t]].true_class
+            window.append(emitted)
+            tracker.record_emission(emitted)
+            incl = inclusivity(window, num_classes)
+        reward = compute_reward(action, incl, reward_cfg)
+        tracker.advance_step()
+        next_state = (encode_state(docs[order[t + 1]].embedding, tracker, dt_scale)
+                      if t + 1 < len(order) else state)
+        yield state, action, reward, next_state, incl
+        if picks >= budget:
+            return
+        state = next_state
+
+
+def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = RewardConfig(),
                 k: int = 3, dt_scale: float = 1.0, seed=0):
     """Run the full episode loop and return (trained net, per-episode log).
 
-    Per episode: reshuffle the corpus, reset the pick window and recency
-    tracker, and stream documents until the pick budget is exhausted (or the
-    stream ends, in which case the episode is logged as truncated). Labels
-    come from an error-free annotator during training. Epsilon decays per
-    global environment step across episodes.
+    Each episode streams a fresh shuffle of the corpus through _episode until
+    the pick budget is exhausted (or the stream ends, in which case the
+    episode is logged as truncated). Every step stores a transition, makes
+    one Q-update once the buffer holds the warm-up, and blends the target.
+    Epsilon decays per global environment step across episodes.
     """
     if not docs:
         raise ValueError("need a nonempty training corpus")
-    reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
-    num_classes = len(labels)
-    emb_dim = len(docs[0].embedding)
+    state_dim = len(docs[0].embedding) + len(labels)
     net_ss, shuffle_ss, action_ss, buffer_ss = np.random.SeedSequence(seed).spawn(4)
-    net = DenseNet([emb_dim + num_classes, *cfg.hidden, 2], seed=net_ss)
+    net = DenseNet([state_dim, *cfg.hidden, 2], seed=net_ss)
     target = net.copy()
     opt = AdamState(net, lr=cfg.lr)
-    buf = ReplayBuffer(cfg.replay_capacity, emb_dim + num_classes, seed=buffer_ss)
+    buf = ReplayBuffer(cfg.replay_capacity, state_dim, seed=buffer_ss)
     sched = EpsilonSchedule(cfg.eps_start, cfg.eps_end, cfg.eps_decay)
     action_rng = np.random.default_rng(action_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     warmup = cfg.resolved_warmup()
-    n = len(docs)
     logs: list[EpisodeLog] = []
 
+    def choose(state):
+        eps = sched.value()
+        sched.advance()
+        return select_action(net, state, eps, action_rng)
+
     for episode in range(1, cfg.episodes + 1):
-        order = shuffle_rng.permutation(n)
-        tracker = LastSeenTracker(num_classes, k)
-        memory = PickMemory(reward_cfg.m, num_classes)
         picks = 0
         total_reward = 0.0
         incl_sum = 0.0
         losses: list[float] = []
-        state = encode_state(docs[order[0]].embedding, tracker, dt_scale)
-        for t in range(n):
-            doc = docs[order[t]]
-            eps = sched.value()
-            sched.advance()
-            action = select_action(net, state, eps, action_rng)
+        for state, action, r, next_state, incl in _episode(
+                docs, shuffle_rng.permutation(len(docs)), labels, cfg.budget, reward_cfg,
+                k, dt_scale, choose):
             if action == PICK:
                 picks += 1
-                emitted = doc.true_class  # error-free annotator during training
-                memory.push(emitted)
-                tracker.record_emission(emitted)
-                incl_sum += inclusivity(memory, num_classes)
-            r = compute_reward(action, memory, reward_cfg)
+                incl_sum += incl
             total_reward += r
-            tracker.advance_step()
-            # nothing changes the tracker before the next document is read,
-            # so next_state is also that step's state
-            if t + 1 < n:
-                next_state = encode_state(docs[order[t + 1]].embedding, tracker, dt_scale)
-            else:
-                next_state = state
             buf.push(state, action, r, next_state)
             if len(buf) >= warmup:
                 losses.append(train_step(net, target, buf.sample(cfg.minibatch), cfg, opt))
             soft_update(net, target, cfg.tau)
-            state = next_state
-            if picks >= cfg.budget:
-                break
         logs.append(EpisodeLog(
             episode=episode,
             total_reward=total_reward,
@@ -273,41 +294,28 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig | None 
     return net, logs
 
 
-def evaluate_policy(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig | None = None,
+def evaluate_policy(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = RewardConfig(),
                     k: int = 3, dt_scale: float = 1.0, seed=0, episodes: int = 50,
                     net: DenseNet | None = None):
-    """Measure per-episode total reward without learning.
-
-    Greedy decisions when a net is given, uniform random actions otherwise;
-    same episode mechanics as training (error-free labels, budget cutoff).
+    """Per-episode total reward of the training episode without learning:
+    greedy decisions when a net is given, uniform random actions otherwise.
     Returns the list of episode totals.
     """
-    reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
-    num_classes = len(labels)
+    if not docs:
+        raise ValueError("need a nonempty corpus")
     shuffle_ss, action_ss = np.random.SeedSequence(seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     action_rng = np.random.default_rng(action_ss)
-    n = len(docs)
+    if net is None:
+        def choose(state):
+            return int(action_rng.integers(2))
+    else:
+        choose = partial(decide, net)
     totals = []
     for _ in range(episodes):
-        order = shuffle_rng.permutation(n)
-        tracker = LastSeenTracker(num_classes, k)
-        memory = PickMemory(reward_cfg.m, num_classes)
-        picks = 0
         total = 0.0
-        for t in range(n):
-            doc = docs[order[t]]
-            if net is None:
-                action = int(action_rng.integers(2))
-            else:
-                action = decide(net, encode_state(doc.embedding, tracker, dt_scale))
-            if action == PICK:
-                picks += 1
-                memory.push(doc.true_class)
-                tracker.record_emission(doc.true_class)
-            total += compute_reward(action, memory, reward_cfg)
-            tracker.advance_step()
-            if picks >= cfg.budget:
-                break
+        for step in _episode(docs, shuffle_rng.permutation(len(docs)), labels, cfg.budget,
+                             reward_cfg, k, dt_scale, choose):
+            total += step[2]
         totals.append(total)
     return totals

@@ -1,16 +1,18 @@
 """Inclusivity score (normalized label entropy over recent picks) and the agent reward.
 
-A pick is rewarded by rho * exp(delta * (inclusivity - 1)), which deactivates
-near-zero entropy windows and saturates at rho for a perfectly uniform one;
-a discard earns the small constant lam. Entropy is normalized by log2(C) so
-inclusivity lies in [0, 1] for any class count, keeping the pick reward inside
+Inclusivity is the normalized entropy of the labels of the last m picks, the
+new one included; the episode that keeps that window computes it once per
+pick and passes it to compute_reward. A pick is rewarded by
+rho * exp(delta * (inclusivity - 1)), which deactivates near-zero entropy
+windows and saturates at rho for a perfectly uniform one; a discard earns the
+small constant lam. Entropy is normalized by log2(C) so inclusivity lies in
+[0, 1] for any class count, keeping the pick reward inside
 (rho * exp(-delta), rho].
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,25 +39,6 @@ class RewardConfig:
             raise ValueError(f"memory window m must be >= 1, got {self.m}")
 
 
-class PickMemory:
-    """Ring buffer of the emitted class labels of the last m picked documents."""
-
-    def __init__(self, m: int, num_classes: int):
-        if m < 1:
-            raise ValueError(f"window size must be >= 1, got {m}")
-        self.num_classes = num_classes
-        self._window = deque(maxlen=m)
-
-    def push(self, label: int) -> None:
-        self._window.append(label)
-
-    def labels(self) -> list[int]:
-        return list(self._window)
-
-    def __len__(self):
-        return len(self._window)
-
-
 def normalized_entropy(p) -> float:
     """Shannon entropy in bits of the probability vector p, divided by
     log2(len(p)) so it lies in [0, 1]."""
@@ -63,21 +46,21 @@ def normalized_entropy(p) -> float:
     return float(-(nonzero * np.log2(nonzero)).sum()) / math.log2(len(p))
 
 
-def inclusivity(memory: PickMemory, num_classes: int) -> float:
-    """Normalized entropy of the window's empirical class frequencies.
-    Empty window -> 0. Windows shorter than m use frequencies over the
-    actual length.
+def inclusivity(window, num_classes: int) -> float:
+    """Normalized entropy of the empirical class frequencies of the picked
+    labels in window. Empty window -> 0. Windows shorter than m use
+    frequencies over the actual length.
     """
-    n = len(memory)
+    n = len(window)
     if n == 0:
         return 0.0
-    return normalized_entropy(np.bincount(memory.labels(), minlength=num_classes) / n)
+    return normalized_entropy(np.bincount(window, minlength=num_classes) / n)
 
 
-def compute_reward(action: int, memory: PickMemory, cfg: RewardConfig) -> float:
-    """Reward for one decision; for picks the memory must already contain the
-    newly emitted label.
+def compute_reward(action: int, incl: float | None, cfg: RewardConfig) -> float:
+    """Reward for one decision; for a pick, incl is the inclusivity of the
+    window that already holds the newly emitted label (discards ignore it).
     """
     if action == PICK:
-        return cfg.rho * math.exp(cfg.delta * (inclusivity(memory, memory.num_classes) - 1.0))
+        return cfg.rho * math.exp(cfg.delta * (incl - 1.0))
     return cfg.lam

@@ -3,16 +3,25 @@ confusion-matrix f1, scalar entropy, and plain reference versions of the
 optimized or refactored code. Deliberately slow and simple."""
 
 import math
+from collections import deque
 
 import numpy as np
 
-from oris.dqn import decide
+from oris.dqn import (
+    EpisodeLog,
+    EpsilonSchedule,
+    ReplayBuffer,
+    decide,
+    select_action,
+    soft_update,
+    train_step,
+)
 from oris.encoder import LastSeenTracker, encode_state
 from oris.harness import RecordRow, random_decide
 from oris.learner import f1_macro, fit, predict, predict_proba
-from oris.nnet import smooth_l1
+from oris.nnet import AdamState, DenseNet, smooth_l1
 from oris.oracle import error_probability
-from oris.reward import DISCARD, PICK
+from oris.reward import DISCARD, PICK, RewardConfig, inclusivity
 
 
 def finite_difference_net_grads(net, x, grad_out, h=1e-5):
@@ -285,3 +294,108 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
         if b >= cfg.budget:
             break
     return rows, b >= cfg.budget
+
+
+def reference_reward(action, window, num_classes, cfg):
+    """The reward as first written: it recomputes the inclusivity of the
+    window's label list."""
+    if action == PICK:
+        return cfg.rho * math.exp(cfg.delta * (inclusivity(list(window), num_classes) - 1.0))
+    return cfg.lam
+
+
+def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_scale=1.0,
+                          seed=0):
+    """The training loop as first written, with its own pick window and the
+    inclusivity computed twice per pick: the reference that train_agent must
+    match bit for bit. Returns (net, logs)."""
+    num_classes = len(labels)
+    emb_dim = len(docs[0].embedding)
+    net_ss, shuffle_ss, action_ss, buffer_ss = np.random.SeedSequence(seed).spawn(4)
+    net = DenseNet([emb_dim + num_classes, *cfg.hidden, 2], seed=net_ss)
+    target = net.copy()
+    opt = AdamState(net, lr=cfg.lr)
+    buf = ReplayBuffer(cfg.replay_capacity, emb_dim + num_classes, seed=buffer_ss)
+    sched = EpsilonSchedule(cfg.eps_start, cfg.eps_end, cfg.eps_decay)
+    action_rng = np.random.default_rng(action_ss)
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    warmup = cfg.resolved_warmup()
+    n = len(docs)
+    logs = []
+    for episode in range(1, cfg.episodes + 1):
+        order = shuffle_rng.permutation(n)
+        tracker = LastSeenTracker(num_classes, k)
+        window = deque(maxlen=reward_cfg.m)
+        picks = 0
+        total_reward = 0.0
+        incl_sum = 0.0
+        losses = []
+        state = encode_state(docs[order[0]].embedding, tracker, dt_scale)
+        for t in range(n):
+            doc = docs[order[t]]
+            eps = sched.value()
+            sched.advance()
+            action = select_action(net, state, eps, action_rng)
+            if action == PICK:
+                picks += 1
+                emitted = doc.true_class
+                window.append(emitted)
+                tracker.record_emission(emitted)
+                incl_sum += inclusivity(list(window), num_classes)
+            r = reference_reward(action, window, num_classes, reward_cfg)
+            total_reward += r
+            tracker.advance_step()
+            if t + 1 < n:
+                next_state = encode_state(docs[order[t + 1]].embedding, tracker, dt_scale)
+            else:
+                next_state = state
+            buf.push(state, action, r, next_state)
+            if len(buf) >= warmup:
+                losses.append(train_step(net, target, buf.sample(cfg.minibatch), cfg, opt))
+            soft_update(net, target, cfg.tau)
+            state = next_state
+            if picks >= cfg.budget:
+                break
+        logs.append(EpisodeLog(
+            episode=episode,
+            total_reward=total_reward,
+            mean_inclusivity=incl_sum / picks if picks else 0.0,
+            epsilon=sched.value(),
+            loss=float(np.mean(losses)) if losses else 0.0,
+            truncated=picks < cfg.budget,
+        ))
+    return net, logs
+
+
+def reference_evaluate_policy(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_scale=1.0,
+                              seed=0, episodes=50, net=None):
+    """The evaluation loop as first written, encoding a state only for a net:
+    the reference that evaluate_policy must match exactly."""
+    num_classes = len(labels)
+    shuffle_ss, action_ss = np.random.SeedSequence(seed).spawn(2)
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    action_rng = np.random.default_rng(action_ss)
+    n = len(docs)
+    totals = []
+    for _ in range(episodes):
+        order = shuffle_rng.permutation(n)
+        tracker = LastSeenTracker(num_classes, k)
+        window = deque(maxlen=reward_cfg.m)
+        picks = 0
+        total = 0.0
+        for t in range(n):
+            doc = docs[order[t]]
+            if net is None:
+                action = int(action_rng.integers(2))
+            else:
+                action = decide(net, encode_state(doc.embedding, tracker, dt_scale))
+            if action == PICK:
+                picks += 1
+                window.append(doc.true_class)
+                tracker.record_emission(doc.true_class)
+            total += reference_reward(action, window, num_classes, reward_cfg)
+            tracker.advance_step()
+            if picks >= cfg.budget:
+                break
+        totals.append(total)
+    return totals

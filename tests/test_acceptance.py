@@ -25,7 +25,7 @@ from oris.harness import HarnessConfig, run_experiment, write_record
 from oris.learner import cross_entropy_and_grads, f1_macro
 from oris.nnet import AdamState, DenseNet, load_checkpoint, save_checkpoint
 from oris.oracle import DecayModel, error_probability
-from oris.reward import DISCARD, PICK, PickMemory, RewardConfig, compute_reward, inclusivity
+from oris.reward import DISCARD, PICK, RewardConfig, compute_reward, inclusivity
 
 from helpers import finite_difference_net_grads, max_relative_error
 
@@ -64,13 +64,9 @@ def test_criterion_01_oracle_formulas():
 @criterion(2, "reward endpoints: uniform window 5, single-class 5e^-8, discard 0.01")
 def test_criterion_02_reward_endpoints():
     cfg = RewardConfig(rho=5.0, delta=8.0, lam=0.01, m=10)
-    uniform = PickMemory(10, 5)
-    for label in (0, 0, 1, 1, 2, 2, 3, 3, 4, 4):
-        uniform.push(label)
+    uniform = inclusivity([0, 0, 1, 1, 2, 2, 3, 3, 4, 4], 5)
     assert abs(compute_reward(PICK, uniform, cfg) - 5.0) < 1e-9
-    single = PickMemory(10, 5)
-    for _ in range(10):
-        single.push(2)
+    single = inclusivity([2] * 10, 5)
     assert abs(compute_reward(PICK, single, cfg) - 5.0 * math.exp(-8.0)) < 1e-9
     assert compute_reward(DISCARD, uniform, cfg) == 0.01
 
@@ -85,25 +81,17 @@ def test_criterion_03_inclusivity_properties():
         num_classes = int(rng.integers(2, 7))
         length = int(rng.integers(1, 11))
         window = rng.integers(0, num_classes, size=length)
-        mem = PickMemory(10, num_classes)
-        for label in window:
-            mem.push(int(label))
-        value = inclusivity(mem, num_classes)
+        value = inclusivity(window.tolist(), num_classes)
         if not 0.0 <= value <= 1.0 + 1e-12:
             violations += 1
-        shuffled = PickMemory(10, num_classes)
-        for label in rng.permutation(window):
-            shuffled.push(int(label))
+        shuffled = rng.permutation(window).tolist()
         if abs(inclusivity(shuffled, num_classes) - value) > 1e-12:
             violations += 1
         if len(set(window.tolist())) == 1 and value != 0.0:
             violations += 1
     # uniform windows reach the maximum exactly
     for num_classes in range(2, 7):
-        mem = PickMemory(2 * num_classes, num_classes)
-        for label in list(range(num_classes)) * 2:
-            mem.push(label)
-        if abs(inclusivity(mem, num_classes) - 1.0) > 1e-12:
+        if abs(inclusivity(list(range(num_classes)) * 2, num_classes) - 1.0) > 1e-12:
             violations += 1
     assert violations == 0
 

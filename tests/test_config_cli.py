@@ -84,6 +84,17 @@ def test_config_rejects_bad_encoder_k_and_dt_scale(tmp_path):
     assert parse_config(_write(tmp_path, "encoder.k = 1\nencoder.dt_scale = 1e-3\n"))
 
 
+def test_config_rejects_unreachable_warmup(tmp_path):
+    # replay_capacity defaults to 50000
+    for body in ("agent.warmup = 0\n", "agent.warmup = -3\n", "agent.warmup = 50001\n",
+                 "agent.replay_capacity = 600\nagent.warmup = 601\n"):
+        with pytest.raises(ConfigError, match="warmup must be in 1..replay_capacity"):
+            parse_config(_write(tmp_path, body))
+    assert parse_config(_write(tmp_path, "agent.warmup = 50000\n")).agent_config().warmup == 50000
+    cfg = parse_config(_write(tmp_path, "agent.warmup = auto\n"))
+    assert cfg.agent_config().resolved_warmup() == 512
+
+
 def test_config_rejects_f_greater_than_budget(tmp_path):
     with pytest.raises(ConfigError, match="update frequency"):
         parse_config(_write(tmp_path, "harness.update_freq = 600\nharness.budget = 500\n"))

@@ -2,20 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     ReferenceAdam,
     ReferenceNet,
     flatten_pairs,
+    reference_evaluate_policy,
     reference_soft_update,
+    reference_train_agent,
     reference_train_step,
+    scalar_entropy_bits,
 )
-from oris.corpus import LabelSpace, generate_synthetic
+from oris.corpus import Document, LabelSpace, generate_synthetic
 from oris.dqn import (
     AgentConfig,
     EpsilonSchedule,
     ReplayBuffer,
+    _episode,
     decide,
+    evaluate_policy,
     select_action,
     soft_update,
     train_agent,
@@ -316,3 +323,90 @@ def test_agent_config_validation():
                 dict(hidden=())):
         with pytest.raises(ValueError):
             AgentConfig(**bad)
+
+
+def test_agent_config_rejects_unreachable_warmup():
+    # a warm-up above the replay capacity is never reached: no Q-update would run
+    for warmup in (0, -3, 101):
+        with pytest.raises(ValueError, match="warmup must be in 1..replay_capacity"):
+            AgentConfig(minibatch=4, replay_capacity=100, warmup=warmup)
+    assert AgentConfig(minibatch=4, replay_capacity=100, warmup=1).resolved_warmup() == 1
+    assert AgentConfig(minibatch=4, replay_capacity=100, warmup=100).resolved_warmup() == 100
+    assert AgentConfig(minibatch=4, replay_capacity=100).resolved_warmup() == 4
+
+
+def test_evaluate_policy_rejects_empty_corpus():
+    with pytest.raises(ValueError, match="nonempty"):
+        evaluate_policy([], LABELS2, AgentConfig(minibatch=4, replay_capacity=100))
+
+
+LABELS3 = LabelSpace(["a", "b", "c"])
+
+
+@pytest.mark.parametrize("budget", [5, 40])
+@pytest.mark.parametrize("dt_scale", [1.0, 2.0])
+@pytest.mark.parametrize("m", [1, 4, 10])
+@pytest.mark.parametrize("k", [1, 3])
+def test_train_and_evaluate_match_reference_loops(k, m, dt_scale, budget):
+    # 30 documents: budget 5 is reached every episode, budget 40 truncates every
+    # one; the warm-up of 20 transitions is reached after episode 1 at budget 5
+    # and inside it at budget 40
+    docs = generate_synthetic(LABELS3, [10, 12, 8], 3, 2.0, seed=k + m)
+    cfg = AgentConfig(budget=budget, episodes=4, minibatch=4, replay_capacity=200, warmup=20,
+                      lr=1e-2, eps_decay=0.05, hidden=(8,))
+    reward_cfg = RewardConfig(m=m)
+    net, logs = train_agent(docs, LABELS3, cfg, reward_cfg, k=k, dt_scale=dt_scale, seed=11)
+    ref_net, ref_logs = reference_train_agent(docs, LABELS3, cfg, reward_cfg, k=k,
+                                              dt_scale=dt_scale, seed=11)
+    assert np.array_equal(net.params, ref_net.params)
+    assert logs == ref_logs
+    assert all(row.truncated == (budget == 40) for row in logs)
+    assert (logs[0].loss == 0.0) == (budget == 5)
+    assert logs[-1].loss != 0.0
+    for policy in (net, None):
+        kwargs = dict(k=k, dt_scale=dt_scale, seed=5, episodes=3, net=policy)
+        assert (evaluate_policy(docs, LABELS3, cfg, reward_cfg, **kwargs)
+                == reference_evaluate_policy(docs, LABELS3, cfg, reward_cfg, **kwargs))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_episode_steps_budget_rewards_and_state_carry(data):
+    num_classes = data.draw(st.integers(2, 4), label="num_classes")
+    true = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=1, max_size=25),
+                     label="true classes")
+    n = len(true)
+    order = data.draw(st.permutations(range(n)), label="order")
+    budget = data.draw(st.integers(1, 30), label="budget")
+    script = data.draw(st.lists(st.sampled_from([DISCARD, PICK]), min_size=n, max_size=n),
+                       label="actions")
+    cfg = RewardConfig(m=data.draw(st.integers(1, 12), label="m"))
+    docs = [Document(i, [], c, np.full(2, float(i))) for i, c in enumerate(true)]
+    labels = LabelSpace([f"c{c}" for c in range(num_classes)])
+    chosen_on = []
+
+    def choose(state):
+        chosen_on.append(state)
+        return script[len(chosen_on) - 1]
+
+    steps = list(_episode(docs, order, labels, budget, cfg, 2, 1.0, choose))
+
+    pick_steps = [t for t, action in enumerate(script) if action == PICK]
+    expected_steps = pick_steps[budget - 1] + 1 if len(pick_steps) >= budget else n
+    assert len(steps) == min(n, expected_steps)
+    assert sum(action == PICK for _, action, _, _, _ in steps) <= budget
+    picked = []
+    for t, (state, action, reward, next_state, incl) in enumerate(steps):
+        assert action == script[t]
+        assert state is chosen_on[t]
+        if action == PICK:
+            picked.append(true[order[t]])
+            h = scalar_entropy_bits(picked[-cfg.m:]) / math.log2(num_classes)
+            assert incl == pytest.approx(h, abs=1e-12)
+            assert reward == pytest.approx(cfg.rho * math.exp(cfg.delta * (h - 1.0)),
+                                           rel=1e-12, abs=1e-15)
+        else:
+            assert incl is None
+            assert reward == cfg.lam
+        if t + 1 < len(steps):
+            assert np.array_equal(next_state, steps[t + 1][0])

@@ -6,45 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import scalar_entropy_bits
-from oris.reward import DISCARD, PICK, PickMemory, RewardConfig, compute_reward, inclusivity
+from oris.reward import DISCARD, PICK, RewardConfig, compute_reward, inclusivity
 
 
-def _memory(labels, m=10, num_classes=5):
-    mem = PickMemory(m, num_classes)
-    for label in labels:
-        mem.push(label)
-    return mem
+def _pick_reward(window, cfg, num_classes=5):
+    return compute_reward(PICK, inclusivity(window, num_classes), cfg)
 
 
 def test_uniform_window_is_one():
-    mem = _memory([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
-    assert inclusivity(mem, 5) == pytest.approx(1.0, abs=1e-12)
+    window = [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+    assert inclusivity(window, 5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_class_window_is_zero():
-    assert inclusivity(_memory([2] * 10), 5) == 0.0
+    assert inclusivity([2] * 10, 5) == 0.0
 
 
 def test_two_of_five_classes_half_half():
-    mem = _memory([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    assert inclusivity(mem, 5) == pytest.approx(1.0 / math.log2(5), abs=1e-12)
+    window = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1]
+    assert inclusivity(window, 5) == pytest.approx(1.0 / math.log2(5), abs=1e-12)
 
 
 def test_empty_memory_defined_as_zero():
-    assert inclusivity(_memory([]), 5) == 0.0
-
-
-def test_window_eviction_fifo():
-    mem = _memory([0] * 10 + [1] * 10)  # m=10: only the ten 1s remain
-    assert mem.labels() == [1] * 10
-    assert inclusivity(mem, 5) == 0.0
+    assert inclusivity([], 5) == 0.0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=10))
 @settings(max_examples=300, deadline=None)
 def test_inclusivity_matches_plain_entropy_and_bounds(window):
-    mem = _memory(window)
-    value = inclusivity(mem, 5)
+    value = inclusivity(window, 5)
     assert 0.0 <= value <= 1.0 + 1e-12
     assert value == pytest.approx(scalar_entropy_bits(window) / math.log2(5), abs=1e-12)
 
@@ -55,31 +45,29 @@ def test_inclusivity_matches_plain_entropy_and_bounds(window):
 def test_inclusivity_permutation_and_relabel_invariant(window, rnd):
     shuffled = list(window)
     rnd.shuffle(shuffled)
-    assert inclusivity(_memory(window), 5) == pytest.approx(
-        inclusivity(_memory(shuffled), 5), abs=1e-12)
+    assert inclusivity(window, 5) == pytest.approx(inclusivity(shuffled, 5), abs=1e-12)
     relabel = list(range(5))
     rnd.shuffle(relabel)
     relabeled = [relabel[c] for c in window]
-    assert inclusivity(_memory(window), 5) == pytest.approx(
-        inclusivity(_memory(relabeled), 5), abs=1e-12)
+    assert inclusivity(window, 5) == pytest.approx(inclusivity(relabeled, 5), abs=1e-12)
 
 
 def test_reward_endpoints():
     cfg = RewardConfig(rho=5.0, delta=8.0, lam=0.01, m=10)
-    uniform = _memory([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
-    assert compute_reward(PICK, uniform, cfg) == pytest.approx(5.0, abs=1e-12)
-    single = _memory([3] * 10)
-    assert compute_reward(PICK, single, cfg) == pytest.approx(5.0 * math.exp(-8.0), abs=1e-12)
-    assert compute_reward(PICK, single, cfg) == pytest.approx(1.6773e-3, rel=1e-4)
-    assert compute_reward(DISCARD, uniform, cfg) == 0.01
+    uniform = [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+    assert _pick_reward(uniform, cfg) == pytest.approx(5.0, abs=1e-12)
+    single = [3] * 10
+    assert _pick_reward(single, cfg) == pytest.approx(5.0 * math.exp(-8.0), abs=1e-12)
+    assert _pick_reward(single, cfg) == pytest.approx(1.6773e-3, rel=1e-4)
+    assert compute_reward(DISCARD, inclusivity(uniform, 5), cfg) == 0.01
 
 
 def test_reward_strictly_increasing_in_inclusivity():
     cfg = RewardConfig()
     windows = [[0] * 10, [0] * 9 + [1], [0] * 7 + [1] * 3, [0] * 5 + [1] * 5,
                [0, 0, 0, 1, 1, 1, 2, 2, 3, 4], [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]]
-    incls = [inclusivity(_memory(w), 5) for w in windows]
-    rewards = [compute_reward(PICK, _memory(w), cfg) for w in windows]
+    incls = [inclusivity(w, 5) for w in windows]
+    rewards = [_pick_reward(w, cfg) for w in windows]
     assert incls == sorted(incls)
     assert all(a < b for a, b in zip(rewards, rewards[1:]))
 
@@ -89,16 +77,13 @@ def test_reward_bounds():
     rng = np.random.default_rng(1)
     for _ in range(200):
         window = list(rng.integers(0, 5, size=rng.integers(1, 11)))
-        r = compute_reward(PICK, _memory(window), cfg)
+        r = _pick_reward(window, cfg)
         assert cfg.rho * math.exp(-cfg.delta) <= r <= cfg.rho
 
 
 def test_short_window_uses_actual_length():
     # two picks, two classes: already maximally inclusive for C=2
-    mem = PickMemory(10, 2)
-    mem.push(0)
-    mem.push(1)
-    assert inclusivity(mem, 2) == pytest.approx(1.0)
+    assert inclusivity([0, 1], 2) == pytest.approx(1.0)
 
 
 def test_config_validation():
