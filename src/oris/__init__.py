@@ -37,7 +37,7 @@ from .harness import (
     uncertainty_decide,
     write_record,
 )
-from .learner import SoftmaxClassifier, f1_macro, fit, predict, predict_proba
+from .learner import SoftmaxClassifier, f1_macro, fit, fit_many, predict, predict_proba
 from .nnet import AdamState, DenseNet, load_checkpoint, optimizer_step, save_checkpoint, smooth_l1
 from .oracle import DecayModel, OracleState, error_probability
 from .reward import DISCARD, PICK, RewardConfig, compute_reward, inclusivity

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .checks import CheckError
 from .corpus import LabelSpace
 from .dqn import AgentConfig
 from .harness import AGENT_KINDS, HarnessConfig
@@ -208,13 +209,14 @@ def parse_config(path) -> ExperimentConfig:
         explicit.add(key)
 
     cfg = ExperimentConfig(values=values)
-    # Constraint validation is delegated to the component configs.
-    for build in (cfg.label_space, cfg.decay_model, cfg.reward_config,
-                  cfg.agent_config, cfg.harness_config):
+    # Constraint validation is delegated to the component configs, each of
+    # which reports all of its problems; harness_config also builds the
+    # label space and the decay model.
+    for build in (cfg.reward_config, cfg.agent_config, cfg.harness_config):
         try:
             build()
-        except ValueError as exc:
-            problems.append(str(exc))
+        except CheckError as exc:
+            problems.extend(exc.problems)
     if values["oracle.kind"] == "exponential" and values["oracle.beta"] >= 0:
         # alpha, dt >= 0, so alpha * dt + beta >= 0: every label would slip
         problems.append(

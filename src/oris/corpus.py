@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check
+
 logger = logging.getLogger(__name__)
 
 
@@ -21,10 +23,8 @@ class LabelSpace:
 
     def __init__(self, classes):
         classes = tuple(classes)
-        if len(classes) < 2:
-            raise ValueError(f"need at least 2 classes, got {len(classes)}")
-        if len(set(classes)) != len(classes):
-            raise ValueError("class names must be unique")
+        check((len(classes) < 2, f"need at least 2 classes, got {len(classes)}"),
+              (len(set(classes)) != len(classes), "class names must be unique"))
         self.classes = classes
         self._index = {name: i for i, name in enumerate(classes)}
 

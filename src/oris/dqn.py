@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from .checks import check
 from .encoder import LastSeenTracker, encode_state
 from .nnet import AdamState, DenseNet, optimizer_step, smooth_l1
 from .reward import DISCARD, PICK, RewardConfig, compute_reward, inclusivity
@@ -103,28 +104,22 @@ class AgentConfig:
     hidden: tuple = (256, 256)
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if self.minibatch < 1:
-            raise ValueError(f"minibatch must be >= 1, got {self.minibatch}")
-        if self.minibatch > self.replay_capacity:
-            raise ValueError(
-                f"minibatch {self.minibatch} exceeds replay capacity {self.replay_capacity}"
-            )
-        if self.budget < 1 or self.episodes < 1:
-            raise ValueError("budget and episodes must be >= 1")
-        if not 0.0 <= self.eps_end <= self.eps_start <= 1.0:
-            raise ValueError("need 0 <= eps_end <= eps_start <= 1")
-        if self.eps_decay < 0 or self.lr <= 0:
-            raise ValueError("eps_decay must be >= 0 and lr > 0")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden sizes must be positive, got {self.hidden}")
-        if self.warmup is not None and not 1 <= self.warmup <= self.replay_capacity:
+        check(
+            (not 0.0 <= self.gamma <= 1.0, f"gamma must be in [0, 1], got {self.gamma}"),
+            (not 0.0 < self.tau <= 1.0, f"tau must be in (0, 1], got {self.tau}"),
+            (self.minibatch < 1, f"minibatch must be >= 1, got {self.minibatch}"),
+            (self.minibatch > self.replay_capacity,
+             f"minibatch {self.minibatch} exceeds replay capacity {self.replay_capacity}"),
+            (self.budget < 1 or self.episodes < 1, "budget and episodes must be >= 1"),
+            (not 0.0 <= self.eps_end <= self.eps_start <= 1.0,
+             "need 0 <= eps_end <= eps_start <= 1"),
+            (self.eps_decay < 0 or self.lr <= 0, "eps_decay must be >= 0 and lr > 0"),
+            (not self.hidden or any(h < 1 for h in self.hidden),
+             f"hidden sizes must be positive, got {self.hidden}"),
             # a larger warm-up is never reached: no Q-update would ever run
-            raise ValueError(f"warmup must be in 1..replay_capacity "
-                             f"({self.replay_capacity}), got {self.warmup}")
+            (self.warmup is not None and not 1 <= self.warmup <= self.replay_capacity,
+             f"warmup must be in 1..replay_capacity ({self.replay_capacity}), got {self.warmup}"),
+        )
 
     def resolved_warmup(self) -> int:
         return self.minibatch if self.warmup is None else self.warmup

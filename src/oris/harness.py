@@ -4,7 +4,11 @@ Per arriving document the configured agent picks or discards; picks are
 labeled by the (possibly error-prone) simulated annotator and appended to
 the training set. Every update_freq picks the classifier is refit from
 scratch and both machine f1 (held-out test set) and human f1 (all picks so
-far) are recorded. Seeded runs are fully independent.
+far) are recorded. Seeded runs are fully independent; only their refits are
+stacked. Every run refits at the same sizes f, 2f, ..., so run_experiment
+advances the runs in lockstep from refit to refit and fits the S training
+sets of one interval in a single learner.fit_many call, which is bit-identical
+to S separate fits.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
+from .checks import check
 from .corpus import LabelSpace, shuffle_stream
 from .dqn import decide
 from .encoder import LastSeenTracker, encode_state
-from .learner import f1_macro, fit, predict, predict_proba
+from .learner import f1_macro, fit_many, predict, predict_proba
 from .oracle import DecayModel, OracleState
 from .reward import DISCARD, PICK, normalized_entropy
 
@@ -46,29 +51,22 @@ class HarnessConfig:
     learner_lr: float = 0.1
 
     def __post_init__(self):
-        if self.agent not in AGENT_KINDS:
-            raise ValueError(f"unknown agent {self.agent!r}, expected one of {AGENT_KINDS}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if not 0 < self.update_freq <= self.budget:
-            raise ValueError(
-                f"update frequency must be in (0, budget]; got f={self.update_freq}, B={self.budget}"
-            )
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if self.pick_prob is not None and not 0.0 <= self.pick_prob <= 1.0:
-            raise ValueError(f"pick_prob must be in [0, 1], got {self.pick_prob}")
-        if self.k < 1:
-            raise ValueError(f"history depth k must be >= 1, got {self.k}")
-        if self.dt_scale <= 0:
-            raise ValueError(f"dt_scale must be > 0, got {self.dt_scale}")
-        if not 0.0 < self.theta0 <= 1.0:
-            raise ValueError(f"theta0 must be in (0, 1], got {self.theta0}")
-        if self.diversity_cap < self.budget:
+        check(
+            (self.agent not in AGENT_KINDS,
+             f"unknown agent {self.agent!r}, expected one of {AGENT_KINDS}"),
+            (self.budget < 1, f"budget must be >= 1, got {self.budget}"),
+            (not 0 < self.update_freq <= self.budget, "update frequency must be in (0, budget]; "
+             f"got f={self.update_freq}, B={self.budget}"),
+            (not self.seeds, "need at least one seed"),
+            (self.pick_prob is not None and not 0.0 <= self.pick_prob <= 1.0,
+             f"pick_prob must be in [0, 1], got {self.pick_prob}"),
+            (self.k < 1, f"history depth k must be >= 1, got {self.k}"),
+            (self.dt_scale <= 0, f"dt_scale must be > 0, got {self.dt_scale}"),
+            (not 0.0 < self.theta0 <= 1.0, f"theta0 must be in (0, 1], got {self.theta0}"),
             # the thinned pool could not hold `budget` clusters
-            raise ValueError(
-                f"diversity_cap must be >= budget; got cap={self.diversity_cap}, B={self.budget}"
-            )
+            (self.diversity_cap < self.budget, "diversity_cap must be >= budget; "
+             f"got cap={self.diversity_cap}, B={self.budget}"),
+        )
 
 
 @dataclass
@@ -133,9 +131,11 @@ def diversity_select(docs, budget: int, linkage_method: str = "average",
     return sorted(selected)
 
 
-def _single_run(train_docs, test_docs, cfg: HarnessConfig, net, diversity_ids,
-                run_id: int, seed) -> tuple[list[RecordRow], bool]:
-    """Stream one seeded run; returns its rows and whether the budget was spent."""
+def _single_run(train_docs, test_X, test_y, cfg: HarnessConfig, net, diversity_ids,
+                run_id: int, seed):
+    """Stream one seeded run. At each refit it yields (training set, fit seed)
+    and receives the classifier fit on them; it returns its rows and whether
+    the budget was spent."""
     labels = cfg.labels
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(labels), cfg.k)
@@ -145,9 +145,6 @@ def _single_run(train_docs, test_docs, cfg: HarnessConfig, net, diversity_ids,
     pick_prob = cfg.pick_prob
     if pick_prob is None:
         pick_prob = min(1.0, cfg.budget / len(train_docs))
-
-    test_X = np.stack([d.embedding for d in test_docs])
-    test_y = np.array([d.true_class for d in test_docs])
 
     training_set = []
     picked_true: list[int] = []
@@ -175,9 +172,7 @@ def _single_run(train_docs, test_docs, cfg: HarnessConfig, net, diversity_ids,
             picked_true.append(doc.true_class)
             picked_emitted.append(emitted)
             if b % cfg.update_freq == 0:
-                clf = fit(training_set, labels, seed=int(fit_rng.integers(2 ** 31)),
-                          epochs=cfg.learner_epochs, batch_size=cfg.learner_batch,
-                          lr=cfg.learner_lr)
+                clf = yield training_set, int(fit_rng.integers(2 ** 31))
                 machine = f1_macro(test_y, predict(clf, test_X), labels)
                 human = f1_macro(picked_true, picked_emitted, labels)
                 rows.append(RecordRow(run_id, b, machine, human, b, errors))
@@ -190,8 +185,10 @@ def _single_run(train_docs, test_docs, cfg: HarnessConfig, net, diversity_ids,
 def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> ExperimentRecord:
     """Run one seeded experiment per cfg.seeds entry and merge the records.
 
-    The test set must be disjoint from the stream. Runs whose stream ends
-    before the budget is exhausted are flagged in partial_runs.
+    The runs advance in lockstep: every run streams to its next refit, and
+    the runs that reached it, all with f * i picks, are fit in one fit_many
+    call. The test set must be disjoint from the stream. Runs whose stream
+    ends before the budget is exhausted are flagged in partial_runs.
     """
     if not train_docs:
         raise ValueError("empty training stream")
@@ -206,11 +203,31 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     diversity_ids = frozenset(
         diversity_select(train_docs, cfg.budget, cap=cfg.diversity_cap)
     ) if cfg.agent == "diversity" else frozenset()
+    test_X = np.stack([d.embedding for d in test_docs])
+    test_y = np.array([d.true_class for d in test_docs])
 
-    runs = [_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id, seed)
+    runs = [_single_run(train_docs, test_X, test_y, cfg, net, diversity_ids, run_id, seed)
             for run_id, seed in enumerate(cfg.seeds)]
-    rows = [row for run_rows, _ in runs for row in run_rows]
-    partial = [run_id for run_id, (_, completed) in enumerate(runs) if not completed]
+    results = [None] * len(runs)
+    refits = {}  # run id -> (training set, fit seed) of a run waiting for its classifier
+
+    def advance(run_id, clf=None):
+        try:
+            refits[run_id] = runs[run_id].send(clf)
+        except StopIteration as done:
+            results[run_id] = done.value
+
+    for run_id in range(len(runs)):
+        advance(run_id)
+    while refits:
+        waiting = list(refits)
+        sets, seeds = zip(*(refits.pop(run_id) for run_id in waiting))
+        clfs = fit_many(sets, cfg.labels, seeds, epochs=cfg.learner_epochs,
+                        batch_size=cfg.learner_batch, lr=cfg.learner_lr)
+        for run_id, clf in zip(waiting, clfs):
+            advance(run_id, clf)
+    rows = [row for run_rows, _ in results for row in run_rows]
+    partial = [run_id for run_id, (_, completed) in enumerate(results) if not completed]
     return ExperimentRecord(rows=rows, partial_runs=partial)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check
 from .corpus import Document, LabelSpace
 from .encoder import LastSeenTracker
 
@@ -30,10 +31,11 @@ class DecayModel:
     beta: float = 9.0
 
     def __post_init__(self):
-        if self.kind not in DECAY_KINDS:
-            raise ValueError(f"unknown decay kind {self.kind!r}, expected one of {DECAY_KINDS}")
-        if self.kind != "perfect" and self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        check(
+            (self.kind not in DECAY_KINDS,
+             f"unknown decay kind {self.kind!r}, expected one of {DECAY_KINDS}"),
+            (self.kind != "perfect" and self.alpha < 0, f"alpha must be >= 0, got {self.alpha}"),
+        )
 
 
 def error_probability(model: DecayModel, dt) -> float:

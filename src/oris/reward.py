@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check
+
 DISCARD = 0
 PICK = 1
 
@@ -29,14 +31,12 @@ class RewardConfig:
     m: int = 10
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.m < 1:
-            raise ValueError(f"memory window m must be >= 1, got {self.m}")
+        check(
+            (self.rho <= 0, f"rho must be > 0, got {self.rho}"),
+            (self.delta <= 0, f"delta must be > 0, got {self.delta}"),
+            (self.lam < 0, f"lam must be >= 0, got {self.lam}"),
+            (self.m < 1, f"memory window m must be >= 1, got {self.m}"),
+        )
 
 
 def normalized_entropy(p) -> float:

@@ -84,6 +84,25 @@ def test_config_rejects_bad_encoder_k_and_dt_scale(tmp_path):
     assert parse_config(_write(tmp_path, "encoder.k = 1\nencoder.dt_scale = 1e-3\n"))
 
 
+def test_config_reports_every_component_problem_at_once(tmp_path):
+    body = ("encoder.k = 0\nencoder.dt_scale = 0\nreward.rho = 0\nreward.m = 0\n"
+            "agent.tau = 0\nagent.minibatch = 0\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, body))
+    assert info.value.problems == [
+        "rho must be > 0, got 0.0",
+        "memory window m must be >= 1, got 0",
+        "tau must be in (0, 1], got 0.0",
+        "minibatch must be >= 1, got 0",
+        "history depth k must be >= 1, got 0",
+        "dt_scale must be > 0, got 0.0",
+    ]
+    # the decay model is checked once, inside harness_config
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, "oracle.alpha = -1\n"))
+    assert info.value.problems == ["alpha must be >= 0, got -1.0"]
+
+
 def test_config_rejects_unreachable_warmup(tmp_path):
     # replay_capacity defaults to 50000
     for body in ("agent.warmup = 0\n", "agent.warmup = -3\n", "agent.warmup = 50001\n",

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_single_run
 from oris.corpus import Document, LabelSpace, generate_synthetic
 from oris.harness import (
+    AGENT_KINDS,
     ExperimentRecord,
     HarnessConfig,
     RecordRow,
@@ -280,3 +284,46 @@ def test_run_experiment_matches_reference_loop(reference_corpus, agent, oracle, 
     assert record.rows == ref_rows  # floats compared exactly
     assert record.partial_runs == ref_partial
     assert sum(r.oracle_errors for r in record.rows) > 0  # the annotator did slip
+
+
+PROPERTY_TRAIN = _docs([14, 10, 6], dim=3, sep=2.0, seed=31, labels=LABELS3)
+PROPERTY_TEST = _docs([5, 5, 5], dim=3, sep=2.0, seed=32, labels=LABELS3, start_id=100)
+PROPERTY_NET = DenseNet([3 + 3, 8, 2], seed=5)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_lockstep_sweep_equals_one_seed_sweeps(data):
+    """Stacking the runs' refits keeps them independent: a sweep over seeds
+    s1..sS gives exactly the rows and partial flags of S one-seed sweeps."""
+    update_freq = data.draw(st.integers(1, 6), label="update_freq")
+    cfg = HarnessConfig(
+        labels=LABELS3,
+        agent=data.draw(st.sampled_from(AGENT_KINDS), label="agent"),
+        budget=data.draw(st.integers(update_freq, 28), label="budget"),
+        update_freq=update_freq,
+        seeds=tuple(data.draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=4),
+                              label="seeds")),
+        oracle=data.draw(st.sampled_from([DecayModel("perfect"), *REFERENCE_ORACLES.values()]),
+                         label="oracle"),
+        k=data.draw(st.integers(1, 3), label="k"),
+        pick_prob=data.draw(st.sampled_from([None, 0.5, 0.8, 1.0]), label="pick_prob"),
+        learner_epochs=3, learner_batch=4,
+    )
+    record = run_experiment(PROPERTY_TRAIN, PROPERTY_TEST, cfg, net=PROPERTY_NET)
+    singles = [run_experiment(PROPERTY_TRAIN, PROPERTY_TEST,
+                              dataclasses.replace(cfg, seeds=(seed,)), net=PROPERTY_NET)
+               for seed in cfg.seeds]
+    assert record.rows == [dataclasses.replace(row, run_id=run_id)
+                           for run_id, single in enumerate(singles) for row in single.rows]
+    assert record.partial_runs == [run_id for run_id, single in enumerate(singles)
+                                   if single.partial_runs == [0]]
+    for run_id in range(len(cfg.seeds)):
+        rows = [r for r in record.rows if r.run_id == run_id]
+        if run_id not in record.partial_runs:
+            assert len(rows) == cfg.budget // cfg.update_freq
+        assert [r.picks for r in rows] == [cfg.update_freq * (i + 1) for i in range(len(rows))]
+        assert all(r.budget_exhausted == r.picks <= cfg.budget for r in rows)
+        errors = [r.oracle_errors for r in rows]
+        assert errors == sorted(errors)
+        assert all(r.oracle_errors <= r.picks for r in rows)

@@ -15,6 +15,7 @@ from oris.learner import (
     cross_entropy_and_grads,
     f1_macro,
     fit,
+    fit_many,
     predict,
     predict_proba,
 )
@@ -99,6 +100,37 @@ def test_cross_entropy_grads_bit_identical_to_reference():
 def test_fit_rejects_empty():
     with pytest.raises(ValueError):
         fit([], LABELS2, seed=0)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 600])
+@pytest.mark.parametrize("stacked", [1, 3, 5])
+@pytest.mark.parametrize("n", [1, 25, 31, 32, 33, 250, 500])
+def test_fit_many_bit_identical_to_per_run_fit_and_reference(n, stacked, batch_size):
+    sets = [_noisy_pairs(n, seed=1000 * n + s) for s in range(stacked)]
+    seeds = [7 * s + 1 for s in range(stacked)]
+    epochs = 2 if n * 50 // batch_size > 5000 else 50
+    clfs = fit_many(sets, LABELS5, seeds, epochs=epochs, batch_size=batch_size, lr=0.1)
+    assert len(clfs) == stacked
+    for pairs, seed, clf in zip(sets, seeds, clfs):
+        alone = fit(pairs, LABELS5, seed=seed, epochs=epochs, batch_size=batch_size, lr=0.1)
+        W, b = reference_fit(pairs, 5, seed=seed, epochs=epochs, batch_size=batch_size, lr=0.1)
+        for got in (alone, clf):
+            assert np.array_equal(got.weights, W)
+            assert np.array_equal(got.bias, b)
+
+
+def test_fit_many_rejects_mismatched_sets_and_seeds():
+    a, b = _noisy_pairs(10, seed=1), _noisy_pairs(11, seed=2)
+    with pytest.raises(ValueError, match="equal sizes"):
+        fit_many([a, b], LABELS5, [0, 1])
+    with pytest.raises(ValueError, match="one seed per training set"):
+        fit_many([a, a], LABELS5, [0])
+    with pytest.raises(ValueError, match="empty training set"):
+        fit_many([a, []], LABELS5, [0, 1])
+    with pytest.raises(ValueError, match="empty training set"):
+        fit_many([], LABELS5, [])
+    with pytest.raises(ValueError, match="label outside"):
+        fit_many([a, [(x, 5) for x, _ in a]], LABELS5, [0, 1])
 
 
 def test_predict_proba_uniform_for_zero_parameters():
@@ -201,6 +233,9 @@ def test_f1_macro_validates_lengths():
         f1_macro([0, 1], [0], LABELS2)
     with pytest.raises(ValueError):
         f1_macro([], [], LABELS2)
+    for true, pred in (([0, 2], [0, 1]), ([0, 1], [0, -1])):
+        with pytest.raises(ValueError, match="label outside label space"):
+            f1_macro(true, pred, LABELS2)
 
 
 def test_human_f1_delegates():
