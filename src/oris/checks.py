@@ -17,3 +17,13 @@ def check(*checks) -> None:
     problems = [message for failed, message in checks if failed]
     if problems:
         raise CheckError(problems)
+
+
+def collect(problems: list, build, *args, **kwargs):
+    """build(*args, **kwargs), or None once the problems of its CheckError
+    are added to `problems`."""
+    try:
+        return build(*args, **kwargs)
+    except CheckError as exc:
+        problems.extend(exc.problems)
+        return None

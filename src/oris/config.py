@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .checks import CheckError
+from .checks import CheckError, collect
 from .corpus import LabelSpace
 from .dqn import AgentConfig
 from .harness import AGENT_KINDS, HarnessConfig
@@ -151,13 +151,18 @@ class ExperimentConfig:
         )
 
     def harness_config(self, agent: str | None = None) -> HarnessConfig:
-        return HarnessConfig(
-            labels=self.label_space(),
+        # built apart, so an invalid class list or oracle hides no harness check
+        problems = []
+        labels = collect(problems, self.label_space)
+        oracle = collect(problems, self.decay_model)
+        cfg = collect(
+            problems, HarnessConfig,
+            labels=labels,
             agent=agent if agent is not None else self.values["harness.agent"],
             budget=self.values["harness.budget"],
             update_freq=self.values["harness.update_freq"],
             seeds=tuple(self.seeds),
-            oracle=self.decay_model(),
+            oracle=oracle,
             k=self.values["encoder.k"],
             dt_scale=self.values["encoder.dt_scale"],
             pick_prob=self.values["harness.pick_prob"],
@@ -167,6 +172,9 @@ class ExperimentConfig:
             learner_batch=self.values["learner.batch"],
             learner_lr=self.values["learner.lr"],
         )
+        if problems:
+            raise CheckError(problems)
+        return cfg
 
 
 def _read_pairs(path):
@@ -210,23 +218,15 @@ def parse_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(values=values)
     # Constraint validation is delegated to the component configs, each of
-    # which reports all of its problems; harness_config also builds the
-    # label space and the decay model.
+    # which reports all of its problems; harness_config also reports those
+    # of the label space and the decay model it builds.
     for build in (cfg.reward_config, cfg.agent_config, cfg.harness_config):
-        try:
-            build()
-        except CheckError as exc:
-            problems.extend(exc.problems)
+        collect(problems, build)
     if values["oracle.kind"] == "exponential" and values["oracle.beta"] >= 0:
         # alpha, dt >= 0, so alpha * dt + beta >= 0: every label would slip
         problems.append(
             f"oracle.beta must be < 0 for the exponential oracle, got {values['oracle.beta']}"
         )
-    for key in ("learner.epochs", "learner.batch"):
-        if values[key] < 1:
-            problems.append(f"{key} must be >= 1, got {values[key]}")
-    if values["learner.lr"] <= 0:
-        problems.append(f"learner.lr must be > 0, got {values['learner.lr']}")
     if values["synth.sep"] < 0:
         problems.append(f"synth.sep must be >= 0, got {values['synth.sep']}")
     if values["synth.dim"] < 1:

@@ -1,4 +1,5 @@
-"""Data model, corpus ingestion, document embedding, and stream construction.
+"""Data model, corpus ingestion, document embedding, stream construction, and
+the text formats of the package's files, result CSVs included.
 
 Documents are represented by the mean of the pre-trained word vectors of
 their in-vocabulary tokens. Synthetic corpora draw class-conditional
@@ -7,6 +8,7 @@ Gaussian embeddings so class separability is controlled analytically.
 
 from __future__ import annotations
 
+import csv
 import logging
 import string
 from dataclasses import dataclass
@@ -49,10 +51,9 @@ class LabelSpace:
 
 @dataclass
 class Document:
-    """One stream item: token list, ground-truth class index, dense embedding."""
+    """One stream item: ground-truth class index and dense embedding."""
 
     id: int
-    tokens: list[str]
     true_class: int
     embedding: np.ndarray
 
@@ -142,6 +143,17 @@ def write_word_vectors(table: EmbeddingTable, path) -> None:
             fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
 
+def write_csv(path, header, rows) -> None:
+    """Result CSV: the header, then one line per row; a float cell (numpy's
+    included) is written at 6 decimals, any other cell as an int, so a flag
+    reads 0/1."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.6f}" if isinstance(v, float) else int(v) for v in row]
+                         for row in rows)
+
+
 def embed_document(tokens, table: EmbeddingTable) -> np.ndarray:
     """Mean vector of the in-vocabulary tokens; zero vector if there are none.
 
@@ -174,15 +186,8 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace) -> list[Docume
             if label not in labels:
                 bad.append(f"line {lineno}: unknown label {label!r}")
                 continue
-            tokens = tokenize(text)
-            docs.append(
-                Document(
-                    id=len(docs),
-                    tokens=tokens,
-                    true_class=labels.index(label),
-                    embedding=embed_document(tokens, table),
-                )
-            )
+            docs.append(Document(id=len(docs), true_class=labels.index(label),
+                                 embedding=embed_document(tokenize(text), table)))
     if bad:
         raise ValueError(f"{path}: " + "; ".join(bad))
     if not docs:
@@ -199,7 +204,7 @@ def generate_synthetic(
     start_id: int = 0,
 ) -> list[Document]:
     """Class-conditional Gaussian corpus: class c has mean sep * e_c (one-hot
-    direction), unit variance, empty token lists. Bit-reproducible under seed.
+    direction), unit variance. Bit-reproducible under seed.
     """
     if len(per_class) != len(labels):
         raise ValueError(f"per_class has {len(per_class)} entries for {len(labels)} classes")
@@ -218,7 +223,7 @@ def generate_synthetic(
         mean[c] = sep
         samples = mean + rng.standard_normal((count, dim))
         for row in samples:
-            docs.append(Document(id=start_id + len(docs), tokens=[], true_class=c, embedding=row))
+            docs.append(Document(id=start_id + len(docs), true_class=c, embedding=row))
     return docs
 
 

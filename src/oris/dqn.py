@@ -11,15 +11,15 @@ followed by a soft target blend; evaluation only sums the rewards.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
 
 from .checks import check
+from .corpus import write_csv
 from .encoder import LastSeenTracker, encode_state
 from .nnet import AdamState, DenseNet, optimizer_step, smooth_l1
 from .reward import DISCARD, PICK, RewardConfig, compute_reward, inclusivity
@@ -187,18 +187,7 @@ TRAINING_LOG_HEADER = ["episode", "total_reward", "mean_inclusivity", "epsilon",
 
 
 def write_training_log(logs, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAINING_LOG_HEADER)
-        for row in logs:
-            writer.writerow([
-                row.episode,
-                f"{row.total_reward:.6f}",
-                f"{row.mean_inclusivity:.6f}",
-                f"{row.epsilon:.6f}",
-                f"{row.loss:.6f}",
-                int(row.truncated),
-            ])
+    write_csv(path, TRAINING_LOG_HEADER, map(astuple, logs))
 
 
 def _episode(docs, order, labels, budget: int, reward_cfg: RewardConfig, k: int,

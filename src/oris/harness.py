@@ -14,13 +14,13 @@ to S separate fits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from .checks import check
-from .corpus import LabelSpace, shuffle_stream
+from .corpus import LabelSpace, shuffle_stream, write_csv
 from .dqn import decide
 from .encoder import LastSeenTracker, encode_state
 from .learner import f1_macro, fit_many, predict, predict_proba
@@ -66,6 +66,9 @@ class HarnessConfig:
             # the thinned pool could not hold `budget` clusters
             (self.diversity_cap < self.budget, "diversity_cap must be >= budget; "
              f"got cap={self.diversity_cap}, B={self.budget}"),
+            (self.learner_epochs < 1, f"learner.epochs must be >= 1, got {self.learner_epochs}"),
+            (self.learner_batch < 1, f"learner.batch must be >= 1, got {self.learner_batch}"),
+            (self.learner_lr <= 0, f"learner.lr must be > 0, got {self.learner_lr}"),
         )
 
 
@@ -103,8 +106,7 @@ def uncertainty_decide(clf, emb, b: int, budget: int, theta0: float) -> int:
     return PICK if entropy >= theta0 * (1.0 - b / budget) else DISCARD
 
 
-def diversity_select(docs, budget: int, linkage_method: str = "average",
-                     cap: int = 5000) -> list[int]:
+def diversity_select(docs, budget: int, cap: int = 5000) -> list[int]:
     """Offline selection: average-linkage agglomerative clustering of the
     embeddings into `budget` clusters, keeping the document nearest each
     cluster mean (ties broken toward the lowest id). Deterministic.
@@ -118,7 +120,7 @@ def diversity_select(docs, budget: int, linkage_method: str = "average",
         keep = np.unique(np.linspace(0, len(docs) - 1, cap).round().astype(int))
         pool = [docs[i] for i in keep]
     X = np.stack([d.embedding for d in pool])
-    assignment = fcluster(linkage(X, method=linkage_method, metric="euclidean"),
+    assignment = fcluster(linkage(X, method="average", metric="euclidean"),
                           t=budget, criterion="maxclust")
     ids = np.array([d.id for d in pool])
     selected = []
@@ -233,19 +235,8 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
 
 def write_record(record: ExperimentRecord, path) -> None:
     """Deterministic CSV: sorted by (run_id, budget_exhausted), floats at 6 decimals."""
-    rows = sorted(record.rows, key=lambda r: (r.run_id, r.budget_exhausted))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.run_id,
-                r.budget_exhausted,
-                f"{r.machine_f1_macro:.6f}",
-                f"{r.human_f1_macro:.6f}",
-                r.picks,
-                r.oracle_errors,
-            ])
+    write_csv(path, CSV_HEADER, map(astuple, sorted(
+        record.rows, key=lambda r: (r.run_id, r.budget_exhausted))))
 
 
 def read_record(path) -> ExperimentRecord:
@@ -295,15 +286,4 @@ def aggregate_records(records) -> list[dict]:
 
 
 def write_aggregate(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_HEADER)
-        for r in rows:
-            writer.writerow([
-                r["budget_exhausted"],
-                r["n_runs"],
-                f"{r['machine_f1_macro_mean']:.6f}",
-                f"{r['machine_f1_macro_std']:.6f}",
-                f"{r['human_f1_macro_mean']:.6f}",
-                f"{r['human_f1_macro_std']:.6f}",
-            ])
+    write_csv(path, AGGREGATE_HEADER, ([r[k] for k in AGGREGATE_HEADER] for r in rows))

@@ -19,10 +19,6 @@ class SoftmaxClassifier:
         self.weights = weights  # (C, E)
         self.bias = bias        # (C,)
 
-    @property
-    def num_classes(self):
-        return self.weights.shape[0]
-
 
 def _probs(weights, bias, X) -> np.ndarray:
     """softmax(X @ W.T + b) over the last axis, computed in place in one

@@ -101,6 +101,39 @@ def test_config_reports_every_component_problem_at_once(tmp_path):
     with pytest.raises(ConfigError) as info:
         parse_config(_write(tmp_path, "oracle.alpha = -1\n"))
     assert info.value.problems == ["alpha must be >= 0, got -1.0"]
+    # an invalid class list or oracle hides no harness problem
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, "oracle.alpha = -1\nencoder.k = 0\n"))
+    assert info.value.problems == ["alpha must be >= 0, got -1.0",
+                                   "history depth k must be >= 1, got 0"]
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, "data.classes = a\nharness.budget = 0\n"))
+    assert info.value.problems == [
+        "need at least 2 classes, got 1",
+        "budget must be >= 1, got 0",
+        "update frequency must be in (0, budget]; got f=25, B=0",
+    ]
+
+
+def test_config_rejects_bad_learner_settings(tmp_path):
+    for body, message in (("learner.epochs = 0\n", "learner.epochs must be >= 1, got 0"),
+                          ("learner.batch = -2\n", "learner.batch must be >= 1, got -2"),
+                          ("learner.lr = 0\n", "learner.lr must be > 0, got 0.0"),
+                          ("learner.lr = -0.1\n", "learner.lr must be > 0, got -0.1")):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_write(tmp_path, body))
+        assert info.value.problems == [message]
+    cfg = parse_config(_write(tmp_path, "learner.epochs = 1\nlearner.batch = 1\n"
+                                        "learner.lr = 1e-6\n"))
+    assert cfg.harness_config().learner_epochs == 1
+
+
+def test_config_rejects_bad_synth_settings(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, "synth.dim = 0\nsynth.sep = -1\n"))
+    assert info.value.problems == ["synth.sep must be >= 0, got -1.0",
+                                   "synth.dim must be >= 1, got 0"]
+    assert parse_config(_write(tmp_path, "synth.dim = 1\nsynth.sep = 0\n"))
 
 
 def test_config_rejects_unreachable_warmup(tmp_path):

@@ -180,7 +180,7 @@ def test_generate_synthetic_validates_dimension():
 
 
 def test_shuffle_stream_single_doc():
-    doc = Document(0, [], 0, np.zeros(2))
+    doc = Document(0, 0, np.zeros(2))
     assert shuffle_stream([doc], seed=1) == [doc]
 
 

@@ -18,6 +18,7 @@ from helpers import (
 from oris.corpus import Document, LabelSpace, generate_synthetic
 from oris.dqn import (
     AgentConfig,
+    EpisodeLog,
     EpsilonSchedule,
     ReplayBuffer,
     _episode,
@@ -306,6 +307,21 @@ def test_train_agent_deterministic_log(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_write_training_log_exact_bytes(tmp_path):
+    logs = [EpisodeLog(episode=1, total_reward=-3.25, mean_inclusivity=0.0, epsilon=0.9,
+                       loss=2.0 / 3.0, truncated=False),
+            EpisodeLog(episode=np.int64(2), total_reward=np.float64(0.9999996),
+                       mean_inclusivity=np.float64(1.0 / 3.0), epsilon=np.float64(0.0500004),
+                       loss=0.0, truncated=True)]
+    path = tmp_path / "log.csv"
+    write_training_log(logs, path)
+    assert path.read_bytes() == (
+        b"episode,total_reward,mean_inclusivity,epsilon,loss,truncated\r\n"
+        b"1,-3.250000,0.000000,0.900000,0.666667,0\r\n"
+        b"2,1.000000,0.333333,0.050000,0.000000,1\r\n"
+    )
+
+
 def test_decide_checkpoint_round_trip_preserves_decisions(tmp_path):
     rng = np.random.default_rng(9)
     net = DenseNet([6, 16, 16, 2], seed=5)
@@ -381,7 +397,7 @@ def test_episode_steps_budget_rewards_and_state_carry(data):
     script = data.draw(st.lists(st.sampled_from([DISCARD, PICK]), min_size=n, max_size=n),
                        label="actions")
     cfg = RewardConfig(m=data.draw(st.integers(1, 12), label="m"))
-    docs = [Document(i, [], c, np.full(2, float(i))) for i, c in enumerate(true)]
+    docs = [Document(i, c, np.full(2, float(i))) for i, c in enumerate(true)]
     labels = LabelSpace([f"c{c}" for c in range(num_classes)])
     chosen_on = []
 

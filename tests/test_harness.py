@@ -73,7 +73,7 @@ def test_uncertainty_decide_threshold_schedule():
 
 def test_diversity_select_hand_case():
     pts = [(0.0, 0.0), (0.0, 1.0), (10.0, 10.0), (10.0, 11.0)]
-    docs = [Document(i, [], 0, np.array(p)) for i, p in enumerate(pts)]
+    docs = [Document(i, 0, np.array(p)) for i, p in enumerate(pts)]
     selected = diversity_select(docs, 2)
     # one pick per pair; ties to the cluster mean break toward the lower id
     assert selected == [0, 2]
@@ -85,9 +85,9 @@ def test_diversity_select_budget_equals_corpus():
 
 
 def test_diversity_select_duplicated_points_cluster_together():
-    docs = [Document(0, [], 0, np.array([0.0, 0.0])),
-            Document(1, [], 0, np.array([0.0, 0.0])),
-            Document(2, [], 0, np.array([5.0, 5.0]))]
+    docs = [Document(0, 0, np.array([0.0, 0.0])),
+            Document(1, 0, np.array([0.0, 0.0])),
+            Document(2, 0, np.array([5.0, 5.0]))]
     selected = diversity_select(docs, 2)
     assert selected == [0, 2]
 
@@ -216,6 +216,41 @@ def test_write_record_format_and_round_trip(tmp_path):
         assert b.machine_f1_macro == pytest.approx(a.machine_f1_macro, abs=5e-7)
 
 
+def test_write_record_exact_bytes(tmp_path):
+    # written sorted by (run_id, budget_exhausted), whatever the row order
+    rows = [RecordRow(run_id=1, budget_exhausted=2, machine_f1_macro=np.float64(0.9999996),
+                      human_f1_macro=-0.0, picks=np.int64(2), oracle_errors=np.int64(1)),
+            RecordRow(run_id=0, budget_exhausted=4, machine_f1_macro=2.0 / 3.0,
+                      human_f1_macro=1.0, picks=4, oracle_errors=0),
+            RecordRow(run_id=0, budget_exhausted=2, machine_f1_macro=0.0,
+                      human_f1_macro=np.float64(0.1234564), picks=2, oracle_errors=2)]
+    path = tmp_path / "rec.csv"
+    write_record(ExperimentRecord(rows=rows, partial_runs=[1]), path)
+    assert path.read_bytes() == (
+        b"run_id,budget_exhausted,machine_f1_macro,human_f1_macro,picks,oracle_errors\r\n"
+        b"0,2,0.000000,0.123456,2,2\r\n"
+        b"0,4,0.666667,1.000000,4,0\r\n"
+        b"1,2,1.000000,-0.000000,2,1\r\n"
+    )
+
+
+def test_write_aggregate_exact_bytes(tmp_path):
+    rows = [{"budget_exhausted": 25, "n_runs": 3, "machine_f1_macro_mean": 0.5,
+             "machine_f1_macro_std": 0.0, "human_f1_macro_mean": np.float64(1.0 / 3.0),
+             "human_f1_macro_std": np.float64(0.2449489742783178)},
+            {"budget_exhausted": np.int64(50), "n_runs": np.int64(1),
+             "machine_f1_macro_mean": 0.1234567, "machine_f1_macro_std": 0.0,
+             "human_f1_macro_mean": 0.9999996, "human_f1_macro_std": 0.0}]
+    path = tmp_path / "agg.csv"
+    write_aggregate(rows, path)
+    assert path.read_bytes() == (
+        b"budget_exhausted,n_runs,machine_f1_macro_mean,machine_f1_macro_std,"
+        b"human_f1_macro_mean,human_f1_macro_std\r\n"
+        b"25,3,0.500000,0.000000,0.333333,0.244949\r\n"
+        b"50,1,0.123457,0.000000,1.000000,0.000000\r\n"
+    )
+
+
 def test_aggregate_matches_hand_calculation(tmp_path):
     # three tiny one-row records -> mean and population std by hand
     machine = [0.2, 0.5, 0.8]
@@ -241,7 +276,9 @@ def test_harness_config_validation():
     for bad in (dict(update_freq=0), dict(update_freq=600), dict(agent="bogus"),
                 dict(pick_prob=1.5), dict(theta0=0.0), dict(seeds=()),
                 dict(diversity_cap=499), dict(agent="diversity", diversity_cap=0),
-                dict(k=0), dict(k=-2), dict(dt_scale=0.0), dict(dt_scale=-1.0)):
+                dict(k=0), dict(k=-2), dict(dt_scale=0.0), dict(dt_scale=-1.0),
+                # caught when the config is built, not at the first refit
+                dict(learner_epochs=0), dict(learner_batch=0), dict(learner_lr=0.0)):
         with pytest.raises(ValueError):
             _base_cfg(budget=500, **{**dict(update_freq=25), **bad})
     # a pool of exactly `budget` documents still yields `budget` clusters

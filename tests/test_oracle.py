@@ -14,7 +14,7 @@ LABELS5 = LabelSpace(["c0", "c1", "c2", "c3", "c4"])
 
 
 def _doc(cls):
-    return Document(id=0, tokens=[], true_class=cls, embedding=np.zeros(2))
+    return Document(id=0, true_class=cls, embedding=np.zeros(2))
 
 
 def _oracle(model, seed, k=1):
