@@ -5,10 +5,12 @@ labeled by the (possibly error-prone) simulated annotator and appended to
 the training set. Every update_freq picks the classifier is refit from
 scratch and both machine f1 (held-out test set) and human f1 (all picks so
 far) are recorded. Seeded runs are fully independent; only their refits are
-stacked. Every run refits at the same sizes f, 2f, ..., so run_experiment
-advances the runs in lockstep from refit to refit and fits the S training
-sets of one interval in a single learner.fit_many call, which is bit-identical
-to S separate fits.
+stacked, in learner.fit_many calls that are bit-identical to separate fits.
+A run yields each refit's training set to run_experiment, which fits it and
+computes the machine f1. Only the uncertainty agent reads its classifier
+while it streams: its runs advance in lockstep, with one call of S equal sets
+per refit level. Every other agent's runs stream to their ends without
+waiting, and all refits of the sweep are fit in one call of unequal sets.
 """
 
 from __future__ import annotations
@@ -133,11 +135,11 @@ def diversity_select(docs, budget: int, cap: int = 5000) -> list[int]:
     return sorted(selected)
 
 
-def _single_run(train_docs, test_X, test_y, cfg: HarnessConfig, net, diversity_ids,
-                run_id: int, seed):
-    """Stream one seeded run. At each refit it yields (training set, fit seed)
-    and receives the classifier fit on them; it returns its rows and whether
-    the budget was spent."""
+def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed):
+    """Stream one seeded run. At each refit it yields (training set, picks b,
+    fit seed, human f1, oracle errors) and receives the classifier fit on the
+    set's first b pairs, or None when the agent does not read it; it returns
+    whether the budget was spent."""
     labels = cfg.labels
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(labels), cfg.k)
@@ -154,7 +156,6 @@ def _single_run(train_docs, test_X, test_y, cfg: HarnessConfig, net, diversity_i
     clf = None
     b = 0
     errors = 0
-    rows: list[RecordRow] = []
 
     for doc in shuffle_stream(train_docs, seed):
         if cfg.agent == "random":
@@ -174,23 +175,24 @@ def _single_run(train_docs, test_X, test_y, cfg: HarnessConfig, net, diversity_i
             picked_true.append(doc.true_class)
             picked_emitted.append(emitted)
             if b % cfg.update_freq == 0:
-                clf = yield training_set, int(fit_rng.integers(2 ** 31))
-                machine = f1_macro(test_y, predict(clf, test_X), labels)
                 human = f1_macro(picked_true, picked_emitted, labels)
-                rows.append(RecordRow(run_id, b, machine, human, b, errors))
+                clf = yield training_set, b, int(fit_rng.integers(2 ** 31)), human, errors
         oracle_state.advance_step()
         if b >= cfg.budget:
             break
-    return rows, b >= cfg.budget
+    return b >= cfg.budget
 
 
 def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> ExperimentRecord:
     """Run one seeded experiment per cfg.seeds entry and merge the records.
 
-    The runs advance in lockstep: every run streams to its next refit, and
-    the runs that reached it, all with f * i picks, are fit in one fit_many
-    call. The test set must be disjoint from the stream. Runs whose stream
-    ends before the budget is exhausted are flagged in partial_runs.
+    Only the uncertainty agent reads its classifier while it streams. Its
+    runs advance in lockstep: each streams to its next refit, and the S
+    training sets of that refit, all with f * i picks, are fit in one
+    fit_many call. Every other agent's runs stream to their ends and every
+    refit of the sweep is fit in a single fit_many call over sets of
+    unequal size. The test set must be disjoint from the stream. Runs whose
+    stream ends before the budget is exhausted are flagged in partial_runs.
     """
     if not train_docs:
         raise ValueError("empty training stream")
@@ -207,30 +209,35 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     ) if cfg.agent == "diversity" else frozenset()
     test_X = np.stack([d.embedding for d in test_docs])
     test_y = np.array([d.true_class for d in test_docs])
+    reads_clf = cfg.agent == "uncertainty"
 
-    runs = [_single_run(train_docs, test_X, test_y, cfg, net, diversity_ids, run_id, seed)
-            for run_id, seed in enumerate(cfg.seeds)]
-    results = [None] * len(runs)
-    refits = {}  # run id -> (training set, fit seed) of a run waiting for its classifier
-
-    def advance(run_id, clf=None):
-        try:
-            refits[run_id] = runs[run_id].send(clf)
-        except StopIteration as done:
-            results[run_id] = done.value
-
-    for run_id in range(len(runs)):
-        advance(run_id)
-    while refits:
-        waiting = list(refits)
-        sets, seeds = zip(*(refits.pop(run_id) for run_id in waiting))
-        clfs = fit_many(sets, cfg.labels, seeds, epochs=cfg.learner_epochs,
-                        batch_size=cfg.learner_batch, lr=cfg.learner_lr)
-        for run_id, clf in zip(waiting, clfs):
-            advance(run_id, clf)
-    rows = [row for run_rows, _ in results for row in run_rows]
-    partial = [run_id for run_id, (_, completed) in enumerate(results) if not completed]
-    return ExperimentRecord(rows=rows, partial_runs=partial)
+    runs = [_single_run(train_docs, cfg, net, diversity_ids, seed) for seed in cfg.seeds]
+    rows: list[list[RecordRow]] = [[] for _ in runs]
+    partial = []
+    sends = [(run_id, None) for run_id in range(len(runs))]
+    while sends:
+        refits = []  # (run id, training set, b, fit seed, human f1, errors)
+        for run_id, clf in sends:
+            try:
+                while True:
+                    refits.append((run_id, *runs[run_id].send(clf)))
+                    if reads_clf:
+                        break
+            except StopIteration as done:
+                if not done.value:
+                    partial.append(run_id)
+        if not refits:
+            break
+        run_ids, sets, picks, fit_seeds, humans, errors = zip(*refits)
+        clfs = fit_many([pairs[:b] for pairs, b in zip(sets, picks)], cfg.labels, fit_seeds,
+                        epochs=cfg.learner_epochs, batch_size=cfg.learner_batch,
+                        lr=cfg.learner_lr)
+        for run_id, b, human, errs, clf in zip(run_ids, picks, humans, errors, clfs):
+            machine = f1_macro(test_y, predict(clf, test_X), cfg.labels)
+            rows[run_id].append(RecordRow(run_id, b, machine, human, b, errs))
+        sends = list(zip(run_ids, clfs)) if reads_clf else []
+    return ExperimentRecord(rows=[row for run_rows in rows for row in run_rows],
+                            partial_runs=sorted(partial))
 
 
 def write_record(record: ExperimentRecord, path) -> None:

@@ -2,10 +2,15 @@
 
 The classifier is refit from scratch at every evaluation interval, so a run's
 machine performance depends only on the accumulated training set, not on the
-order in which it was collected.
+order in which it was collected. fit_many runs any number of such refits, of
+any sizes, as one stacked descent whose every result is bit-identical to its
+own fit; fit is fit_many of one set, so there is one SGD path.
 """
 
 from __future__ import annotations
+
+import operator
+from itertools import groupby
 
 import numpy as np
 
@@ -26,7 +31,13 @@ def _probs(weights, bias, X) -> np.ndarray:
     take (S, n, E) rows and an (S, 1, C) bias."""
     z = X @ np.swapaxes(weights, -1, -2)
     z += bias
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    if z.ndim == 1:  # one document, as the uncertainty agent streams them
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    else:  # the row max a column at a time: exact, and faster over many rows
+        zmax = z[..., :1].copy()
+        for c in range(1, z.shape[-1]):
+            np.maximum(zmax, z[..., c:c + 1], out=zmax)
+        z -= zmax
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
@@ -66,49 +77,73 @@ def fit(training_set, labels: LabelSpace, seed=0, epochs: int = 50,
 
 def fit_many(training_sets, labels: LabelSpace, seeds, epochs: int = 50,
              batch_size: int = 32, lr: float = 0.1) -> list[SoftmaxClassifier]:
-    """fit() of each equal-size set with its own seed, run as one stacked
-    (S, n, E) descent: the i-th result is bit-identical to
+    """fit() of each set with its own seed, run as one stacked descent over
+    sets of any sizes: the i-th result is bit-identical to
     fit(training_sets[i], labels, seeds[i], ...).
 
-    Each epoch permutes every set's rows with its own seed's generator and
-    walks contiguous minibatches, S at a time; the loss is never formed. Per
-    set, the float64 arithmetic is op for op that of cross_entropy_and_grads
-    applied to X[order[lo:lo + batch_size]] (see tests/helpers.py).
+    The sets are ordered longest first, so at each minibatch offset the sets
+    with a full batch are a prefix of the stack and the sets ending on the
+    same partial batch are a contiguous slice; each slice is one stacked
+    step on its rows of (S, C, E) weights. Each epoch permutes every set's
+    rows with its own seed's generator, and each step gathers its rows with
+    `take`; the loss is never formed. Per set, the float64 arithmetic is op
+    for op that of cross_entropy_and_grads applied to
+    X[order[lo:lo + batch_size]] (see tests/helpers.py).
+
+    Rows are stored once: a set whose pairs are the leading pairs of a
+    longer set (the same objects, as in prefixes of one growing list) reads
+    that set's rows.
     """
     if not training_sets or not all(training_sets):
         raise ValueError("cannot fit on an empty training set")
     if len(seeds) != len(training_sets):
         raise ValueError(f"need one seed per training set, got {len(seeds)} "
                          f"for {len(training_sets)}")
-    n = len(training_sets[0])
-    if any(len(s) != n for s in training_sets):
-        raise ValueError("training sets must have equal sizes")
     if epochs < 1 or batch_size < 1 or lr <= 0:
         raise ValueError("epochs and batch_size must be >= 1 and lr > 0")
-    X = np.array([[emb for emb, _ in s] for s in training_sets], dtype=np.float64)
-    y = np.array([[label for _, label in s] for s in training_sets])
+    longest_first = sorted(range(len(training_sets)), key=lambda i: -len(training_sets[i]))
+    sets = [training_sets[i] for i in longest_first]
+    sizes = [len(s) for s in sets]
+    stored, starts, rows = [], [], 0
+    for s in sets:
+        for pairs, start in stored:
+            if all(map(operator.is_, s, pairs)):
+                starts.append(start)
+                break
+        else:
+            stored.append((s, rows))
+            starts.append(rows)
+            rows += len(s)
+    X = np.array([emb for s, _ in stored for emb, _ in s], dtype=np.float64)
+    y = np.array([label for s, _ in stored for _, label in s])
     num_classes = len(labels)
     if y.min() < 0 or y.max() >= num_classes:
         raise ValueError("label outside label space")
     Y = _onehot(y, num_classes)
-    S = len(training_sets)
+    S = len(sets)
     W = np.zeros((S, num_classes, X.shape[-1]))
     b = np.zeros((S, num_classes))
     b_rows = b[:, None]  # (S, 1, C) view: each set's bias over its batch rows
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    stack = np.arange(S)[:, None]
+    order = np.zeros((S, sizes[0]), dtype=np.intp)  # this epoch's row ids, by set
+    steps = []  # per minibatch: (row ids, W, b, bias rows) views of one slice
+    for lo in range(0, sizes[0], batch_size):
+        a = 0
+        for width, group in groupby(min(n - lo, batch_size) for n in sizes if n > lo):
+            z = a + len(list(group))
+            steps.append((order[a:z, lo:lo + width], W[a:z], b[a:z], b_rows[a:z]))
+            a = z
+    rngs = [np.random.default_rng(seeds[i]) for i in longest_first]
     for _ in range(epochs):
-        order = np.array([rng.permutation(n) for rng in rngs])
-        Xp = X[stack, order]
-        Yp = Y[stack, order]
-        for lo in range(0, n, batch_size):
-            Xb = Xp[:, lo:lo + batch_size]
-            dW, db = _grads_inplace(_probs(W, b_rows, Xb), Xb, Yp[:, lo:lo + batch_size])
+        for rng, n, start, ids in zip(rngs, sizes, starts, order):
+            np.add(rng.permutation(n), start, out=ids[:n])
+        for ids, Wv, bv, bv_rows in steps:
+            Xb = X.take(ids, axis=0)
+            dW, db = _grads_inplace(_probs(Wv, bv_rows, Xb), Xb, Y.take(ids, axis=0))
             dW *= lr
-            W -= dW
+            Wv -= dW
             db *= lr
-            b -= db
-    return [SoftmaxClassifier(W[i], b[i]) for i in range(S)]
+            bv -= db
+    return [SoftmaxClassifier(W[i], b[i]) for i in np.argsort(longest_first)]
 
 
 def predict_proba(clf: SoftmaxClassifier, emb) -> np.ndarray:

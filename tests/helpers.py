@@ -244,10 +244,12 @@ def reference_uncertainty_decide(clf, emb, b, budget, theta0):
     return PICK if entropy >= theta0 * (1.0 - b / budget) else DISCARD
 
 
-def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id, seed):
+def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id, seed,
+                         picks=None):
     """One run of the online loop as first written, with two recency states
     (ReferenceOracle and a LastSeenTracker) updated side by side. Returns
-    (rows, completed): the reference that harness._single_run must match."""
+    (rows, completed): the reference that harness._single_run must match.
+    A `picks` list receives (true class, emitted label) of every pick."""
     labels = cfg.labels
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     oracle_state = ReferenceOracle(cfg.oracle, len(labels), seed=oracle_ss)
@@ -281,6 +283,8 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
             training_set.append((doc.embedding, emitted))
             picked_true.append(doc.true_class)
             picked_emitted.append(emitted)
+            if picks is not None:
+                picks.append((doc.true_class, emitted))
             tracker.record_emission(emitted)
             if b % cfg.update_freq == 0:
                 clf = fit(training_set, labels, seed=int(fit_rng.integers(2 ** 31)),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_single_run
+import oris.harness
 from oris.corpus import Document, LabelSpace, generate_synthetic
 from oris.harness import (
     AGENT_KINDS,
@@ -22,7 +23,7 @@ from oris.harness import (
     write_aggregate,
     write_record,
 )
-from oris.learner import SoftmaxClassifier
+from oris.learner import SoftmaxClassifier, f1_macro
 from oris.nnet import DenseNet
 from oris.oracle import DecayModel
 from oris.reward import DISCARD, PICK
@@ -364,3 +365,73 @@ def test_lockstep_sweep_equals_one_seed_sweeps(data):
         errors = [r.oracle_errors for r in rows]
         assert errors == sorted(errors)
         assert all(r.oracle_errors <= r.picks for r in rows)
+
+
+@pytest.mark.parametrize("short_stream", [False, True], ids=["full", "short"])
+@pytest.mark.parametrize("agent", AGENT_KINDS)
+def test_sweep_fit_many_calls(monkeypatch, reference_corpus, agent, short_stream):
+    """Only the uncertainty agent reads its classifier, so only its sweep
+    fits once per refit level; any other sweep fits every refit of every
+    run in one call. The rows keep the order of the per-run loops."""
+    train, test, net = reference_corpus
+    calls = []
+    fit_many = oris.harness.fit_many
+
+    def counted(sets, *args, **kwargs):
+        calls.append([len(s) for s in sets])
+        return fit_many(sets, *args, **kwargs)
+
+    monkeypatch.setattr(oris.harness, "fit_many", counted)
+    if short_stream:
+        train = train[::7]
+    cfg = HarnessConfig(labels=LABELS3, agent=agent, budget=40 if short_stream else 60,
+                        update_freq=10 if short_stream else 15, seeds=(1, 2, 3, 4),
+                        oracle=REFERENCE_ORACLES["sigmoid"], pick_prob=0.5 if short_stream else 0.3,
+                        theta0=1.0, diversity_cap=200, learner_epochs=20)
+    record = run_experiment(train, test, cfg, net=net if agent == "oris" else None)
+    assert record.rows == sorted(record.rows, key=lambda r: (r.run_id, r.budget_exhausted))
+    levels = max((r.budget_exhausted // cfg.update_freq for r in record.rows), default=0)
+    if agent == "uncertainty":
+        assert len(calls) == levels
+        assert calls == [[cfg.update_freq * (i + 1)] * sum(
+            r.budget_exhausted == cfg.update_freq * (i + 1) for r in record.rows)
+            for i in range(levels)]
+    else:
+        assert calls == [[r.picks for r in record.rows]]
+    if short_stream and agent != "diversity":  # diversity picks `budget` docs of any stream
+        assert record.partial_runs
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_error_counts_and_human_f1_match_the_replayed_picks(data):
+    """Each row's oracle_errors is the number of emitted labels that differ
+    from the true class over the run's first b picks, and its human f1 is
+    f1_macro of those labels; the picks are replayed by the reference loop."""
+    update_freq = data.draw(st.integers(1, 6), label="update_freq")
+    cfg = HarnessConfig(
+        labels=LABELS3,
+        agent=data.draw(st.sampled_from(AGENT_KINDS), label="agent"),
+        budget=data.draw(st.integers(update_freq, 28), label="budget"),
+        update_freq=update_freq,
+        seeds=tuple(data.draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=3),
+                              label="seeds")),
+        oracle=data.draw(st.sampled_from(sorted(REFERENCE_ORACLES.values(), key=repr)),
+                         label="oracle"),
+        learner_epochs=2, learner_batch=4,
+    )
+    record = run_experiment(PROPERTY_TRAIN, PROPERTY_TEST, cfg, net=PROPERTY_NET)
+    diversity_ids = frozenset(diversity_select(PROPERTY_TRAIN, cfg.budget, cap=cfg.diversity_cap)
+                              if cfg.agent == "diversity" else ())
+    for run_id, seed in enumerate(cfg.seeds):
+        picks = []
+        reference_single_run(PROPERTY_TRAIN, PROPERTY_TEST, cfg, PROPERTY_NET, diversity_ids,
+                             run_id, seed, picks=picks)
+        rows = [r for r in record.rows if r.run_id == run_id]
+        assert len(rows) == len(picks) // cfg.update_freq
+        for row in rows:
+            first = picks[:row.picks]
+            assert len(first) == row.picks
+            assert row.oracle_errors == sum(true != emitted for true, emitted in first)
+            true, emitted = zip(*first)
+            assert row.human_f1_macro == f1_macro(list(true), list(emitted), LABELS3)

@@ -119,10 +119,52 @@ def test_fit_many_bit_identical_to_per_run_fit_and_reference(n, stacked, batch_s
             assert np.array_equal(got.bias, b)
 
 
+MIXED_SIZES = {
+    "harness refit sizes": [25 * i for i in range(1, 21)],
+    "last batch of one row": [33, 225, 1, 64, 33, 40],
+    "below the batch size": [5, 31, 7, 12, 31],
+    "all equal": [40, 40, 40, 40],
+}
+
+
+@pytest.mark.parametrize("batch_size", [7, 32])
+@pytest.mark.parametrize("prefixes", [True, False], ids=["prefixes", "separate"])
+@pytest.mark.parametrize("case", sorted(MIXED_SIZES))
+def test_fit_many_mixed_sizes_bit_identical_to_fit_and_reference(case, prefixes, batch_size):
+    """Sets of any sizes in one call, given in no particular order, either as
+    prefixes of two growing lists (as run_experiment passes them) or as
+    separate lists; each result is that of its own set."""
+    sizes = MIXED_SIZES[case]
+    if prefixes:
+        runs = [_noisy_pairs(max(sizes), seed=40 + r) for r in range(2)]
+        sets = [runs[i % 2][:n] for i, n in enumerate(sizes)]
+    else:
+        sets = [_noisy_pairs(n, seed=50 + i) for i, n in enumerate(sizes)]
+    seeds = [3 * i + 2 for i in range(len(sets))]
+    clfs = fit_many(sets, LABELS5, seeds, epochs=5, batch_size=batch_size, lr=0.1)
+    assert len(clfs) == len(sets)
+    for pairs, seed, clf in zip(sets, seeds, clfs):
+        alone = fit(pairs, LABELS5, seed=seed, epochs=5, batch_size=batch_size, lr=0.1)
+        W, b = reference_fit(pairs, 5, seed=seed, epochs=5, batch_size=batch_size, lr=0.1)
+        for got in (alone, clf):
+            assert np.array_equal(got.weights, W)
+            assert np.array_equal(got.bias, b)
+
+
+def test_fit_many_shares_rows_only_between_true_prefixes():
+    """A set that starts with another set's pairs but goes on with other
+    pairs is not read from that set's rows."""
+    a, other = _noisy_pairs(50, seed=60), _noisy_pairs(50, seed=61)
+    sets = [a, a[:20] + other[:25], a[:20], list(a[:30])]
+    clfs = fit_many(sets, LABELS5, [1, 2, 3, 4], epochs=5)
+    for pairs, seed, clf in zip(sets, [1, 2, 3, 4], clfs):
+        W, b = reference_fit(pairs, 5, seed=seed, epochs=5)
+        assert np.array_equal(clf.weights, W)
+        assert np.array_equal(clf.bias, b)
+
+
 def test_fit_many_rejects_mismatched_sets_and_seeds():
-    a, b = _noisy_pairs(10, seed=1), _noisy_pairs(11, seed=2)
-    with pytest.raises(ValueError, match="equal sizes"):
-        fit_many([a, b], LABELS5, [0, 1])
+    a = _noisy_pairs(10, seed=1)
     with pytest.raises(ValueError, match="one seed per training set"):
         fit_many([a, a], LABELS5, [0])
     with pytest.raises(ValueError, match="empty training set"):
