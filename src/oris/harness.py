@@ -10,12 +10,14 @@ A run yields each refit's training set to run_experiment, which fits it and
 computes the machine f1. Only the uncertainty agent reads its classifier
 while it streams: its runs advance in lockstep, with one call of S equal sets
 per refit level. Every other agent's runs stream to their ends without
-waiting, and all refits of the sweep are fit in one call of unequal sets.
+waiting, and all refits of the sweep are fit in one call of unequal sets,
+or in a few once the queued sets hold FIT_QUEUE_PICKS picks.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -30,6 +32,11 @@ from .oracle import DecayModel, OracleState
 from .reward import DISCARD, PICK, normalized_entropy
 
 AGENT_KINDS = ("random", "uncertainty", "diversity", "oris")
+
+# A fit_many call holds an id per pick of every queued set and a weight
+# matrix per set, so the queue is fit once it holds this many picks: a sweep
+# at any f then needs bounded memory beyond its runs' own training sets.
+FIT_QUEUE_PICKS = 1 << 20
 
 CSV_HEADER = ["run_id", "budget_exhausted", "machine_f1_macro", "human_f1_macro",
               "picks", "oracle_errors"]
@@ -191,8 +198,10 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     training sets of that refit, all with f * i picks, are fit in one
     fit_many call. Every other agent's runs stream to their ends and every
     refit of the sweep is fit in a single fit_many call over sets of
-    unequal size. The test set must be disjoint from the stream. Runs whose
-    stream ends before the budget is exhausted are flagged in partial_runs.
+    unequal size; a queue that reaches FIT_QUEUE_PICKS picks is fit at once
+    and its runs stream on. The test set must be disjoint from the stream.
+    Runs whose stream ends before the budget is exhausted are flagged in
+    partial_runs.
     """
     if not train_docs:
         raise ValueError("empty training stream")
@@ -214,18 +223,20 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     runs = [_single_run(train_docs, cfg, net, diversity_ids, seed) for seed in cfg.seeds]
     rows: list[list[RecordRow]] = [[] for _ in runs]
     partial = []
-    sends = [(run_id, None) for run_id in range(len(runs))]
-    while sends:
-        refits = []  # (run id, training set, b, fit seed, human f1, errors)
-        for run_id, clf in sends:
+    waiting = deque((run_id, None) for run_id in range(len(runs)))  # (run, classifier to send)
+    while waiting:
+        refits, queued = [], 0  # (run id, training set, b, fit seed, human f1, errors)
+        while waiting and queued < FIT_QUEUE_PICKS:
+            run_id, clf = waiting.popleft()
             try:
-                while True:
-                    refits.append((run_id, *runs[run_id].send(clf)))
-                    if reads_clf:
-                        break
+                refits.append((run_id, *runs[run_id].send(clf)))
             except StopIteration as done:
                 if not done.value:
                     partial.append(run_id)
+                continue
+            queued += refits[-1][2]
+            if not reads_clf:  # it streams on without its classifier
+                waiting.appendleft((run_id, None))
         if not refits:
             break
         run_ids, sets, picks, fit_seeds, humans, errors = zip(*refits)
@@ -235,7 +246,8 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
         for run_id, b, human, errs, clf in zip(run_ids, picks, humans, errors, clfs):
             machine = f1_macro(test_y, predict(clf, test_X), cfg.labels)
             rows[run_id].append(RecordRow(run_id, b, machine, human, b, errs))
-        sends = list(zip(run_ids, clfs)) if reads_clf else []
+        if reads_clf:
+            waiting.extend(zip(run_ids, clfs))
     return ExperimentRecord(rows=[row for run_rows in rows for row in run_rows],
                             partial_runs=sorted(partial))
 

@@ -31,13 +31,7 @@ def _probs(weights, bias, X) -> np.ndarray:
     take (S, n, E) rows and an (S, 1, C) bias."""
     z = X @ np.swapaxes(weights, -1, -2)
     z += bias
-    if z.ndim == 1:  # one document, as the uncertainty agent streams them
-        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-    else:  # the row max a column at a time: exact, and faster over many rows
-        zmax = z[..., :1].copy()
-        for c in range(1, z.shape[-1]):
-            np.maximum(zmax, z[..., c:c + 1], out=zmax)
-        z -= zmax
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
@@ -92,7 +86,9 @@ def fit_many(training_sets, labels: LabelSpace, seeds, epochs: int = 50,
 
     Rows are stored once: a set whose pairs are the leading pairs of a
     longer set (the same objects, as in prefixes of one growing list) reads
-    that set's rows.
+    that set's rows. Beyond them, a call holds S weight matrices and an
+    (S, longest n) array of row ids, so its memory grows with the number of
+    sets times the longest; run_experiment bounds what it queues per call.
     """
     if not training_sets or not all(training_sets):
         raise ValueError("cannot fit on an empty training set")

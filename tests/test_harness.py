@@ -402,6 +402,31 @@ def test_sweep_fit_many_calls(monkeypatch, reference_corpus, agent, short_stream
         assert record.partial_runs
 
 
+@pytest.mark.parametrize("agent", AGENT_KINDS)
+def test_full_refit_queue_is_fit_early(monkeypatch, reference_corpus, agent):
+    """At f = 1 a sweep queues a refit per pick. A queue that reaches
+    FIT_QUEUE_PICKS picks is fit at once and its runs stream on, and the
+    record is that of the unbounded queue."""
+    train, test, net = reference_corpus
+    cfg = HarnessConfig(labels=LABELS3, agent=agent, budget=30, update_freq=1, seeds=(1, 2, 3),
+                        oracle=REFERENCE_ORACLES["sigmoid"], diversity_cap=200, learner_epochs=2)
+    net = net if agent == "oris" else None
+    whole = run_experiment(train, test, cfg, net=net)
+    calls = []
+    fit_many = oris.harness.fit_many
+
+    def counted(sets, *args, **kwargs):
+        calls.append([len(s) for s in sets])
+        return fit_many(sets, *args, **kwargs)
+
+    monkeypatch.setattr(oris.harness, "fit_many", counted)
+    monkeypatch.setattr(oris.harness, "FIT_QUEUE_PICKS", 100)
+    assert run_experiment(train, test, cfg, net=net) == whole
+    assert all(sum(sizes[:-1]) < 100 for sizes in calls)  # the last set may overshoot
+    assert sorted(b for sizes in calls for b in sizes) == sorted(r.picks for r in whole.rows)
+    assert len(calls) > 10 if agent != "uncertainty" else len(calls) == cfg.budget
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_error_counts_and_human_f1_match_the_replayed_picks(data):
