@@ -1,17 +1,12 @@
 """The online active-learning loop with pluggable sampling agents.
 
 Per arriving document the configured agent picks or discards; picks are
-labeled by the (possibly error-prone) simulated annotator and appended to
-the training set. Every update_freq picks the classifier is refit from
-scratch and both machine f1 (held-out test set) and human f1 (all picks so
-far) are recorded. Seeded runs are fully independent; only their refits are
-stacked, in learner.fit_many calls that are bit-identical to separate fits.
-A run yields each refit's training set to run_experiment, which fits it and
-computes the machine f1. Only the uncertainty agent reads its classifier
-while it streams: its runs advance in lockstep, with one call of S equal sets
-per refit level. Every other agent's runs stream to their ends without
-waiting, and all refits of the sweep are fit in one call of unequal sets,
-or in a few once the queued sets hold FIT_QUEUE_PICKS picks.
+labeled by the (possibly error-prone) simulated annotator and written to the
+run's rows of the sweep's one row store. Every update_freq picks the
+classifier is refit from scratch and both machine f1 (held-out test set) and
+human f1 (all picks so far) are recorded. Seeded runs are fully independent;
+only their refits are stacked, in learner.fit_many calls over spans of the
+store that are bit-identical to separate fits (see run_experiment).
 """
 
 from __future__ import annotations
@@ -33,9 +28,9 @@ from .reward import DISCARD, PICK, normalized_entropy
 
 AGENT_KINDS = ("random", "uncertainty", "diversity", "oris")
 
-# A fit_many call holds an id per pick of every queued set and a weight
-# matrix per set, so the queue is fit once it holds this many picks: a sweep
-# at any f then needs bounded memory beyond its runs' own training sets.
+# A fit_many call holds an id per pick of every queued span and a weight
+# matrix per span, so the queue is fit once it holds this many picks: a sweep
+# at any f then needs bounded memory beyond its row store.
 FIT_QUEUE_PICKS = 1 << 20
 
 CSV_HEADER = ["run_id", "budget_exhausted", "machine_f1_macro", "human_f1_macro",
@@ -142,27 +137,23 @@ def diversity_select(docs, budget: int, cap: int = 5000) -> list[int]:
     return sorted(selected)
 
 
-def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed):
-    """Stream one seeded run. At each refit it yields (training set, picks b,
-    fit seed, human f1, oracle errors) and receives the classifier fit on the
-    set's first b pairs, or None when the agent does not read it; it returns
-    whether the budget was spent."""
-    labels = cfg.labels
+def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, true):
+    """Stream one seeded run. Its b-th pick's embedding, emitted label and
+    true class go to row b of X, y and true, the run's block of the sweep's
+    row store. At each refit it yields (picks b, fit seed) and receives the
+    classifier fit on rows :b, or None when the agent does not read it; it
+    returns whether the budget was spent."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
-    tracker = LastSeenTracker(len(labels), cfg.k)
-    oracle_state = OracleState(cfg.oracle, labels, tracker, seed=oracle_ss)
+    tracker = LastSeenTracker(len(cfg.labels), cfg.k)
+    oracle_state = OracleState(cfg.oracle, cfg.labels, tracker, seed=oracle_ss)
     agent_rng = np.random.default_rng(agent_ss)
     fit_rng = np.random.default_rng(fit_ss)
     pick_prob = cfg.pick_prob
     if pick_prob is None:
         pick_prob = min(1.0, cfg.budget / len(train_docs))
 
-    training_set = []
-    picked_true: list[int] = []
-    picked_emitted: list[int] = []
     clf = None
     b = 0
-    errors = 0
 
     for doc in shuffle_stream(train_docs, seed):
         if cfg.agent == "random":
@@ -174,16 +165,12 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed):
         else:
             action = decide(net, encode_state(doc.embedding, tracker, cfg.dt_scale))
         if action == PICK:
-            emitted = oracle_state.annotate(doc)  # also recorded in tracker
+            X[b] = doc.embedding
+            y[b] = oracle_state.annotate(doc)  # also recorded in tracker
+            true[b] = doc.true_class
             b += 1
-            if emitted != doc.true_class:
-                errors += 1
-            training_set.append((doc.embedding, emitted))
-            picked_true.append(doc.true_class)
-            picked_emitted.append(emitted)
             if b % cfg.update_freq == 0:
-                human = f1_macro(picked_true, picked_emitted, labels)
-                clf = yield training_set, b, int(fit_rng.integers(2 ** 31)), human, errors
+                clf = yield b, int(fit_rng.integers(2 ** 31))
         oracle_state.advance_step()
         if b >= cfg.budget:
             break
@@ -193,13 +180,14 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed):
 def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> ExperimentRecord:
     """Run one seeded experiment per cfg.seeds entry and merge the records.
 
-    Only the uncertainty agent reads its classifier while it streams. Its
-    runs advance in lockstep: each streams to its next refit, and the S
-    training sets of that refit, all with f * i picks, are fit in one
-    fit_many call. Every other agent's runs stream to their ends and every
-    refit of the sweep is fit in a single fit_many call over sets of
-    unequal size; a queue that reaches FIT_QUEUE_PICKS picks is fit at once
-    and its runs stream on. The test set must be disjoint from the stream.
+    Run i writes its picks to rows i * budget onward of the sweep's row
+    store, and each of its refits fits the span of its first b rows. Only the
+    uncertainty agent reads its classifier while it streams. Its runs advance
+    in lockstep: each streams to its next refit, and the S spans of that
+    refit, all of f * i rows, are fit in one fit_many call. Every other
+    agent's runs stream to their ends and every refit of the sweep is fit in
+    a single fit_many call over spans of unequal size; a queue that reaches
+    FIT_QUEUE_PICKS picks is fit at once and its runs stream on. The test set must be disjoint from the stream.
     Runs whose stream ends before the budget is exhausted are flagged in
     partial_runs.
     """
@@ -220,12 +208,18 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     test_y = np.array([d.true_class for d in test_docs])
     reads_clf = cfg.agent == "uncertainty"
 
-    runs = [_single_run(train_docs, cfg, net, diversity_ids, seed) for seed in cfg.seeds]
+    B = cfg.budget
+    X = np.empty((len(cfg.seeds) * B, len(train_docs[0].embedding)))
+    y = np.zeros(len(X), dtype=np.intp)  # emitted labels
+    true = np.zeros(len(X), dtype=np.intp)
+    runs = [_single_run(train_docs, cfg, net, diversity_ids, seed,
+                        X[lo:lo + B], y[lo:lo + B], true[lo:lo + B])
+            for lo, seed in zip(range(0, len(X), B), cfg.seeds)]
     rows: list[list[RecordRow]] = [[] for _ in runs]
     partial = []
     waiting = deque((run_id, None) for run_id in range(len(runs)))  # (run, classifier to send)
     while waiting:
-        refits, queued = [], 0  # (run id, training set, b, fit seed, human f1, errors)
+        refits, queued = [], 0  # (run id, b, fit seed)
         while waiting and queued < FIT_QUEUE_PICKS:
             run_id, clf = waiting.popleft()
             try:
@@ -234,18 +228,22 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
                 if not done.value:
                     partial.append(run_id)
                 continue
-            queued += refits[-1][2]
+            queued += refits[-1][1]
             if not reads_clf:  # it streams on without its classifier
                 waiting.appendleft((run_id, None))
         if not refits:
             break
-        run_ids, sets, picks, fit_seeds, humans, errors = zip(*refits)
-        clfs = fit_many([pairs[:b] for pairs, b in zip(sets, picks)], cfg.labels, fit_seeds,
-                        epochs=cfg.learner_epochs, batch_size=cfg.learner_batch,
-                        lr=cfg.learner_lr)
-        for run_id, b, human, errs, clf in zip(run_ids, picks, humans, errors, clfs):
+        run_ids, picks, fit_seeds = zip(*refits)
+        clfs = fit_many(X, y, [(run_id * B, b) for run_id, b in zip(run_ids, picks)],
+                        cfg.labels, fit_seeds, epochs=cfg.learner_epochs,
+                        batch_size=cfg.learner_batch, lr=cfg.learner_lr)
+        for run_id, b, clf in zip(run_ids, picks, clfs):
+            lo = run_id * B
+            emitted, truth = y[lo:lo + b], true[lo:lo + b]
             machine = f1_macro(test_y, predict(clf, test_X), cfg.labels)
-            rows[run_id].append(RecordRow(run_id, b, machine, human, b, errs))
+            human = f1_macro(truth, emitted, cfg.labels)
+            rows[run_id].append(RecordRow(run_id, b, machine, human, b,
+                                          int(np.count_nonzero(emitted != truth))))
         if reads_clf:
             waiting.extend(zip(run_ids, clfs))
     return ExperimentRecord(rows=[row for run_rows in rows for row in run_rows],
@@ -266,6 +264,9 @@ def read_record(path) -> ExperimentRecord:
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         for rec in reader:
+            if len(rec) != len(CSV_HEADER):
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(CSV_HEADER)} "
+                                 f"fields, got {len(rec)}")
             rows.append(RecordRow(
                 run_id=int(rec[0]),
                 budget_exhausted=int(rec[1]),

@@ -2,14 +2,14 @@
 
 The classifier is refit from scratch at every evaluation interval, so a run's
 machine performance depends only on the accumulated training set, not on the
-order in which it was collected. fit_many runs any number of such refits, of
-any sizes, as one stacked descent whose every result is bit-identical to its
-own fit; fit is fit_many of one set, so there is one SGD path.
+order in which it was collected. fit_many runs any number of such refits, each
+a span of rows of one (X, y) store, as one stacked descent whose every result
+is bit-identical to its own fit; fit is fit_many of one span, so there is one
+SGD path.
 """
 
 from __future__ import annotations
 
-import operator
 from itertools import groupby
 
 import numpy as np
@@ -66,61 +66,53 @@ def fit(training_set, labels: LabelSpace, seed=0, epochs: int = 50,
     training_set is a list of (embedding, emitted label) pairs. Zero init plus
     a seeded epoch shuffle makes the result a pure function of (set, seed).
     """
-    return fit_many([training_set], labels, [seed], epochs, batch_size, lr)[0]
+    X = np.array([emb for emb, _ in training_set], dtype=np.float64)
+    y = np.array([label for _, label in training_set], dtype=np.intp)
+    return fit_many(X, y, [(0, len(y))], labels, [seed], epochs, batch_size, lr)[0]
 
 
-def fit_many(training_sets, labels: LabelSpace, seeds, epochs: int = 50,
+def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
              batch_size: int = 32, lr: float = 0.1) -> list[SoftmaxClassifier]:
-    """fit() of each set with its own seed, run as one stacked descent over
-    sets of any sizes: the i-th result is bit-identical to
-    fit(training_sets[i], labels, seeds[i], ...).
+    """fit() of each span of rows with its own seed, run as one stacked
+    descent over spans of any sizes: span (start, n) is the training set of
+    rows start .. start + n of (X, y), spans may overlap, rows of X outside
+    every span are never read (every label of y must be a class), and the
+    i-th result is bit-identical to fit() of span i's (X[r], y[r]) pairs with
+    seeds[i].
 
-    The sets are ordered longest first, so at each minibatch offset the sets
-    with a full batch are a prefix of the stack and the sets ending on the
-    same partial batch are a contiguous slice; each slice is one stacked
-    step on its rows of (S, C, E) weights. Each epoch permutes every set's
+    The spans are ordered longest first, so at each minibatch offset the
+    spans with a full batch are a prefix of the stack and the spans ending on
+    the same partial batch are a contiguous slice; each slice is one stacked
+    step on its rows of (S, C, E) weights. Each epoch permutes every span's
     rows with its own seed's generator, and each step gathers its rows with
-    `take`; the loss is never formed. Per set, the float64 arithmetic is op
+    `take`; the loss is never formed. Per span, the float64 arithmetic is op
     for op that of cross_entropy_and_grads applied to
     X[order[lo:lo + batch_size]] (see tests/helpers.py).
 
-    Rows are stored once: a set whose pairs are the leading pairs of a
-    longer set (the same objects, as in prefixes of one growing list) reads
-    that set's rows. Beyond them, a call holds S weight matrices and an
-    (S, longest n) array of row ids, so its memory grows with the number of
-    sets times the longest; run_experiment bounds what it queues per call.
+    A call holds S weight matrices and an (S, longest n) array of row ids, so
+    its memory grows with the number of spans times the longest;
+    run_experiment bounds what it queues per call.
     """
-    if not training_sets or not all(training_sets):
-        raise ValueError("cannot fit on an empty training set")
-    if len(seeds) != len(training_sets):
-        raise ValueError(f"need one seed per training set, got {len(seeds)} "
-                         f"for {len(training_sets)}")
+    if not spans:
+        raise ValueError("need at least one span to fit")
+    if len(seeds) != len(spans):
+        raise ValueError(f"need one seed per span, got {len(seeds)} for {len(spans)}")
+    for start, n in spans:
+        if n < 1 or start < 0 or start + n > len(X):
+            raise ValueError(f"span ({start}, {n}) is empty or not within the {len(X)} rows")
     if epochs < 1 or batch_size < 1 or lr <= 0:
         raise ValueError("epochs and batch_size must be >= 1 and lr > 0")
-    longest_first = sorted(range(len(training_sets)), key=lambda i: -len(training_sets[i]))
-    sets = [training_sets[i] for i in longest_first]
-    sizes = [len(s) for s in sets]
-    stored, starts, rows = [], [], 0
-    for s in sets:
-        for pairs, start in stored:
-            if all(map(operator.is_, s, pairs)):
-                starts.append(start)
-                break
-        else:
-            stored.append((s, rows))
-            starts.append(rows)
-            rows += len(s)
-    X = np.array([emb for s, _ in stored for emb, _ in s], dtype=np.float64)
-    y = np.array([label for s, _ in stored for _, label in s])
     num_classes = len(labels)
     if y.min() < 0 or y.max() >= num_classes:
         raise ValueError("label outside label space")
+    longest_first = sorted(range(len(spans)), key=lambda i: -spans[i][1])
+    starts, sizes = zip(*(spans[i] for i in longest_first))
     Y = _onehot(y, num_classes)
-    S = len(sets)
+    S = len(spans)
     W = np.zeros((S, num_classes, X.shape[-1]))
     b = np.zeros((S, num_classes))
-    b_rows = b[:, None]  # (S, 1, C) view: each set's bias over its batch rows
-    order = np.zeros((S, sizes[0]), dtype=np.intp)  # this epoch's row ids, by set
+    b_rows = b[:, None]  # (S, 1, C) view: each span's bias over its batch rows
+    order = np.zeros((S, sizes[0]), dtype=np.intp)  # this epoch's row ids, by span
     steps = []  # per minibatch: (row ids, W, b, bias rows) views of one slice
     for lo in range(0, sizes[0], batch_size):
         a = 0

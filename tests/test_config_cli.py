@@ -287,6 +287,18 @@ def test_aggregate_cli(tmp_path):
     assert float(fields[4]) == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("bad, fields", [("0,25,0.5", 3), ("0,50,0.2,0.4,50,0,7", 7), ("", 0)],
+                         ids=["short row", "long row", "blank line"])
+def test_aggregate_rejects_a_row_of_the_wrong_width(tmp_path, capsys, bad, fields):
+    header = "run_id,budget_exhausted,machine_f1_macro,human_f1_macro,picks,oracle_errors\n"
+    path = tmp_path / "a.csv"
+    path.write_text(header + "0,25,0.200000,0.400000,25,0\n" + bad + "\n0,75,0.1,0.2,75,0\n")
+    assert main(["aggregate", "--in", str(path), "--out", str(tmp_path / "agg.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: expected 6 fields, got {fields}")
+    assert not (tmp_path / "agg.csv").exists()
+
+
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["run-al", "--config", "/missing.cfg", "--out", "x.csv"]) != 0
     bad_cfg = _write(tmp_path, "bogus = 1\n")

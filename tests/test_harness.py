@@ -377,9 +377,9 @@ def test_sweep_fit_many_calls(monkeypatch, reference_corpus, agent, short_stream
     calls = []
     fit_many = oris.harness.fit_many
 
-    def counted(sets, *args, **kwargs):
-        calls.append([len(s) for s in sets])
-        return fit_many(sets, *args, **kwargs)
+    def counted(X, y, spans, *args, **kwargs):
+        calls.append([n for _, n in spans])
+        return fit_many(X, y, spans, *args, **kwargs)
 
     monkeypatch.setattr(oris.harness, "fit_many", counted)
     if short_stream:
@@ -415,9 +415,9 @@ def test_full_refit_queue_is_fit_early(monkeypatch, reference_corpus, agent):
     calls = []
     fit_many = oris.harness.fit_many
 
-    def counted(sets, *args, **kwargs):
-        calls.append([len(s) for s in sets])
-        return fit_many(sets, *args, **kwargs)
+    def counted(X, y, spans, *args, **kwargs):
+        calls.append([n for _, n in spans])
+        return fit_many(X, y, spans, *args, **kwargs)
 
     monkeypatch.setattr(oris.harness, "fit_many", counted)
     monkeypatch.setattr(oris.harness, "FIT_QUEUE_PICKS", 100)

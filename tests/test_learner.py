@@ -102,14 +102,26 @@ def test_fit_rejects_empty():
         fit([], LABELS2, seed=0)
 
 
+def _store(blocks):
+    """One (X, y) row store holding the pairs of every block in turn."""
+    pairs = [pair for block in blocks for pair in block]
+    return np.array([x for x, _ in pairs]), np.array([label for _, label in pairs])
+
+
+def _span_pairs(X, y, start, n):
+    return [(X[r], int(y[r])) for r in range(start, start + n)]
+
+
 @pytest.mark.parametrize("batch_size", [1, 7, 32, 600])
 @pytest.mark.parametrize("stacked", [1, 3, 5])
 @pytest.mark.parametrize("n", [1, 25, 31, 32, 33, 250, 500])
 def test_fit_many_bit_identical_to_per_run_fit_and_reference(n, stacked, batch_size):
     sets = [_noisy_pairs(n, seed=1000 * n + s) for s in range(stacked)]
+    X, y = _store(sets)
     seeds = [7 * s + 1 for s in range(stacked)]
     epochs = 2 if n * 50 // batch_size > 5000 else 50
-    clfs = fit_many(sets, LABELS5, seeds, epochs=epochs, batch_size=batch_size, lr=0.1)
+    clfs = fit_many(X, y, [(s * n, n) for s in range(stacked)], LABELS5, seeds,
+                    epochs=epochs, batch_size=batch_size, lr=0.1)
     assert len(clfs) == stacked
     for pairs, seed, clf in zip(sets, seeds, clfs):
         alone = fit(pairs, LABELS5, seed=seed, epochs=epochs, batch_size=batch_size, lr=0.1)
@@ -128,22 +140,25 @@ MIXED_SIZES = {
 
 
 @pytest.mark.parametrize("batch_size", [7, 32])
-@pytest.mark.parametrize("prefixes", [True, False], ids=["prefixes", "separate"])
+@pytest.mark.parametrize("overlapping", [True, False], ids=["overlapping", "disjoint"])
 @pytest.mark.parametrize("case", sorted(MIXED_SIZES))
-def test_fit_many_mixed_sizes_bit_identical_to_fit_and_reference(case, prefixes, batch_size):
-    """Sets of any sizes in one call, given in no particular order, either as
-    prefixes of two growing lists (as run_experiment passes them) or as
-    separate lists; each result is that of its own set."""
+def test_fit_many_mixed_sizes_bit_identical_to_fit_and_reference(case, overlapping, batch_size):
+    """Spans of any sizes in one call, given in no particular order, either
+    as overlapping leading spans of two blocks (as run_experiment passes a
+    sweep's runs) or as disjoint spans; each result is that of its own
+    span's pairs."""
     sizes = MIXED_SIZES[case]
-    if prefixes:
-        runs = [_noisy_pairs(max(sizes), seed=40 + r) for r in range(2)]
-        sets = [runs[i % 2][:n] for i, n in enumerate(sizes)]
+    if overlapping:
+        X, y = _store([_noisy_pairs(max(sizes), seed=40 + r) for r in range(2)])
+        spans = [(i % 2 * max(sizes), n) for i, n in enumerate(sizes)]
     else:
-        sets = [_noisy_pairs(n, seed=50 + i) for i, n in enumerate(sizes)]
-    seeds = [3 * i + 2 for i in range(len(sets))]
-    clfs = fit_many(sets, LABELS5, seeds, epochs=5, batch_size=batch_size, lr=0.1)
-    assert len(clfs) == len(sets)
-    for pairs, seed, clf in zip(sets, seeds, clfs):
+        X, y = _store([_noisy_pairs(n, seed=50 + i) for i, n in enumerate(sizes)])
+        spans = [(sum(sizes[:i]), n) for i, n in enumerate(sizes)]
+    seeds = [3 * i + 2 for i in range(len(spans))]
+    clfs = fit_many(X, y, spans, LABELS5, seeds, epochs=5, batch_size=batch_size, lr=0.1)
+    assert len(clfs) == len(spans)
+    for (start, n), seed, clf in zip(spans, seeds, clfs):
+        pairs = _span_pairs(X, y, start, n)
         alone = fit(pairs, LABELS5, seed=seed, epochs=5, batch_size=batch_size, lr=0.1)
         W, b = reference_fit(pairs, 5, seed=seed, epochs=5, batch_size=batch_size, lr=0.1)
         for got in (alone, clf):
@@ -151,28 +166,37 @@ def test_fit_many_mixed_sizes_bit_identical_to_fit_and_reference(case, prefixes,
             assert np.array_equal(got.bias, b)
 
 
-def test_fit_many_shares_rows_only_between_true_prefixes():
-    """A set that starts with another set's pairs but goes on with other
-    pairs is not read from that set's rows."""
-    a, other = _noisy_pairs(50, seed=60), _noisy_pairs(50, seed=61)
-    sets = [a, a[:20] + other[:25], a[:20], list(a[:30])]
-    clfs = fit_many(sets, LABELS5, [1, 2, 3, 4], epochs=5)
-    for pairs, seed, clf in zip(sets, [1, 2, 3, 4], clfs):
-        W, b = reference_fit(pairs, 5, seed=seed, epochs=5)
-        assert np.array_equal(clf.weights, W)
-        assert np.array_equal(clf.bias, b)
+def test_fit_many_never_reads_rows_outside_its_spans():
+    """run_experiment's row store is np.empty and a partial run never writes
+    its last rows, so rows outside every span (NaN here, with labels that
+    differ from a written row's) must not reach any result."""
+    rng = np.random.default_rng(70)
+    X = np.full((300, 8), np.nan)
+    y = rng.integers(0, 5, size=300)
+    for lo, hi in [(10, 100), (150, 250), (299, 300)]:
+        X[lo:hi], y[lo:hi] = _store([_noisy_pairs(hi - lo, seed=lo)])
+    spans = [(10, 90), (150, 100), (10, 33), (160, 7), (299, 1), (40, 60)]
+    seeds = [5, 6, 7, 8, 9, 10]
+    clfs = fit_many(X, y, spans, LABELS5, seeds, epochs=5)
+    for (start, n), seed, clf in zip(spans, seeds, clfs):
+        alone = fit(_span_pairs(X, y, start, n), LABELS5, seed=seed, epochs=5)
+        assert np.array_equal(clf.weights, alone.weights)
+        assert np.array_equal(clf.bias, alone.bias)
 
 
-def test_fit_many_rejects_mismatched_sets_and_seeds():
-    a = _noisy_pairs(10, seed=1)
-    with pytest.raises(ValueError, match="one seed per training set"):
-        fit_many([a, a], LABELS5, [0])
-    with pytest.raises(ValueError, match="empty training set"):
-        fit_many([a, []], LABELS5, [0, 1])
-    with pytest.raises(ValueError, match="empty training set"):
-        fit_many([], LABELS5, [])
-    with pytest.raises(ValueError, match="label outside"):
-        fit_many([a, [(x, 5) for x, _ in a]], LABELS5, [0, 1])
+def test_fit_many_rejects_bad_spans_seeds_and_labels():
+    X, y = _store([_noisy_pairs(10, seed=1)])
+    with pytest.raises(ValueError, match="at least one span"):
+        fit_many(X, y, [], LABELS5, [])
+    for span in [(0, 0), (4, -1), (5, 6), (10, 1), (-1, 2)]:
+        with pytest.raises(ValueError, match="empty or not within the 10 rows"):
+            fit_many(X, y, [(0, 10), span], LABELS5, [0, 1])
+    with pytest.raises(ValueError, match="one seed per span"):
+        fit_many(X, y, [(0, 10), (0, 5)], LABELS5, [0])
+    for label in (5, -1):
+        y[4] = label
+        with pytest.raises(ValueError, match="label outside"):
+            fit_many(X, y, [(0, 10)], LABELS5, [0])
 
 
 def test_predict_proba_uniform_for_zero_parameters():
