@@ -1,13 +1,20 @@
 """Flat dotted-key configuration files and the fully-defaulted experiment config.
 
 Format: one `section.key = value` per line; `#` starts a comment. Lists are
-comma-separated. Every key is optional — an empty file yields the default
-experiment — and unknown keys are rejected with every problem reported at once.
+comma-separated and parse to tuples. Every key is optional — an empty file
+yields the default experiment — and unknown keys are rejected with every
+problem reported at once.
+
+One table, _SCHEMA, maps each key to its parser and to the field it sets of a
+component config (DecayModel, RewardConfig, AgentConfig or HarnessConfig).
+That field's default is the key's, so the CLI and a direct caller of the
+components run the same experiment. Only the data.* and synth.* keys, which
+no component reads, carry a literal default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .checks import CheckError, collect
 from .corpus import LabelSpace
@@ -26,26 +33,20 @@ class ConfigError(ValueError):
 
 
 def _parse_str_list(raw):
-    items = [part.strip() for part in raw.split(",") if part.strip()]
+    items = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not items:
         raise ValueError("empty list")
     return items
 
 
 def _parse_int_list(raw):
-    return [int(part) for part in _parse_str_list(raw)]
+    return tuple(int(part) for part in _parse_str_list(raw))
 
 
-def _parse_float_or_auto(raw):
-    if raw.lower() == "auto":
-        return None
-    return float(raw)
-
-
-def _parse_int_or_auto(raw):
-    if raw.lower() == "auto":
-        return None
-    return int(raw)
+def _or_auto(parse):
+    def parse_or_auto(raw):
+        return None if raw.lower() == "auto" else parse(raw)
+    return parse_or_auto
 
 
 def _parse_choice(options):
@@ -56,51 +57,61 @@ def _parse_choice(options):
     return parse
 
 
-# key -> (parser, default)
+# key -> (parser, component, field): the key sets that field of the component
+# class, and the field's default is the key's. A key that no component reads
+# has component None and its literal default in place of the field.
 _SCHEMA = {
-    "data.train": (str, None),
-    "data.test": (str, None),
-    "data.rl_train": (str, None),
-    "data.vectors": (str, None),
-    "data.classes": (_parse_str_list, ["c0", "c1", "c2", "c3", "c4"]),
-    "seeds": (_parse_int_list, [1, 2, 3, 4, 5]),
-    "oracle.kind": (_parse_choice(DECAY_KINDS), "sigmoid"),
-    "oracle.alpha": (float, 0.3),
-    "oracle.beta": (float, 9.0),
-    "encoder.k": (int, 3),
-    "encoder.dt_scale": (float, 1.0),
-    "reward.rho": (float, 5.0),
-    "reward.delta": (float, 8.0),
-    "reward.lambda": (float, 0.01),
-    "reward.m": (int, 10),
-    "agent.gamma": (float, 0.99),
-    "agent.tau": (float, 0.005),
-    "agent.minibatch": (int, 512),
-    "agent.budget": (int, 500),
-    "agent.episodes": (int, 10000),
-    "agent.replay_capacity": (int, 50000),
-    "agent.warmup": (_parse_int_or_auto, None),
-    "agent.lr": (float, 1e-4),
-    "agent.eps_start": (float, 0.9),
-    "agent.eps_end": (float, 0.05),
-    "agent.eps_decay": (float, 5e-4),
-    "agent.hidden": (_parse_int_list, [256, 256]),
-    "harness.agent": (_parse_choice(AGENT_KINDS), "random"),
-    "harness.budget": (int, 500),
-    "harness.update_freq": (int, 25),
-    "harness.pick_prob": (_parse_float_or_auto, None),
-    "harness.theta0": (float, 0.5),
-    "harness.diversity_cap": (int, 5000),
-    "learner.epochs": (int, 50),
-    "learner.batch": (int, 32),
-    "learner.lr": (float, 0.1),
-    "synth.train_per_class": (_parse_int_list, []),
-    "synth.test_per_class": (_parse_int_list, []),
-    "synth.rl_per_class": (_parse_int_list, []),
-    "synth.dim": (int, 8),
-    "synth.sep": (float, 5.0),
-    "synth.seed": (int, 7),
+    "data.train": (str, None, None),
+    "data.test": (str, None, None),
+    "data.rl_train": (str, None, None),
+    "data.vectors": (str, None, None),
+    "data.classes": (_parse_str_list, None, ("c0", "c1", "c2", "c3", "c4")),
+    "seeds": (_parse_int_list, HarnessConfig, "seeds"),
+    "oracle.kind": (_parse_choice(DECAY_KINDS), DecayModel, "kind"),
+    "oracle.alpha": (float, DecayModel, "alpha"),
+    "oracle.beta": (float, DecayModel, "beta"),
+    "encoder.k": (int, HarnessConfig, "k"),
+    "encoder.dt_scale": (float, HarnessConfig, "dt_scale"),
+    "reward.rho": (float, RewardConfig, "rho"),
+    "reward.delta": (float, RewardConfig, "delta"),
+    "reward.lambda": (float, RewardConfig, "lam"),
+    "reward.m": (int, RewardConfig, "m"),
+    "agent.gamma": (float, AgentConfig, "gamma"),
+    "agent.tau": (float, AgentConfig, "tau"),
+    "agent.minibatch": (int, AgentConfig, "minibatch"),
+    "agent.budget": (int, AgentConfig, "budget"),
+    "agent.episodes": (int, AgentConfig, "episodes"),
+    "agent.replay_capacity": (int, AgentConfig, "replay_capacity"),
+    "agent.warmup": (_or_auto(int), AgentConfig, "warmup"),
+    "agent.lr": (float, AgentConfig, "lr"),
+    "agent.eps_start": (float, AgentConfig, "eps_start"),
+    "agent.eps_end": (float, AgentConfig, "eps_end"),
+    "agent.eps_decay": (float, AgentConfig, "eps_decay"),
+    "agent.hidden": (_parse_int_list, AgentConfig, "hidden"),
+    "harness.agent": (_parse_choice(AGENT_KINDS), HarnessConfig, "agent"),
+    "harness.budget": (int, HarnessConfig, "budget"),
+    "harness.update_freq": (int, HarnessConfig, "update_freq"),
+    "harness.pick_prob": (_or_auto(float), HarnessConfig, "pick_prob"),
+    "harness.theta0": (float, HarnessConfig, "theta0"),
+    "harness.diversity_cap": (int, HarnessConfig, "diversity_cap"),
+    "learner.epochs": (int, HarnessConfig, "learner_epochs"),
+    "learner.batch": (int, HarnessConfig, "learner_batch"),
+    "learner.lr": (float, HarnessConfig, "learner_lr"),
+    "synth.train_per_class": (_parse_int_list, None, ()),
+    "synth.test_per_class": (_parse_int_list, None, ()),
+    "synth.rl_per_class": (_parse_int_list, None, ()),
+    "synth.dim": (int, None, 8),
+    "synth.sep": (float, None, 5.0),
+    "synth.seed": (int, None, 7),
 }
+
+
+def _default(component, name):
+    """The default of field `name` of `component`, or `name` itself when there is no component."""
+    if component is None:
+        return name
+    spec = {f.name: f for f in fields(component)}[name]
+    return spec.default_factory() if spec.default is MISSING else spec.default
 
 
 @dataclass
@@ -123,55 +134,30 @@ class ExperimentConfig:
     def label_space(self) -> LabelSpace:
         return LabelSpace(self.classes)
 
+    def _build(self, component, **given):
+        """component() from the value of every key that sets one of its fields;
+        `given` fields override them."""
+        set_here = {name: self.values[key]
+                    for key, (_, owner, name) in _SCHEMA.items() if owner is component}
+        return component(**{**set_here, **given})
+
     def decay_model(self) -> DecayModel:
-        return DecayModel(kind=self.values["oracle.kind"],
-                          alpha=self.values["oracle.alpha"],
-                          beta=self.values["oracle.beta"])
+        return self._build(DecayModel)
 
     def reward_config(self) -> RewardConfig:
-        return RewardConfig(rho=self.values["reward.rho"],
-                            delta=self.values["reward.delta"],
-                            lam=self.values["reward.lambda"],
-                            m=self.values["reward.m"])
+        return self._build(RewardConfig)
 
     def agent_config(self) -> AgentConfig:
-        return AgentConfig(
-            gamma=self.values["agent.gamma"],
-            tau=self.values["agent.tau"],
-            minibatch=self.values["agent.minibatch"],
-            budget=self.values["agent.budget"],
-            episodes=self.values["agent.episodes"],
-            replay_capacity=self.values["agent.replay_capacity"],
-            warmup=self.values["agent.warmup"],
-            lr=self.values["agent.lr"],
-            eps_start=self.values["agent.eps_start"],
-            eps_end=self.values["agent.eps_end"],
-            eps_decay=self.values["agent.eps_decay"],
-            hidden=tuple(self.values["agent.hidden"]),
-        )
+        return self._build(AgentConfig)
 
     def harness_config(self, agent: str | None = None) -> HarnessConfig:
         # built apart, so an invalid class list or oracle hides no harness check
         problems = []
         labels = collect(problems, self.label_space)
         oracle = collect(problems, self.decay_model)
-        cfg = collect(
-            problems, HarnessConfig,
-            labels=labels,
-            agent=agent if agent is not None else self.values["harness.agent"],
-            budget=self.values["harness.budget"],
-            update_freq=self.values["harness.update_freq"],
-            seeds=tuple(self.seeds),
-            oracle=oracle,
-            k=self.values["encoder.k"],
-            dt_scale=self.values["encoder.dt_scale"],
-            pick_prob=self.values["harness.pick_prob"],
-            theta0=self.values["harness.theta0"],
-            diversity_cap=self.values["harness.diversity_cap"],
-            learner_epochs=self.values["learner.epochs"],
-            learner_batch=self.values["learner.batch"],
-            learner_lr=self.values["learner.lr"],
-        )
+        given = {} if agent is None else {"agent": agent}
+        cfg = collect(problems, self._build, HarnessConfig, labels=labels, oracle=oracle,
+                      **given)
         if problems:
             raise CheckError(problems)
         return cfg
@@ -198,7 +184,7 @@ def parse_config(path) -> ExperimentConfig:
     in the raised ConfigError. Missing keys take their defaults.
     """
     pairs, problems = _read_pairs(path)
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
+    values = {key: _default(owner, name) for key, (_, owner, name) in _SCHEMA.items()}
     explicit = set()
     for lineno, key, raw in pairs:
         if key not in _SCHEMA:
@@ -207,7 +193,7 @@ def parse_config(path) -> ExperimentConfig:
         if key in explicit:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        parser, _ = _SCHEMA[key]
+        parser = _SCHEMA[key][0]
         try:
             values[key] = parser(raw)
         except ValueError as exc:
@@ -236,6 +222,3 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(problems)
     return cfg
 
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig(values={key: default for key, (_, default) in _SCHEMA.items()})

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -183,7 +183,7 @@ class EpisodeLog:
     truncated: bool
 
 
-TRAINING_LOG_HEADER = ["episode", "total_reward", "mean_inclusivity", "epsilon", "loss", "truncated"]
+TRAINING_LOG_HEADER = [f.name for f in fields(EpisodeLog)]
 
 
 def write_training_log(logs, path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -32,9 +32,6 @@ AGENT_KINDS = ("random", "uncertainty", "diversity", "oris")
 # matrix per span, so the queue is fit once it holds this many picks: a sweep
 # at any f then needs bounded memory beyond its row store.
 FIT_QUEUE_PICKS = 1 << 20
-
-CSV_HEADER = ["run_id", "budget_exhausted", "machine_f1_macro", "human_f1_macro",
-              "picks", "oracle_errors"]
 
 
 @dataclass
@@ -84,6 +81,10 @@ class RecordRow:
     human_f1_macro: float
     picks: int
     oracle_errors: int
+
+
+CSV_HEADER = [f.name for f in fields(RecordRow)]
+_CELL_PARSERS = (int, int, float, float, int, int)  # RecordRow's, in column order
 
 
 @dataclass
@@ -187,9 +188,10 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     refit, all of f * i rows, are fit in one fit_many call. Every other
     agent's runs stream to their ends and every refit of the sweep is fit in
     a single fit_many call over spans of unequal size; a queue that reaches
-    FIT_QUEUE_PICKS picks is fit at once and its runs stream on. The test set must be disjoint from the stream.
-    Runs whose stream ends before the budget is exhausted are flagged in
-    partial_runs.
+    FIT_QUEUE_PICKS picks is fit at once and its runs stream on.
+
+    The test set must be disjoint from the stream. Runs whose stream ends
+    before the budget is exhausted are flagged in partial_runs.
     """
     if not train_docs:
         raise ValueError("empty training stream")
@@ -267,14 +269,10 @@ def read_record(path) -> ExperimentRecord:
             if len(rec) != len(CSV_HEADER):
                 raise ValueError(f"{path}:{reader.line_num}: expected {len(CSV_HEADER)} "
                                  f"fields, got {len(rec)}")
-            rows.append(RecordRow(
-                run_id=int(rec[0]),
-                budget_exhausted=int(rec[1]),
-                machine_f1_macro=float(rec[2]),
-                human_f1_macro=float(rec[3]),
-                picks=int(rec[4]),
-                oracle_errors=int(rec[5]),
-            ))
+            try:
+                rows.append(RecordRow(*(parse(cell) for parse, cell in zip(_CELL_PARSERS, rec))))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return ExperimentRecord(rows=rows, partial_runs=[])
 
 

@@ -1,15 +1,19 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import oris
 from oris.cli import main
-from oris.config import ConfigError, parse_config
+from oris.config import _SCHEMA, ConfigError, parse_config
 from oris.corpus import LabelSpace, load_dataset, load_word_vectors
-from oris.harness import read_record
+from oris.dqn import AgentConfig
+from oris.harness import HarnessConfig, read_record
+from oris.oracle import DecayModel
+from oris.reward import RewardConfig
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -31,7 +35,7 @@ def test_empty_config_gives_standard_defaults(tmp_path):
     assert cfg["agent.eps_start"] == 0.9
     assert cfg["agent.eps_end"] == 0.05
     assert cfg["agent.eps_decay"] == 5e-4
-    assert cfg["agent.hidden"] == [256, 256]
+    assert cfg["agent.hidden"] == (256, 256)
     assert cfg["reward.rho"] == 5.0
     assert cfg["reward.delta"] == 8.0
     assert cfg["reward.lambda"] == 0.01
@@ -40,6 +44,68 @@ def test_empty_config_gives_standard_defaults(tmp_path):
     assert cfg["oracle.alpha"] == 0.3
     assert cfg["oracle.beta"] == 9.0
     assert cfg.seeds == [1, 2, 3, 4, 5]
+
+
+# a valid non-default value per component-backed key, and the field it must reach
+COMPONENT_KEYS = {
+    "seeds": ("harness", "seeds", (7, 8)),
+    "oracle.kind": ("oracle", "kind", "exponential"),
+    "oracle.alpha": ("oracle", "alpha", 0.6),
+    "oracle.beta": ("oracle", "beta", -19.0),
+    "encoder.k": ("harness", "k", 4),
+    "encoder.dt_scale": ("harness", "dt_scale", 0.5),
+    "reward.rho": ("reward", "rho", 2.0),
+    "reward.delta": ("reward", "delta", 3.0),
+    "reward.lambda": ("reward", "lam", 0.5),
+    "reward.m": ("reward", "m", 4),
+    "agent.gamma": ("agent", "gamma", 0.9),
+    "agent.tau": ("agent", "tau", 0.01),
+    "agent.minibatch": ("agent", "minibatch", 16),
+    "agent.budget": ("agent", "budget", 40),
+    "agent.episodes": ("agent", "episodes", 3),
+    "agent.replay_capacity": ("agent", "replay_capacity", 200),
+    "agent.warmup": ("agent", "warmup", 32),
+    "agent.lr": ("agent", "lr", 0.003),
+    "agent.eps_start": ("agent", "eps_start", 0.8),
+    "agent.eps_end": ("agent", "eps_end", 0.1),
+    "agent.eps_decay": ("agent", "eps_decay", 0.001),
+    "agent.hidden": ("agent", "hidden", (8, 4)),
+    "harness.agent": ("harness", "agent", "uncertainty"),
+    "harness.budget": ("harness", "budget", 40),
+    "harness.update_freq": ("harness", "update_freq", 10),
+    "harness.pick_prob": ("harness", "pick_prob", 0.25),
+    "harness.theta0": ("harness", "theta0", 0.7),
+    "harness.diversity_cap": ("harness", "diversity_cap", 100),
+    "learner.epochs": ("harness", "learner_epochs", 5),
+    "learner.batch": ("harness", "learner_batch", 8),
+    "learner.lr": ("harness", "learner_lr", 0.05),
+}
+
+
+def _components(cfg):
+    return {"oracle": cfg.decay_model(), "reward": cfg.reward_config(),
+            "agent": cfg.agent_config(), "harness": cfg.harness_config()}
+
+
+def test_every_component_key_reaches_its_field(tmp_path):
+    assert set(COMPONENT_KEYS) == {key for key, (_, owner, _) in _SCHEMA.items()
+                                   if owner is not None}
+    text = "".join(f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+                   for key, (_, _, value) in COMPONENT_KEYS.items())
+    cfg = parse_config(_write(tmp_path, text))
+    built = _components(cfg)
+    defaults = _components(parse_config(_write(tmp_path, "", name="empty.cfg")))
+    assert defaults == {
+        "oracle": DecayModel(), "reward": RewardConfig(), "agent": AgentConfig(),
+        "harness": HarnessConfig(labels=LabelSpace(["c0", "c1", "c2", "c3", "c4"])),
+    }
+    for key, (component, name, value) in COMPONENT_KEYS.items():
+        assert getattr(defaults[component], name) != value, key
+        assert getattr(built[component], name) == value, key
+        assert cfg[key] == value, key
+    assert built["harness"].oracle == built["oracle"]
+    # run-al --agent overrides harness.agent and nothing else
+    assert cfg.harness_config(agent="diversity") == replace(built["harness"], agent="diversity")
 
 
 def test_config_parses_oracle_block(tmp_path):
@@ -296,6 +362,19 @@ def test_aggregate_rejects_a_row_of_the_wrong_width(tmp_path, capsys, bad, field
     assert main(["aggregate", "--in", str(path), "--out", str(tmp_path / "agg.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:3: expected 6 fields, got {fields}")
+    assert not (tmp_path / "agg.csv").exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0,50,0.2,0.4,50,x", "invalid literal for int() with base 10: 'x'"),
+    ("0,50,0.2,high,50,0", "could not convert string to float: 'high'"),
+], ids=["bad int cell", "bad float cell"])
+def test_aggregate_names_the_line_of_a_bad_cell(tmp_path, capsys, bad, message):
+    header = "run_id,budget_exhausted,machine_f1_macro,human_f1_macro,picks,oracle_errors\n"
+    path = tmp_path / "a.csv"
+    path.write_text(header + "0,25,0.200000,0.400000,25,0\n" + bad + "\n0,75,0.1,0.2,75,0\n")
+    assert main(["aggregate", "--in", str(path), "--out", str(tmp_path / "agg.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
     assert not (tmp_path / "agg.csv").exists()
 
 
