@@ -127,7 +127,7 @@ class AgentConfig:
 
 def decide(net: DenseNet, state) -> int:
     """Greedy action from the Q-values; a tie goes to pick."""
-    q = net.forward(state)
+    q = net.forward_one(state)
     return PICK if q[PICK] >= q[DISCARD] else DISCARD
 
 

@@ -13,7 +13,7 @@ class LastSeenTracker:
     Buffers start filled with step 0, so a fresh tracker reads a recency of 0
     for every class and the value grows until the class is emitted again.
     Emissions are recorded only for picked documents; the step counter
-    advances once per stream document.
+    advances once per stream document; running sums give exact averages.
     """
 
     def __init__(self, num_classes: int, k: int = 3):
@@ -25,21 +25,22 @@ class LastSeenTracker:
         self.k = k
         self.current_step = 0
         self._buffers = [deque([0] * k, maxlen=k) for _ in range(num_classes)]
+        self._sums = [0] * num_classes
 
     def averaged_last_seen(self, cls: int) -> float:
         """Mean of (current_step - recorded step) over the class's buffer."""
-        buf = self._buffers[cls]
-        return sum(self.current_step - s for s in buf) / len(buf)
+        return (self.current_step * self.k - self._sums[cls]) / self.k
 
     def since_last(self, cls: int) -> int:
         """Steps since the class's most recent recorded emission: the annotator's slip clock."""
         return self.current_step - self._buffers[cls][-1]
 
     def averages(self) -> np.ndarray:
-        return np.array([self.averaged_last_seen(c) for c in range(self.num_classes)])
+        return (self.current_step * self.k - np.array(self._sums)) / self.k
 
     def record_emission(self, cls: int) -> None:
         """Push the current step into the class's buffer, evicting the oldest."""
+        self._sums[cls] += self.current_step - self._buffers[cls][0]
         self._buffers[cls].append(self.current_step)
 
     def advance_step(self) -> None:

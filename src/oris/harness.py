@@ -199,6 +199,10 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
         raise ValueError("empty test set")
     if cfg.agent == "oris" and net is None:
         raise ValueError("the oris agent requires a trained network")
+    E, C = len(train_docs[0].embedding), len(cfg.labels)
+    if cfg.agent == "oris" and (net.layer_sizes[0], net.layer_sizes[-1]) != (E + C, 2):
+        raise ValueError(f"the oris net has layer sizes {net.layer_sizes}; a run with E = {E} "
+                         f"embedding dims and C = {C} classes needs {E + C} inputs and 2 outputs")
     train_ids = {d.id for d in train_docs}
     if any(d.id in train_ids for d in test_docs):
         raise ValueError("test set overlaps the training stream")
@@ -211,7 +215,7 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     reads_clf = cfg.agent == "uncertainty"
 
     B = cfg.budget
-    X = np.empty((len(cfg.seeds) * B, len(train_docs[0].embedding)))
+    X = np.empty((len(cfg.seeds) * B, E))
     y = np.zeros(len(X), dtype=np.intp)  # emitted labels
     true = np.zeros(len(X), dtype=np.intp)
     runs = [_single_run(train_docs, cfg, net, diversity_ids, seed,

@@ -29,9 +29,10 @@ def _probs(weights, bias, X) -> np.ndarray:
     """softmax(X @ W.T + b) over the last axis, computed in place in one
     fresh buffer that the caller may overwrite. Stacked (S, C, E) weights
     take (S, n, E) rows and an (S, 1, C) bias."""
-    z = X @ np.swapaxes(weights, -1, -2)
+    z = X @ weights.swapaxes(-1, -2)
     z += bias
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    # max of a transposed copy: no per-row loop, exact in any order; sums round, keep numpy's order
+    z -= np.maximum.reduce(np.ascontiguousarray(z.T), axis=0).T[..., None]
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
@@ -43,7 +44,7 @@ def _grads_inplace(probs, X, onehot):
     rows are the second-to-last axis, so a stack of batches works too."""
     probs -= onehot
     probs /= X.shape[-2]
-    return np.swapaxes(probs, -1, -2) @ X, np.add.reduce(probs, axis=-2)
+    return probs.swapaxes(-1, -2) @ X, np.add.reduce(probs, axis=-2)
 
 
 def _onehot(y, num_classes) -> np.ndarray:

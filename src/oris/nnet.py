@@ -1,8 +1,8 @@
 """Small dense networks with hand-rolled forward/backward passes.
 
-ReLU on hidden layers, identity output, smooth-L1 loss, and an
-adaptive-moment optimizer. Everything runs in 64-bit floats; checkpoints
-are plain text and round-trip bit-exactly.
+ReLU on hidden layers, identity output, smooth-L1 loss, an adaptive-moment
+optimizer, and forward_one() for per-document inference. All in float64;
+checkpoints are plain text and round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class DenseNet:
             b[...] = 0.0
 
     def _bind(self, layer_sizes):
-        """Allocate the flat parameter and gradient vectors and their views."""
+        """Allocate the parameter and gradient vectors, their views and forward_one's rows."""
         self.layer_sizes = layer_sizes
         pairs = list(zip(layer_sizes, layer_sizes[1:]))
         size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs)
@@ -46,8 +46,10 @@ class DenseNet:
         self.grad = np.empty(size)
         self.weights, self.biases = _layer_views(self.params, pairs)
         self._grads = list(zip(*_layer_views(self.grad, pairs)))
-        self._workspaces = [None, None]  # [batch, single vector]
+        self._workspace = None
         self._cache = None
+        rows = [np.empty((1, s)) for s in layer_sizes[1:]]
+        *self._hidden_rows, self._out_row = zip([W.T for W in self.weights], self.biases, rows)
 
     @classmethod
     def from_parameters(cls, weights, biases):
@@ -67,20 +69,19 @@ class DenseNet:
     def forward(self, x):
         """Run the net on a single vector or a (batch, in) matrix.
 
-        Activations are cached for a subsequent backward() on the same input.
-        Single vectors and batches each run in a workspace of their own, so
-        inference between training batches does not evict the batch buffers;
-        the batch workspace is reallocated when the batch size changes. The
-        result is a new array that later calls do not overwrite.
+        Activations are cached for a subsequent backward() on the same input,
+        in one workspace that is reallocated when the row count changes;
+        per-document inference uses forward_one(). The result is a new array
+        that later calls do not overwrite.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         a = np.atleast_2d(x)
         if a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"input width {a.shape[1]} != expected {self.layer_sizes[0]}")
-        ws = self._workspaces[single]
+        ws = self._workspace
         if ws is None or ws.rows != a.shape[0]:
-            ws = self._workspaces[single] = _Workspace(self.layer_sizes, a.shape[0])
+            ws = self._workspace = _Workspace(self.layer_sizes, a.shape[0])
         ws.acts[0] = a
         last = self.num_layers - 1
         for i in range(last):
@@ -92,6 +93,14 @@ class DenseNet:
         out += self.biases[last]
         self._cache = (x, ws)
         return out[0] if single else out
+
+    def forward_one(self, x):
+        """forward(x) of one float64 vector, bit for bit: no cache, no check, reused buffers."""
+        a = x[None]
+        for Wt, b, h in self._hidden_rows:
+            a = np.maximum(np.add(np.matmul(a, Wt, out=h), b, out=h), 0.0, out=h)
+        Wt, b, out = self._out_row
+        return np.add(np.matmul(a, Wt, out=out), b, out=out)[0]
 
     def backward(self, x, grad_out):
         """Gradients of sum(output * grad_out) w.r.t. every parameter.

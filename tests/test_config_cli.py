@@ -12,6 +12,7 @@ from oris.config import _SCHEMA, ConfigError, parse_config
 from oris.corpus import LabelSpace, load_dataset, load_word_vectors
 from oris.dqn import AgentConfig
 from oris.harness import HarnessConfig, read_record
+from oris.nnet import DenseNet, save_checkpoint
 from oris.oracle import DecayModel
 from oris.reward import RewardConfig
 
@@ -333,6 +334,26 @@ agent.hidden = 8, 8
                      "--checkpoint", str(ckpt), "--out", str(csv_out)]) == 0
         outputs.append((ckpt.read_bytes(), log.read_bytes(), csv_out.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("outputs", [3, 1])
+def test_run_al_rejects_a_checkpoint_of_the_wrong_shape(tmp_path, capsys, outputs):
+    cfg_text = SYNTH_CFG + f"""
+data.train = {tmp_path}/synth/train.tsv
+data.test = {tmp_path}/synth/test.tsv
+data.vectors = {tmp_path}/synth/vectors.vec
+"""
+    cfg_path = _write(tmp_path, cfg_text)
+    assert main(["gen-synth", "--config", cfg_path, "--out-dir", str(tmp_path / "synth")]) == 0
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(DenseNet([3 + 2, 4, outputs], seed=0), ckpt)
+    capsys.readouterr()
+    out_csv = tmp_path / "oris.csv"
+    assert main(["run-al", "--config", cfg_path, "--agent", "oris", "--checkpoint", str(ckpt),
+                 "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"[5, 4, {outputs}]" in err
+    assert not out_csv.exists()
 
 
 def test_aggregate_cli(tmp_path):

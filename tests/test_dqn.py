@@ -65,6 +65,8 @@ class _FixedNet:
     def forward(self, state):
         return self.q
 
+    forward_one = forward
+
 
 def test_decide_greedy_and_tie_to_pick():
     assert decide(_FixedNet([0.2, 0.9]), np.zeros(2)) == PICK

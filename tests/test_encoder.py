@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oris.encoder import LastSeenTracker, encode_state
@@ -52,12 +52,14 @@ def test_k1_keeps_only_latest():
 
 
 def test_no_pick_leaves_buffers_unchanged():
+    # with no emission every recorded step stays put, so each recency grows by one per step
     tracker = LastSeenTracker(num_classes=2, k=3)
     tracker.record_emission(0)
-    before = [list(buf) for buf in tracker._buffers]
-    for _ in range(4):
+    before = tracker.averages()
+    for step in range(1, 5):
         tracker.advance_step()
-    assert [list(buf) for buf in tracker._buffers] == before
+        assert tracker.averages().tolist() == (before + step).tolist()
+        assert [tracker.since_last(c) for c in range(2)] == [step, step]
     assert tracker.averaged_last_seen(0) > 0
 
 
@@ -129,6 +131,12 @@ def test_validation():
         LastSeenTracker(num_classes=2, k=0)
 
 
+# at least 20,000 steps of a 28-class stream, about one op in three emitting a random class
+LONG_SCRIPT = [int(c) if c < 28 else None
+               for c in np.random.default_rng(28).integers(0, 28 * 3, size=30_000)]
+LONG_SCRIPT += [None] * (20_000 - LONG_SCRIPT.count(None))
+
+
 @given(
     num_classes=st.integers(min_value=1, max_value=5),
     k=st.integers(min_value=1, max_value=4),
@@ -136,6 +144,7 @@ def test_validation():
                     max_size=60),
 )
 @settings(max_examples=200, deadline=None)
+@example(num_classes=28, k=5, script=LONG_SCRIPT)  # running sums far past any small-case value
 def test_since_last_and_averages_match_replay(num_classes, k, script):
     # script: None advances the step, an int emits that class (mod num_classes)
     tracker = LastSeenTracker(num_classes, k)

@@ -200,6 +200,18 @@ def test_run_experiment_oris_requires_net():
         run_experiment(train, test, _base_cfg(agent="oris"))
 
 
+@pytest.mark.parametrize("sizes", [[6, 4, 3], [6, 4, 1], [7, 4, 2]],
+                         ids=["3 outputs", "1 output", "input width"])
+def test_run_experiment_rejects_an_oris_net_of_the_wrong_shape(sizes):
+    train = _docs([5, 5], seed=15)  # E = 4, C = 2: the net needs 6 inputs and 2 outputs
+    test = _docs([2, 2], seed=16, start_id=50)
+    with pytest.raises(ValueError) as raised:
+        run_experiment(train, test, _base_cfg(agent="oris"), net=DenseNet(sizes, seed=0))
+    message = str(raised.value)
+    for part in (str(sizes), "E = 4", "C = 2", "6 inputs and 2 outputs"):
+        assert part in message
+
+
 def test_write_record_format_and_round_trip(tmp_path):
     rows = [RecordRow(run_id=r, budget_exhausted=b, machine_f1_macro=0.5 + 0.01 * b,
                       human_f1_macro=0.9, picks=b, oracle_errors=b // 2)

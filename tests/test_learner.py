@@ -147,20 +147,38 @@ def test_fit_many_mixed_sizes_bit_identical_to_fit_and_reference(case, overlappi
     as overlapping leading spans of two blocks (as run_experiment passes a
     sweep's runs) or as disjoint spans; each result is that of its own
     span's pairs."""
+    _check_mixed_sizes(case, overlapping, batch_size, num_classes=5)
+
+
+@pytest.mark.parametrize("num_classes", [2, 9, 28])
+@pytest.mark.parametrize("batch_size", [7, 32])
+@pytest.mark.parametrize("overlapping", [True, False], ids=["overlapping", "disjoint"])
+@pytest.mark.parametrize("case", sorted(MIXED_SIZES))
+def test_fit_many_mixed_sizes_at_other_class_counts(case, overlapping, batch_size, num_classes):
+    """The same at class counts on both sides of 8, where numpy changes the
+    order of its sums over the classes."""
+    _check_mixed_sizes(case, overlapping, batch_size, num_classes)
+
+
+def _check_mixed_sizes(case, overlapping, batch_size, num_classes):
     sizes = MIXED_SIZES[case]
+    labels = LabelSpace([f"c{i}" for i in range(num_classes)])
     if overlapping:
-        X, y = _store([_noisy_pairs(max(sizes), seed=40 + r) for r in range(2)])
+        X, y = _store([_noisy_pairs(max(sizes), seed=40 + r, num_classes=num_classes)
+                       for r in range(2)])
         spans = [(i % 2 * max(sizes), n) for i, n in enumerate(sizes)]
     else:
-        X, y = _store([_noisy_pairs(n, seed=50 + i) for i, n in enumerate(sizes)])
+        X, y = _store([_noisy_pairs(n, seed=50 + i, num_classes=num_classes)
+                       for i, n in enumerate(sizes)])
         spans = [(sum(sizes[:i]), n) for i, n in enumerate(sizes)]
     seeds = [3 * i + 2 for i in range(len(spans))]
-    clfs = fit_many(X, y, spans, LABELS5, seeds, epochs=5, batch_size=batch_size, lr=0.1)
+    clfs = fit_many(X, y, spans, labels, seeds, epochs=5, batch_size=batch_size, lr=0.1)
     assert len(clfs) == len(spans)
     for (start, n), seed, clf in zip(spans, seeds, clfs):
         pairs = _span_pairs(X, y, start, n)
-        alone = fit(pairs, LABELS5, seed=seed, epochs=5, batch_size=batch_size, lr=0.1)
-        W, b = reference_fit(pairs, 5, seed=seed, epochs=5, batch_size=batch_size, lr=0.1)
+        alone = fit(pairs, labels, seed=seed, epochs=5, batch_size=batch_size, lr=0.1)
+        W, b = reference_fit(pairs, num_classes, seed=seed, epochs=5, batch_size=batch_size,
+                             lr=0.1)
         for got in (alone, clf):
             assert np.array_equal(got.weights, W)
             assert np.array_equal(got.bias, b)
@@ -210,6 +228,19 @@ def test_predict_proba_sums_to_one():
     clf = SoftmaxClassifier(rng.standard_normal((5, 3)), rng.standard_normal(5))
     probs = predict_proba(clf, rng.standard_normal((20, 3)))
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(9,), (1, 9), (1000, 9)], ids=["vector", "row", "batch"])
+def test_predict_proba_equals_plain_softmax(shape):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    weights = 4.0 * rng.standard_normal((9, 9))
+    bias = rng.standard_normal(9)
+    weights[3], bias[3] = weights[7], bias[7]  # tied logits: the row max is reached twice
+    clf = SoftmaxClassifier(weights, bias)
+    x = rng.standard_normal(shape)
+    z = x @ clf.weights.T + clf.bias
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    assert np.array_equal(predict_proba(clf, x), e / e.sum(axis=-1, keepdims=True))
 
 
 def test_predict_proba_analytic_logits():

@@ -239,6 +239,42 @@ def test_forward_output_survives_later_forward():
     assert np.array_equal(single, kept[0])
 
 
+def _states(rng, n, embedding_dim=8, num_classes=5):
+    """Vectors shaped like encode_state's: an embedding, then per-class recencies."""
+    return np.hstack([3.0 * rng.standard_normal((n, embedding_dim)),
+                      rng.integers(0, 400, size=(n, num_classes)) / 3.0])
+
+
+@pytest.mark.parametrize("sizes", [[13, 64, 64, 2], [13, 256, 256, 2], [13, 8, 2]])
+def test_forward_one_bit_identical_to_forward_and_reference(sizes):
+    net = DenseNet(sizes, seed=sum(sizes))
+    ref = ReferenceNet(net)
+    rng = np.random.default_rng(len(sizes))
+    for x in _states(rng, 500):
+        got = net.forward_one(x).copy()
+        assert np.array_equal(got, net.forward(x))
+        assert np.array_equal(got, ref.forward(x))
+
+
+def test_forward_one_between_forward_and_backward_leaves_the_gradients():
+    net = DenseNet([13, 64, 64, 2], seed=3)
+    twin = net.copy()
+    rng = np.random.default_rng(3)
+    opt, twin_opt = AdamState(net, lr=1e-2), AdamState(twin, lr=1e-2)
+    for _ in range(4):
+        X = _states(rng, 32)
+        grad_out = rng.standard_normal((32, 2))
+        assert np.array_equal(net.forward(X), twin.forward(X))
+        for x in _states(rng, 10):
+            net.forward_one(x)
+        optimizer_step(net, net.backward(X, grad_out), opt)
+        optimizer_step(twin, twin.backward(X, grad_out), twin_opt)
+        assert np.array_equal(net.grad, twin.grad)
+        assert np.array_equal(net.params, twin.params)
+        x = _states(rng, 1)[0]  # it reads the updated parameters
+        assert np.array_equal(net.forward_one(x), twin.forward(x))
+
+
 def test_parameters_are_views_of_one_flat_vector():
     net = DenseNet([3, 4, 2], seed=0)
     assert net.params.size == 4 * 3 + 4 + 2 * 4 + 2
