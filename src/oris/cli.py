@@ -107,11 +107,8 @@ def _cmd_run_al(args) -> int:
     _require(cfg, "data.train", "data.test", "data.vectors")
     table = corpus.load_word_vectors(cfg["data.vectors"])
     train_docs = corpus.load_dataset(cfg["data.train"], table, cfg.label_space())
-    test_docs = corpus.load_dataset(cfg["data.test"], table, cfg.label_space())
-    # test ids restart at 0; shift them past the training ids to keep ids unique
-    offset = max(d.id for d in train_docs) + 1
-    for doc in test_docs:
-        doc.id += offset
+    test_docs = corpus.load_dataset(cfg["data.test"], table, cfg.label_space(),
+                                    start_id=len(train_docs))
     record = run_experiment(train_docs, test_docs, harness_cfg, net=net)
     write_record(record, args.out)
     note = f" (partial runs: {sorted(record.partial_runs)})" if record.partial_runs else ""

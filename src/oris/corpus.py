@@ -165,10 +165,11 @@ def embed_document(tokens, table: EmbeddingTable) -> np.ndarray:
     return np.mean(vecs, axis=0)
 
 
-def load_dataset(path, table: EmbeddingTable, labels: LabelSpace) -> list[Document]:
+def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
+                 start_id: int = 0) -> list[Document]:
     """Read a tab-separated "<text>\\t<label>" file into embedded documents.
 
-    Documents get sequential ids starting at 0. All offending lines (unknown
+    Documents get sequential ids from start_id. All offending lines (unknown
     labels, missing separators) are reported in one error.
     """
     docs: list[Document] = []
@@ -186,7 +187,7 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace) -> list[Docume
             if label not in labels:
                 bad.append(f"line {lineno}: unknown label {label!r}")
                 continue
-            docs.append(Document(id=len(docs), true_class=labels.index(label),
+            docs.append(Document(id=start_id + len(docs), true_class=labels.index(label),
                                  embedding=embed_document(tokenize(text), table)))
     if bad:
         raise ValueError(f"{path}: " + "; ".join(bad))

@@ -160,8 +160,8 @@ def train_step(source: DenseNet, target: DenseNet, batch, cfg: AgentConfig,
     loss, dpred = smooth_l1(taken, targets)
     grad_out = np.zeros_like(q)
     grad_out[np.arange(n), actions] = dpred / n
-    grads = source.backward(states, grad_out)
-    optimizer_step(source, grads, opt)
+    source.backward(states, grad_out)
+    optimizer_step(source, opt)
     return float(loss.mean())
 
 

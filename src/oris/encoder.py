@@ -27,15 +27,12 @@ class LastSeenTracker:
         self._buffers = [deque([0] * k, maxlen=k) for _ in range(num_classes)]
         self._sums = [0] * num_classes
 
-    def averaged_last_seen(self, cls: int) -> float:
-        """Mean of (current_step - recorded step) over the class's buffer."""
-        return (self.current_step * self.k - self._sums[cls]) / self.k
-
     def since_last(self, cls: int) -> int:
         """Steps since the class's most recent recorded emission: the annotator's slip clock."""
         return self.current_step - self._buffers[cls][-1]
 
     def averages(self) -> np.ndarray:
+        """Per class, the mean of (current_step - recorded step) over its buffer."""
         return (self.current_step * self.k - np.array(self._sums)) / self.k
 
     def record_emission(self, cls: int) -> None:
@@ -55,5 +52,4 @@ def encode_state(emb, tracker: LastSeenTracker, dt_scale: float = 1.0) -> np.nda
     """
     if dt_scale <= 0:
         raise ValueError(f"dt_scale must be > 0, got {dt_scale}")
-    emb = np.asarray(emb, dtype=np.float64)
     return np.concatenate([emb, tracker.averages() / dt_scale])

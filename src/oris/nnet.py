@@ -1,8 +1,8 @@
-"""Small dense networks with hand-rolled forward/backward passes.
+"""Small dense networks with hand-rolled forward/backward passes, in float64.
 
-ReLU on hidden layers, identity output, smooth-L1 loss, an adaptive-moment
-optimizer, and forward_one() for per-document inference. All in float64;
-checkpoints are plain text and round-trip bit-exactly.
+ReLU hidden layers, identity output, smooth-L1 loss, and Adam stepping from the
+flat gradient that backward() writes. forward() takes (rows, in) matrices and
+forward_one() one vector. Text checkpoints round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -10,6 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 CHECKPOINT_MAGIC = "densenet-v1"
+
+ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DenseNet:
@@ -21,14 +25,12 @@ class DenseNet:
     All parameters live in one flat vector, `params`, laid out as
     W0, b0, W1, b1, ...; `weights[i]` and `biases[i]` are reshaped views into
     it, so writing to either writes to the other. `grad` is a vector of the
-    same layout that backward() fills.
+    same layout that backward() fills, zero until it first does.
     """
 
     def __init__(self, layer_sizes, seed=0):
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        if any(s < 1 for s in layer_sizes):
-            raise ValueError(f"layer sizes must be >= 1, got {layer_sizes}")
+        if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+            raise ValueError(f"need two or more layer sizes >= 1, got {list(layer_sizes)}")
         self._bind([int(s) for s in layer_sizes])
         rng = np.random.default_rng(seed)
         for W, b in zip(self.weights, self.biases):
@@ -43,11 +45,10 @@ class DenseNet:
         pairs = list(zip(layer_sizes, layer_sizes[1:]))
         size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs)
         self.params = np.empty(size)
-        self.grad = np.empty(size)
+        self.grad = np.zeros(size)
         self.weights, self.biases = _layer_views(self.params, pairs)
         self._grads = list(zip(*_layer_views(self.grad, pairs)))
-        self._workspace = None
-        self._cache = None
+        self._workspace = self._cache = None
         rows = [np.empty((1, s)) for s in layer_sizes[1:]]
         *self._hidden_rows, self._out_row = zip([W.T for W in self.weights], self.biases, rows)
 
@@ -67,35 +68,30 @@ class DenseNet:
         return len(self.weights)
 
     def forward(self, x):
-        """Run the net on a single vector or a (batch, in) matrix.
+        """Run the net on a (rows, in) matrix and return the (rows, out) result.
 
-        Activations are cached for a subsequent backward() on the same input,
-        in one workspace that is reallocated when the row count changes;
-        per-document inference uses forward_one(). The result is a new array
-        that later calls do not overwrite.
+        Activations are cached for a backward() on the same input, in one
+        workspace that is reallocated when the row count changes. The result
+        is a new array that later calls do not overwrite. One vector goes
+        through forward_one() instead.
         """
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        a = np.atleast_2d(x)
-        if a.shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"input width {a.shape[1]} != expected {self.layer_sizes[0]}")
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ValueError(f"forward takes a (rows, {self.layer_sizes[0]}) matrix, got shape "
+                             f"{x.shape}; use forward_one for a single vector")
         ws = self._workspace
-        if ws is None or ws.rows != a.shape[0]:
-            ws = self._workspace = _Workspace(self.layer_sizes, a.shape[0])
-        ws.acts[0] = a
-        last = self.num_layers - 1
-        for i in range(last):
-            z = ws.pre[i]
-            np.matmul(a, self.weights[i].T, out=z)
-            z += self.biases[i]
-            a = np.maximum(z, 0.0, out=ws.acts[i + 1])
-        out = a @ self.weights[last].T
-        out += self.biases[last]
+        if ws is None or ws.rows != len(x):
+            ws = self._workspace = _Workspace(self.layer_sizes, len(x))
+        a = ws.acts[0] = x
+        for z, h, W, b in zip(ws.pre, ws.acts[1:], self.weights, self.biases):  # hidden layers
+            a = np.maximum(np.add(np.matmul(a, W.T, out=z), b, out=z), 0.0, out=h)
+        out = a @ self.weights[-1].T + self.biases[-1]
         self._cache = (x, ws)
-        return out[0] if single else out
+        return out
 
     def forward_one(self, x):
-        """forward(x) of one float64 vector, bit for bit: no cache, no check, reused buffers."""
+        """forward(x[None])[0] of one float64 vector, bit for bit: no cache, no
+        check. The result lives in a buffer that the next call overwrites."""
         a = x[None]
         for Wt, b, h in self._hidden_rows:
             a = np.maximum(np.add(np.matmul(a, Wt, out=h), b, out=h), 0.0, out=h)
@@ -103,18 +99,17 @@ class DenseNet:
         return np.add(np.matmul(a, Wt, out=out), b, out=out)[0]
 
     def backward(self, x, grad_out):
-        """Gradients of sum(output * grad_out) w.r.t. every parameter.
-
-        Requires the activation cache from the matching forward(); the ReLU
-        subgradient at exactly 0 is taken to be 0. Returns one (dW, db) pair
-        per layer: views into `grad`, overwritten by the next backward().
+        """Gradients of sum(output * grad_out) w.r.t. every parameter, for the
+        (rows, out) grad_out of the matching forward(); the ReLU subgradient
+        at exactly 0 is taken to be 0. Writes them into `grad`, for
+        optimizer_step(), and returns one (dW, db) view of it per layer.
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cached_x, ws = self._cache
         if cached_x is not x and not np.array_equal(cached_x, np.asarray(x, dtype=np.float64)):
             raise RuntimeError("stale forward cache: backward input differs from cached input")
-        g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
+        g = np.asarray(grad_out, dtype=np.float64)
         out_shape = (ws.rows, self.layer_sizes[-1])
         if g.shape != out_shape:
             raise ValueError(f"grad_out shape {g.shape} != output shape {out_shape}")
@@ -176,17 +171,13 @@ def smooth_l1(pred, target):
 
 
 class AdamState:
-    """First/second moment accumulators with bias correction, flat in the
-    layout of the net's `params`, plus scratch for the update."""
+    """Adam's moment accumulators at learning rate lr, flat in the layout of the
+    net's `params`, plus scratch; the rest of Adam's settings are ADAM_*."""
 
-    def __init__(self, net: DenseNet, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, net: DenseNet, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be > 0, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
@@ -194,39 +185,29 @@ class AdamState:
         self._denom = np.empty_like(net.params)
 
 
-def optimizer_step(net: DenseNet, grads, opt: AdamState) -> None:
-    """One in-place adaptive-moment update of every parameter.
+def optimizer_step(net: DenseNet, opt: AdamState) -> None:
+    """One in-place Adam update of every parameter from net.grad, the
+    gradient that the last net.backward() wrote.
 
-    Gradients other than the (dW, db) views that net.backward() returns are
-    first copied into net.grad. Per element this computes, in this order,
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    param -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
+    Per element this computes, in this order, m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g and param -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
     """
-    if len(grads) != net.num_layers:
-        raise ValueError("gradient structure does not match the net")
-    if grads is not net._grads:
-        for (dW, db), (gW, gb) in zip(grads, net._grads):
-            for grad, dst in ((dW, gW), (db, gb)):
-                if np.shape(grad) != dst.shape:
-                    raise ValueError(
-                        f"gradient shape {np.shape(grad)} != parameter shape {dst.shape}")
-                dst[...] = grad
     opt.step_count += 1
-    bc1 = 1.0 - opt.beta1 ** opt.step_count
-    bc2 = 1.0 - opt.beta2 ** opt.step_count
+    bc1 = 1.0 - ADAM_BETA1 ** opt.step_count
+    bc2 = 1.0 - ADAM_BETA2 ** opt.step_count
     g, m, v, step, denom = net.grad, opt.m, opt.v, opt._step, opt._denom
-    np.multiply(m, opt.beta1, out=m)
-    np.multiply(g, 1.0 - opt.beta1, out=step)
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
     np.add(m, step, out=m)
-    np.multiply(v, opt.beta2, out=v)
-    np.multiply(g, 1.0 - opt.beta2, out=step)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
     np.multiply(step, g, out=step)
     np.add(v, step, out=v)
     np.divide(m, bc1, out=step)
     np.multiply(step, opt.lr, out=step)
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    np.add(denom, opt.eps, out=denom)
+    np.add(denom, ADAM_EPS, out=denom)
     np.divide(step, denom, out=step)
     np.subtract(net.params, step, out=net.params)
 
@@ -245,25 +226,33 @@ def save_checkpoint(net: DenseNet, path) -> None:
 
 
 def load_checkpoint(path) -> DenseNet:
+    """Read a save_checkpoint file. A layer size that is not an integer >= 1,
+    a field that does not parse, a row of the wrong length or content after
+    the last bias row raises ValueError("<path>:<line>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().strip()
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: unsupported checkpoint format {magic!r}")
-        sizes = [int(s) for s in fh.readline().split()]
-        if len(sizes) < 2:
-            raise ValueError(f"{path}: bad layer-size line")
-        weights = []
-        biases = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            rows = []
-            for _ in range(fan_out):
-                row = [float(v) for v in fh.readline().split()]
-                if len(row) != fan_in:
-                    raise ValueError(f"{path}: truncated or malformed weight row")
-                rows.append(row)
-            weights.append(np.array(rows, dtype=np.float64))
-            bias = [float(v) for v in fh.readline().split()]
-            if len(bias) != fan_out:
-                raise ValueError(f"{path}: truncated or malformed bias row")
-            biases.append(np.array(bias, dtype=np.float64))
+        lines = fh.read().split("\n")
+    if lines[0].strip() != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: unsupported checkpoint format {lines[0].strip()!r}")
+
+    def row(i, parse=float, width=None):
+        """The fields of 0-based line i; a ValueError names the file and line."""
+        try:
+            values = [parse(v) for v in (lines[i] if i < len(lines) else "").split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i + 1}: {exc}") from None
+        if width is not None and len(values) != width:
+            raise ValueError(f"{path}:{i + 1}: expected {width} values, got {len(values)}")
+        return values
+
+    sizes = row(1, int)
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"{path}:2: need two or more layer sizes >= 1, got {sizes}")
+    weights, biases, i = [], [], 2
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(np.array([row(i + r, width=fan_in) for r in range(fan_out)]))
+        biases.append(np.array(row(i + fan_out, width=fan_out)))
+        i += fan_out + 1
+    extra = [j for j in range(i, len(lines)) if lines[j].strip()]
+    if extra:
+        raise ValueError(f"{path}:{extra[0] + 1}: content after the last bias row")
     return DenseNet.from_parameters(weights, biases)

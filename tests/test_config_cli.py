@@ -356,6 +356,27 @@ data.vectors = {tmp_path}/synth/vectors.vec
     assert not out_csv.exists()
 
 
+def test_run_al_rejects_a_checkpoint_with_a_zero_size_layer(tmp_path, capsys):
+    cfg_text = SYNTH_CFG + f"""
+data.train = {tmp_path}/synth/train.tsv
+data.test = {tmp_path}/synth/test.tsv
+data.vectors = {tmp_path}/synth/vectors.vec
+"""
+    cfg_path = _write(tmp_path, cfg_text)
+    assert main(["gen-synth", "--config", cfg_path, "--out-dir", str(tmp_path / "synth")]) == 0
+    ckpt = tmp_path / "zero.ckpt"
+    # 5 -> 0 -> 2, with every row the sizes ask for: no weight rows and an empty
+    # bias row for the 0-unit layer, then two empty weight rows and a 2-value bias row
+    ckpt.write_text("densenet-v1\n5 0 2\n\n\n\n0 0\n")
+    capsys.readouterr()
+    out_csv = tmp_path / "oris.csv"
+    assert main(["run-al", "--config", cfg_path, "--agent", "oris", "--checkpoint", str(ckpt),
+                 "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}:2: ") and "Traceback" not in err
+    assert not out_csv.exists()
+
+
 def test_aggregate_cli(tmp_path):
     header = "run_id,budget_exhausted,machine_f1_macro,human_f1_macro,picks,oracle_errors\n"
     a = tmp_path / "a.csv"

@@ -15,21 +15,21 @@ def test_averaged_last_seen_hand_case():
         tracker.record_emission(0)
     tracker.advance_step()
     assert tracker.current_step == 7
-    assert tracker.averaged_last_seen(0) == 2.0
+    assert tracker.averages()[0] == 2.0
 
 
 def test_just_emitted_k_times_reads_zero():
     tracker = LastSeenTracker(num_classes=2, k=3)
     for _ in range(3):
         tracker.record_emission(1)
-    assert tracker.averaged_last_seen(1) == 0.0
+    assert tracker.averages()[1] == 0.0
 
 
 def test_fresh_tracker_padding_reads_current_step():
     tracker = LastSeenTracker(num_classes=4, k=3)
     for _ in range(10):
         tracker.advance_step()
-    assert all(tracker.averaged_last_seen(c) == 10.0 for c in range(4))
+    assert all(tracker.averages()[c] == 10.0 for c in range(4))
 
 
 def test_emissions_at_steps_1_3_5_queried_at_6():
@@ -39,7 +39,7 @@ def test_emissions_at_steps_1_3_5_queried_at_6():
             tracker.advance_step()
         tracker.record_emission(0)
     tracker.advance_step()
-    assert tracker.averaged_last_seen(0) == 3.0  # mean(5, 3, 1)
+    assert tracker.averages()[0] == 3.0  # mean(5, 3, 1)
 
 
 def test_k1_keeps_only_latest():
@@ -48,7 +48,7 @@ def test_k1_keeps_only_latest():
     for _ in range(5):
         tracker.advance_step()
     tracker.record_emission(0)
-    assert tracker.averaged_last_seen(0) == 0.0
+    assert tracker.averages()[0] == 0.0
 
 
 def test_no_pick_leaves_buffers_unchanged():
@@ -60,7 +60,7 @@ def test_no_pick_leaves_buffers_unchanged():
         tracker.advance_step()
         assert tracker.averages().tolist() == (before + step).tolist()
         assert [tracker.since_last(c) for c in range(2)] == [step, step]
-    assert tracker.averaged_last_seen(0) > 0
+    assert tracker.averages()[0] > 0
 
 
 def test_encode_state_concatenates():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ def test_forward_zero_weights_returns_bias():
     for w in net.weights:
         w[:] = 0.0
     net.biases[-1][:] = [1.5, -2.5]
-    for x in (np.zeros(3), np.ones(3), np.full(3, -7.0)):
-        assert np.allclose(net.forward(x), [1.5, -2.5])
+    for x in (np.zeros((1, 3)), np.ones((1, 3)), np.full((1, 3), -7.0)):
+        assert np.allclose(net.forward(x), [[1.5, -2.5]])
 
 
 def test_forward_identity_chain():
@@ -34,8 +36,8 @@ def test_forward_identity_chain():
         w[:] = 1.0
     for b in net.biases:
         b[:] = 0.0
-    assert np.allclose(net.forward([2.0]), [2.0])
-    assert np.allclose(net.forward([-5.0]), [0.0])  # ReLU clamps at the first hidden layer
+    assert np.allclose(net.forward([[2.0]]), [[2.0]])
+    assert np.allclose(net.forward([[-5.0]]), [[0.0]])  # ReLU clamps at the first hidden layer
 
 
 def test_forward_batch_matches_single():
@@ -44,18 +46,25 @@ def test_forward_batch_matches_single():
     batch = rng.standard_normal((5, 4))
     out = net.forward(batch)
     for i in range(5):
-        assert np.allclose(net.forward(batch[i]), out[i])
+        assert np.allclose(net.forward_one(batch[i]), out[i])
 
 
 def test_forward_shape_mismatch():
     net = DenseNet([4, 8, 2], seed=0)
     with pytest.raises(ValueError):
-        net.forward(np.zeros(3))
+        net.forward(np.zeros((1, 3)))
+
+
+def test_forward_takes_only_a_matrix():
+    net = DenseNet([4, 8, 2], seed=0)
+    for x in (np.zeros(4), np.zeros((1, 1, 4))):
+        with pytest.raises(ValueError, match=r"\(rows, 4\) matrix.*forward_one"):
+            net.forward(x)
 
 
 def test_forward_deterministic():
     net = DenseNet([4, 8, 2], seed=1)
-    x = np.ones(4)
+    x = np.ones((1, 4))
     assert np.array_equal(net.forward(x), net.forward(x))
 
 
@@ -75,9 +84,9 @@ def test_backward_gradient_check_20_random_nets():
 
 def test_backward_zero_grad_out():
     net = DenseNet([3, 5, 2], seed=2)
-    x = np.ones(3)
+    x = np.ones((1, 3))
     net.forward(x)
-    grads = net.backward(x, np.zeros(2))
+    grads = net.backward(x, np.zeros((1, 2)))
     assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
 
 
@@ -86,9 +95,9 @@ def test_backward_dead_unit_contributes_nothing():
     net.weights[0][:] = 1.0
     net.biases[0][:] = 0.0
     net.weights[1][:] = 1.0
-    x = np.array([-2.0])  # pre-activation -2 -> dead hidden unit
+    x = np.array([[-2.0]])  # pre-activation -2 -> dead hidden unit
     net.forward(x)
-    grads = net.backward(x, np.ones(1))
+    grads = net.backward(x, np.ones((1, 1)))
     (gw1, gb1), (gw2, gb2) = grads
     assert np.all(gw1 == 0.0) and np.all(gb1 == 0.0)
     assert np.all(gw2 == 0.0)  # hidden activation is 0
@@ -98,10 +107,10 @@ def test_backward_dead_unit_contributes_nothing():
 def test_backward_requires_matching_cache():
     net = DenseNet([2, 3, 1], seed=0)
     with pytest.raises(RuntimeError):
-        net.backward(np.zeros(2), np.zeros(1))
-    net.forward(np.zeros(2))
+        net.backward(np.zeros((1, 2)), np.zeros((1, 1)))
+    net.forward(np.zeros((1, 2)))
     with pytest.raises(RuntimeError, match="stale"):
-        net.backward(np.ones(2), np.zeros(1))
+        net.backward(np.ones((1, 2)), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("pred,target,loss,grad", [
@@ -127,15 +136,15 @@ def test_optimizer_descends_on_quadratic():
     net = DenseNet([1, 1], seed=0)
     net.weights[0][:] = 1.0
     opt = AdamState(net, lr=0.1)
-    x = np.array([1.0])
+    x = np.array([[1.0]])
     first = None
     for step in range(200):
         out = net.forward(x)
-        loss = float(out[0] ** 2)
+        loss = float(out[0, 0] ** 2)
         if first is None:
             first = loss
-        grads = net.backward(x, np.array([2.0 * out[0]]))
-        optimizer_step(net, grads, opt)
+        net.backward(x, 2.0 * out)
+        optimizer_step(net, opt)
     assert loss < first
     assert loss < 1e-3
 
@@ -144,10 +153,24 @@ def test_optimizer_zero_gradients_leave_parameters():
     net = DenseNet([2, 3, 1], seed=4)
     snapshot = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
     opt = AdamState(net, lr=0.5)
-    grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-    optimizer_step(net, grads, opt)
+    x = np.ones((4, 2))
+    net.forward(x)
+    net.backward(x, np.zeros((4, 1)))
+    optimizer_step(net, opt)
     for arr, kept in zip(net.weights + net.biases, snapshot):
         assert np.array_equal(arr, kept)
+
+
+def test_optimizer_step_before_any_backward_leaves_parameters():
+    # a fresh net's gradient is zero, not whatever its memory held
+    net = DenseNet([5, 16, 16, 2], seed=6)
+    before = net.params.copy()
+    opt = AdamState(net, lr=0.5)
+    for step in (1, 2, 3):
+        optimizer_step(net, opt)
+        assert opt.step_count == step
+        assert np.array_equal(net.params, before)
+        assert not opt.m.any() and not opt.v.any()
 
 
 def test_training_decreases_loss_on_regression_batch():
@@ -161,8 +184,8 @@ def test_training_decreases_loss_on_regression_batch():
         out = net.forward(X)
         loss, grad = smooth_l1(out, y)
         losses.append(float(loss.mean()))
-        grads = net.backward(X, grad / len(X))
-        optimizer_step(net, grads, opt)
+        net.backward(X, grad / len(X))
+        optimizer_step(net, opt)
     assert losses[-1] < losses[0]
 
 
@@ -173,8 +196,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 5))
     net.forward(x)
-    grads = net.backward(x, rng.standard_normal((8, 2)))
-    optimizer_step(net, grads, opt)
+    net.backward(x, rng.standard_normal((8, 2)))
+    optimizer_step(net, opt)
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
     again = load_checkpoint(path)
@@ -188,6 +211,43 @@ def test_checkpoint_rejects_other_formats(tmp_path):
     path.write_text("something-else\n1 2\n")
     with pytest.raises(ValueError, match="unsupported"):
         load_checkpoint(path)
+
+
+def _corrupted_checkpoint(tmp_path, edit):
+    """A saved [2, 3, 1] net's checkpoint lines (1 magic, 2 sizes, 3-5 weight
+    rows, 6 bias row, 7 weight row, 8 bias row), passed through edit."""
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(DenseNet([2, 3, 1], seed=0), path)
+    path.write_text("\n".join(edit(path.read_text().split("\n"))))
+    return path
+
+
+def _set_line(lineno, text):
+    return lambda lines: lines[:lineno - 1] + [text] + lines[lineno:]
+
+
+@pytest.mark.parametrize("edit,lineno,message", [
+    (lambda lines: [lines[0], "2 0 1", "", "", "0"], 2, "layer sizes >= 1"),  # zero-width layer
+    (_set_line(2, "2 -3 1"), 2, "layer sizes >= 1"),
+    (_set_line(2, "2 3.5 1"), 2, "'3.5'"),
+    (_set_line(2, "2 four 1"), 2, "'four'"),
+    (_set_line(4, "0.5 x"), 4, "'x'"),
+    (_set_line(6, "0.0 nope 0.0"), 6, "'nope'"),
+    (_set_line(5, "0.5"), 5, "expected 2 values, got 1"),
+    (lambda lines: lines[:7], 8, "expected 1 values, got 0"),  # truncated: no last bias row
+    (lambda lines: lines[:8] + ["0.25", ""], 9, "content after the last bias row"),
+])
+def test_checkpoint_names_the_file_and_line_of_a_malformed_row(tmp_path, edit, lineno, message):
+    path = _corrupted_checkpoint(tmp_path, edit)
+    pattern = re.escape(f"{path}:{lineno}: ") + ".*" + re.escape(message)
+    with pytest.raises(ValueError, match=pattern):
+        load_checkpoint(path)
+
+
+def test_checkpoint_allows_trailing_blank_lines(tmp_path):
+    net = DenseNet([2, 3, 1], seed=0)
+    path = _corrupted_checkpoint(tmp_path, lambda lines: lines + ["", "  "])
+    assert np.array_equal(load_checkpoint(path).params, net.params)
 
 
 def test_copy_is_independent():
@@ -212,14 +272,14 @@ def test_forward_backward_adam_bit_identical_to_reference(sizes, batch, seed):
     for _ in range(6):
         x = rng.standard_normal((batch, sizes[0]))
         grad_out = rng.standard_normal((batch, 2))
-        assert np.array_equal(net.forward(x[0]), ref.forward(x[0]))
-        net.backward(x[0], grad_out[0])
-        assert np.array_equal(net.grad, flatten_pairs(ref.backward(grad_out[0])))
+        assert np.array_equal(net.forward(x[:1]), ref.forward(x[:1]))
+        net.backward(x[:1], grad_out[:1])
+        assert np.array_equal(net.grad, flatten_pairs(ref.backward(grad_out[:1])))
         assert np.array_equal(net.forward(x), ref.forward(x))
-        grads = net.backward(x, grad_out)
+        net.backward(x, grad_out)
         ref_grads = ref.backward(grad_out)
         assert np.array_equal(net.grad, flatten_pairs(ref_grads))
-        optimizer_step(net, grads, opt)
+        optimizer_step(net, opt)
         reference_optimizer_step(ref, ref_grads, ref_opt)
         assert np.array_equal(net.params, flatten_pairs(zip(ref.weights, ref.biases)))
         assert np.array_equal(opt.m, flatten_pairs(ref_opt.m))
@@ -232,11 +292,11 @@ def test_forward_output_survives_later_forward():
     x1, x2 = rng.standard_normal((2, 4, 3))
     out = net.forward(x1)
     kept = out.copy()
-    single = net.forward(x1[0])
+    single = net.forward(x1[:1])
     net.forward(x2)
-    net.forward(x2[0])
+    net.forward(x2[:1])
     assert np.array_equal(out, kept)
-    assert np.array_equal(single, kept[0])
+    assert np.array_equal(single, kept[:1])
 
 
 def _states(rng, n, embedding_dim=8, num_classes=5):
@@ -252,7 +312,7 @@ def test_forward_one_bit_identical_to_forward_and_reference(sizes):
     rng = np.random.default_rng(len(sizes))
     for x in _states(rng, 500):
         got = net.forward_one(x).copy()
-        assert np.array_equal(got, net.forward(x))
+        assert np.array_equal(got, net.forward(x[None])[0])
         assert np.array_equal(got, ref.forward(x))
 
 
@@ -267,12 +327,14 @@ def test_forward_one_between_forward_and_backward_leaves_the_gradients():
         assert np.array_equal(net.forward(X), twin.forward(X))
         for x in _states(rng, 10):
             net.forward_one(x)
-        optimizer_step(net, net.backward(X, grad_out), opt)
-        optimizer_step(twin, twin.backward(X, grad_out), twin_opt)
+        net.backward(X, grad_out)
+        optimizer_step(net, opt)
+        twin.backward(X, grad_out)
+        optimizer_step(twin, twin_opt)
         assert np.array_equal(net.grad, twin.grad)
         assert np.array_equal(net.params, twin.params)
         x = _states(rng, 1)[0]  # it reads the updated parameters
-        assert np.array_equal(net.forward_one(x), twin.forward(x))
+        assert np.array_equal(net.forward_one(x), twin.forward(x[None])[0])
 
 
 def test_parameters_are_views_of_one_flat_vector():

@@ -156,4 +156,4 @@ def test_oracle_reads_latest_emission_of_deep_tracker():
     state.advance_step()
     state.advance_step()
     assert state.tracker.since_last(1) == 2
-    assert state.tracker.averaged_last_seen(1) == (2 + 6 + 6) / 3
+    assert state.tracker.averages()[1] == (2 + 6 + 6) / 3
