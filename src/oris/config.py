@@ -20,7 +20,7 @@ from .checks import CheckError, collect
 from .corpus import LabelSpace
 from .dqn import AgentConfig
 from .harness import AGENT_KINDS, HarnessConfig
-from .oracle import DECAY_KINDS, DecayModel
+from .oracle import DECAY_KINDS, DecayModel, error_probability
 from .reward import RewardConfig
 
 
@@ -212,6 +212,13 @@ def parse_config(path) -> ExperimentConfig:
         # alpha, dt >= 0, so alpha * dt + beta >= 0: every label would slip
         problems.append(
             f"oracle.beta must be < 0 for the exponential oracle, got {values['oracle.beta']}"
+        )
+    if (values["oracle.kind"] == "sigmoid"
+            and error_probability(DecayModel("sigmoid", 0.0, values["oracle.beta"]), 0) == 1.0):
+        # 1 + exp(beta) rounds to 1 below about -36.74, so p(0) = 1 and p grows with dt
+        problems.append(
+            f"oracle.beta must be above about -36.74 for the sigmoid oracle, got "
+            f"{values['oracle.beta']}: every label would slip"
         )
     if values["synth.sep"] < 0:
         problems.append(f"synth.sep must be >= 0, got {values['synth.sep']}")

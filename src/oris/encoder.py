@@ -13,7 +13,9 @@ class LastSeenTracker:
     Buffers start filled with step 0, so a fresh tracker reads a recency of 0
     for every class and the value grows until the class is emitted again.
     Emissions are recorded only for picked documents; the step counter
-    advances once per stream document; running sums give exact averages.
+    counts stream documents, one advance_step at a time or, past documents
+    that no one reads it for, in one advance_to; running sums give exact
+    averages.
     """
 
     def __init__(self, num_classes: int, k: int = 3):
@@ -42,6 +44,13 @@ class LastSeenTracker:
 
     def advance_step(self) -> None:
         self.current_step += 1
+
+    def advance_to(self, step: int) -> None:
+        """Move the step counter forward to step: the same as step -
+        current_step calls of advance_step, in one assignment."""
+        if step < self.current_step:
+            raise ValueError(f"cannot move the step back from {self.current_step} to {step}")
+        self.current_step = step
 
 
 def encode_state(emb, tracker: LastSeenTracker, dt_scale: float = 1.0) -> np.ndarray:

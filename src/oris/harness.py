@@ -94,7 +94,8 @@ class ExperimentRecord:
 
 
 def random_decide(rng, pick_prob: float) -> int:
-    """Bernoulli(pick_prob) pick."""
+    """Bernoulli(pick_prob) pick. A run-al random run draws the same doubles,
+    one per stream document, in a single call (see _single_run)."""
     if not 0.0 <= pick_prob <= 1.0:
         raise ValueError(f"pick probability must be in [0, 1], got {pick_prob}")
     return PICK if rng.random() < pick_prob else DISCARD
@@ -143,28 +144,41 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
     true class go to row b of X, y and true, the run's block of the sweep's
     row store. At each refit it yields (picks b, fit seed) and receives the
     classifier fit on rows :b, or None when the agent does not read it; it
-    returns whether the budget was spent."""
+    returns whether the budget was spent.
+
+    Only the stream positions the agent has to decide are visited: every
+    one for uncertainty and oris, those of its selected ids for diversity,
+    and for random those where one draw of a double per document, the
+    doubles random_decide would draw, falls below pick_prob. The tracker's
+    step is moved to each visited position, so the state and the annotator
+    read the recency that a walk over every document would give."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(cfg.labels), cfg.k)
     oracle_state = OracleState(cfg.oracle, cfg.labels, tracker, seed=oracle_ss)
-    agent_rng = np.random.default_rng(agent_ss)
     fit_rng = np.random.default_rng(fit_ss)
-    pick_prob = cfg.pick_prob
-    if pick_prob is None:
-        pick_prob = min(1.0, cfg.budget / len(train_docs))
+    stream = shuffle_stream(train_docs, seed)
+    if cfg.agent == "random":
+        pick_prob = cfg.pick_prob
+        if pick_prob is None:
+            pick_prob = min(1.0, cfg.budget / len(train_docs))
+        draws = np.random.default_rng(agent_ss).random(len(stream))
+        positions = np.flatnonzero(draws < pick_prob).tolist()
+    elif cfg.agent == "diversity":
+        positions = [t for t, doc in enumerate(stream) if doc.id in diversity_ids]
+    else:
+        positions = range(len(stream))
 
     clf = None
     b = 0
-
-    for doc in shuffle_stream(train_docs, seed):
-        if cfg.agent == "random":
-            action = random_decide(agent_rng, pick_prob)
-        elif cfg.agent == "uncertainty":
+    for t in positions:
+        doc = stream[t]
+        tracker.advance_to(t)
+        if cfg.agent == "uncertainty":
             action = uncertainty_decide(clf, doc.embedding, b, cfg.budget, cfg.theta0)
-        elif cfg.agent == "diversity":
-            action = PICK if doc.id in diversity_ids else DISCARD
-        else:
+        elif cfg.agent == "oris":
             action = decide(net, encode_state(doc.embedding, tracker, cfg.dt_scale))
+        else:
+            action = PICK
         if action == PICK:
             X[b] = doc.embedding
             y[b] = oracle_state.annotate(doc)  # also recorded in tracker
@@ -172,9 +186,8 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
             b += 1
             if b % cfg.update_freq == 0:
                 clf = yield b, int(fit_rng.integers(2 ** 31))
-        oracle_state.advance_step()
-        if b >= cfg.budget:
-            break
+            if b >= cfg.budget:
+                break
     return b >= cfg.budget
 
 

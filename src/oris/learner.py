@@ -25,39 +25,71 @@ class SoftmaxClassifier:
         self.bias = bias        # (C,)
 
 
+# fit_many draws each span's row order for several epochs in one call, as
+# many as keep the ids drawn ahead within this many (2 MB), and at least one.
+# An 8 MB bound left a 5-seed sweep's process about 1 MB larger at its peak.
+ORDER_IDS = 1 << 18
+
+
+def _class_sum(x):
+    """Sum over the first axis of a class-major array in the order numpy
+    sums a contiguous last axis (pairwise_sum): in sequence below 8 classes,
+    in 8 interleaved partial sums up to 128, halved at a multiple of 8 above.
+    So it is bit for bit np.add.reduce over the classes of the row-major copy."""
+    C = len(x)
+    if C < 8:
+        return np.add.reduce(x, axis=0)
+    if C > 128:
+        half = C // 2 - C // 2 % 8
+        return _class_sum(x[:half]) + _class_sum(x[half:])
+    tail = C - C % 8
+    part = x[:8].copy()
+    for lo in range(8, tail, 8):
+        part += x[lo:lo + 8]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for c in range(tail, C):
+        total += x[c]
+    return total
+
+
+def _softmax_classes(zT):
+    """Softmax over the first axis of a contiguous class-major array, in
+    place: every op runs over all rows at once in long inner loops."""
+    zT -= np.maximum.reduce(zT, axis=0)  # a max does not round: any order is exact
+    np.exp(zT, out=zT)
+    zT /= _class_sum(zT)
+    return zT
+
+
 def _probs(weights, bias, X) -> np.ndarray:
-    """softmax(X @ W.T + b) over the last axis, computed in place in one
-    fresh buffer that the caller may overwrite. Stacked (S, C, E) weights
-    take (S, n, E) rows and an (S, 1, C) bias."""
-    z = X @ weights.swapaxes(-1, -2)
+    """softmax(X @ W.T + b) over the last axis: the (n, C) view of a fresh
+    class-major buffer that the caller may overwrite."""
+    z = X @ weights.T
     z += bias
-    # max of a transposed copy: no per-row loop, exact in any order; sums round, keep numpy's order
-    z -= np.maximum.reduce(np.ascontiguousarray(z.T), axis=0).T[..., None]
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
+    return _softmax_classes(np.ascontiguousarray(z.T)).T
 
 
-def _grads_inplace(probs, X, onehot):
-    """Gradients of the mean cross-entropy w.r.t. (W, b) from the batch's
-    probabilities, which are overwritten with (probs - onehot) / n; the
-    rows are the second-to-last axis, so a stack of batches works too."""
-    probs -= onehot
-    probs /= X.shape[-2]
-    return probs.swapaxes(-1, -2) @ X, np.add.reduce(probs, axis=-2)
-
-
-def _onehot(y, num_classes) -> np.ndarray:
-    """One-hot rows over a new last axis, for labels of any shape."""
-    return np.eye(num_classes)[y]
+def _grads(probs_T, onehot_T, X, out):
+    """Gradients of the mean cross-entropy w.r.t. [W | b], written to out
+    (..., C, E + 1), from class-major probabilities (C, n) or (C, n, s) of
+    the rows of X (n, E) or (s, n, E) and their one-hot labels of the same
+    shape; probs_T is overwritten. The matmul and the row sum run on a
+    row-major copy, as the reference forms them."""
+    probs_T -= onehot_T
+    probs_T /= X.shape[-2]
+    g = np.ascontiguousarray(probs_T.T)
+    np.matmul(g.swapaxes(-1, -2), X, out=out[..., :-1])
+    np.add.reduce(g, axis=-2, out=out[..., -1])  # rows in sequence
+    return out
 
 
 def cross_entropy_and_grads(weights, bias, X, y):
     """Mean cross-entropy over the batch and its gradients w.r.t. (W, b)."""
-    probs = _probs(weights, bias, X)
-    loss = float(-np.log(probs[np.arange(len(y)), y]).mean())
-    dW, db = _grads_inplace(probs, X, _onehot(y, len(bias)))
-    return loss, dW, db
+    probs_T = _probs(weights, bias, X).T
+    loss = float(-np.log(probs_T[y, np.arange(len(y))]).mean())
+    onehot_T = y == np.arange(len(bias))[:, None]
+    G = _grads(probs_T, onehot_T, X, np.empty((len(bias), X.shape[1] + 1)))
+    return loss, G[:, :-1], G[:, -1]
 
 
 def fit(training_set, labels: LabelSpace, seed=0, epochs: int = 50,
@@ -84,15 +116,19 @@ def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
     The spans are ordered longest first, so at each minibatch offset the
     spans with a full batch are a prefix of the stack and the spans ending on
     the same partial batch are a contiguous slice; each slice is one stacked
-    step on its rows of (S, C, E) weights. Each epoch permutes every span's
-    rows with its own seed's generator, and each step gathers its rows with
-    `take`; the loss is never formed. Per span, the float64 arithmetic is op
-    for op that of cross_entropy_and_grads applied to
+    step on its rows of the (S, C, E + 1) [W | b] array. A step gathers its
+    rows with `take`, runs the per-span forward matmul, then bias, softmax,
+    one-hot subtraction and / n on one class-major (C, n, s) copy, and the
+    per-span gradient matmul and row sum on its row-major copy; the loss is
+    never formed. Each span's generator draws its row order for up to
+    ORDER_IDS / (S * longest n) epochs in one `permuted` call, whose rows are
+    those of as many `permutation` calls. Per span, the float64 arithmetic is
+    op for op that of cross_entropy_and_grads applied to
     X[order[lo:lo + batch_size]] (see tests/helpers.py).
 
-    A call holds S weight matrices and an (S, longest n) array of row ids, so
-    its memory grows with the number of spans times the longest;
-    run_experiment bounds what it queues per call.
+    A call holds S weight matrices and at least one epoch of row ids, so its
+    memory grows with the number of spans times the longest; run_experiment
+    bounds what it queues per call.
     """
     if not spans:
         raise ValueError("need at least one span to fit")
@@ -108,31 +144,37 @@ def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
         raise ValueError("label outside label space")
     longest_first = sorted(range(len(spans)), key=lambda i: -spans[i][1])
     starts, sizes = zip(*(spans[i] for i in longest_first))
-    Y = _onehot(y, num_classes)
     S = len(spans)
-    W = np.zeros((S, num_classes, X.shape[-1]))
-    b = np.zeros((S, num_classes))
-    b_rows = b[:, None]  # (S, 1, C) view: each span's bias over its batch rows
-    order = np.zeros((S, sizes[0]), dtype=np.intp)  # this epoch's row ids, by span
-    steps = []  # per minibatch: (row ids, W, b, bias rows) views of one slice
+    P = np.zeros((S, num_classes, X.shape[-1] + 1))  # each span's [W | b]
+    G = np.empty_like(P)  # a step's lr * gradient, in its spans' rows
+    classes = np.arange(num_classes)[:, None, None]
+    ahead = max(1, min(epochs, ORDER_IDS // (S * sizes[0])))
+    order = np.zeros((ahead, S, sizes[0]), dtype=np.intp)  # row ids by epoch and span
+    steps = []  # per minibatch: its row ids in each epoch drawn ahead, and views of its spans
     for lo in range(0, sizes[0], batch_size):
         a = 0
         for width, group in groupby(min(n - lo, batch_size) for n in sizes if n > lo):
             z = a + len(list(group))
-            steps.append((order[a:z, lo:lo + width], W[a:z], b[a:z], b_rows[a:z]))
+            Pv = P[a:z]
+            steps.append((order[:, a:z, lo:lo + width], Pv, Pv[..., :-1].swapaxes(-1, -2),
+                          Pv[..., -1].T[:, None], G[a:z]))
             a = z
     rngs = [np.random.default_rng(seeds[i]) for i in longest_first]
-    for _ in range(epochs):
-        for rng, n, start, ids in zip(rngs, sizes, starts, order):
-            np.add(rng.permutation(n), start, out=ids[:n])
-        for ids, Wv, bv, bv_rows in steps:
-            Xb = X.take(ids, axis=0)
-            dW, db = _grads_inplace(_probs(Wv, bv_rows, Xb), Xb, Y.take(ids, axis=0))
-            dW *= lr
-            Wv -= dW
-            db *= lr
-            bv -= db
-    return [SoftmaxClassifier(W[i], b[i]) for i in np.argsort(longest_first)]
+    for done in range(0, epochs, ahead):
+        k = min(ahead, epochs - done)
+        for rng, n, start, ids in zip(rngs, sizes, starts, order.swapaxes(0, 1)):
+            rng.permuted(np.broadcast_to(np.arange(start, start + n), (k, n)), axis=1,
+                         out=ids[:k, :n])
+        for epoch in range(k):
+            for ids, Pv, W_T, b_T, Gv in steps:
+                ids = ids[epoch]
+                Xb = X.take(ids, axis=0)
+                z_T = np.ascontiguousarray((Xb @ W_T).T)  # class-major (C, n, s)
+                z_T += b_T
+                _grads(_softmax_classes(z_T), y.take(ids.T) == classes, Xb, Gv)
+                Gv *= lr
+                Pv -= Gv
+    return [SoftmaxClassifier(P[i, :, :-1], P[i, :, -1]) for i in np.argsort(longest_first)]
 
 
 def predict_proba(clf: SoftmaxClassifier, emb) -> np.ndarray:

@@ -13,7 +13,7 @@ from oris.corpus import LabelSpace, load_dataset, load_word_vectors
 from oris.dqn import AgentConfig
 from oris.harness import HarnessConfig, read_record
 from oris.nnet import DenseNet, save_checkpoint
-from oris.oracle import DecayModel
+from oris.oracle import DecayModel, error_probability
 from oris.reward import RewardConfig
 
 
@@ -132,6 +132,16 @@ def test_config_rejects_exponential_oracle_without_negative_beta(tmp_path):
                                         "oracle.beta = -19\n"))
     assert cfg.decay_model().beta == -19.0
     assert parse_config(_write(tmp_path, "oracle.kind = sigmoid\noracle.beta = 9\n"))
+
+
+def test_config_rejects_a_sigmoid_oracle_that_always_slips(tmp_path):
+    with pytest.raises(ConfigError, match="oracle.beta must be above about -36.74 for the "
+                                          "sigmoid oracle, got -40.0"):
+        parse_config(_write(tmp_path, "oracle.beta = -40\n"))  # sigmoid is the default kind
+    cfg = parse_config(_write(tmp_path, "oracle.kind = sigmoid\noracle.beta = -36\n"))
+    assert error_probability(cfg.decay_model(), 0) < 1.0
+    with pytest.raises(ConfigError, match="oracle.beta must be < 0"):  # its own message kept
+        parse_config(_write(tmp_path, "oracle.kind = exponential\noracle.beta = 0\n"))
 
 
 def test_config_rejects_diversity_cap_below_budget(tmp_path):

@@ -162,3 +162,34 @@ def test_since_last_and_averages_match_replay(num_classes, k, script):
             assert tracker.since_last(c) == step - history[c][-1]
         expected = [sum(step - s for s in history[c][-k:]) / k for c in range(num_classes)]
         assert tracker.averages().tolist() == expected
+
+
+@given(
+    num_classes=st.integers(min_value=1, max_value=5),
+    k=st.integers(min_value=1, max_value=4),
+    script=st.lists(st.one_of(st.integers(min_value=0, max_value=30),
+                              st.tuples(st.integers(min_value=0, max_value=4))),
+                    max_size=40),
+    back=st.integers(min_value=1, max_value=10),
+)
+@settings(max_examples=200, deadline=None)
+def test_advance_to_equals_repeated_advance_step(num_classes, k, script, back):
+    # script: an int moves that many steps forward, a 1-tuple emits its class
+    jumped = LastSeenTracker(num_classes, k)
+    stepped = LastSeenTracker(num_classes, k)
+    for op in script:
+        if isinstance(op, tuple):
+            jumped.record_emission(op[0] % num_classes)
+            stepped.record_emission(op[0] % num_classes)
+            continue
+        jumped.advance_to(jumped.current_step + op)
+        for _ in range(op):
+            stepped.advance_step()
+        assert jumped.current_step == stepped.current_step
+        assert [jumped.since_last(c) for c in range(num_classes)] == \
+            [stepped.since_last(c) for c in range(num_classes)]
+        assert jumped.averages().tolist() == stepped.averages().tolist()
+    step = jumped.current_step
+    with pytest.raises(ValueError, match="back"):
+        jumped.advance_to(step - back)
+    assert jumped.current_step == step

@@ -12,6 +12,7 @@ from helpers import (
 from oris.corpus import LabelSpace, generate_synthetic
 from oris.learner import (
     SoftmaxClassifier,
+    _class_sum,
     cross_entropy_and_grads,
     f1_macro,
     fit,
@@ -136,6 +137,9 @@ MIXED_SIZES = {
     "last batch of one row": [33, 225, 1, 64, 33, 40],
     "below the batch size": [5, 31, 7, 12, 31],
     "all equal": [40, 40, 40, 40],
+    # at offset 32 with batch 32: groups of 3 spans at 32 rows, 1 at 13 and 2 at 8; numpy
+    # would sum a lone span's rows pairwise in the class-major layout
+    "a lone span of 13 rows among groups": [64, 64, 64, 45, 40, 40],
 }
 
 
@@ -150,14 +154,26 @@ def test_fit_many_mixed_sizes_bit_identical_to_fit_and_reference(case, overlappi
     _check_mixed_sizes(case, overlapping, batch_size, num_classes=5)
 
 
-@pytest.mark.parametrize("num_classes", [2, 9, 28])
+@pytest.mark.parametrize("num_classes", [2, 8, 9, 28, 130])
 @pytest.mark.parametrize("batch_size", [7, 32])
 @pytest.mark.parametrize("overlapping", [True, False], ids=["overlapping", "disjoint"])
 @pytest.mark.parametrize("case", sorted(MIXED_SIZES))
 def test_fit_many_mixed_sizes_at_other_class_counts(case, overlapping, batch_size, num_classes):
-    """The same at class counts on both sides of 8, where numpy changes the
-    order of its sums over the classes."""
+    """The same at class counts on both sides of 8 and of 128, where numpy
+    changes the order of its sums over the classes."""
     _check_mixed_sizes(case, overlapping, batch_size, num_classes)
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 5, 7, 8, 9, 16, 17, 128, 129, 130, 300])
+def test_class_sum_is_numpys_sum_over_a_contiguous_last_axis(num_classes):
+    """fit_many sums the classes of a class-major array; the sum must round
+    as numpy's over the last axis of the row-major array, whose order
+    changes at 8 and above 128 classes."""
+    rng = np.random.default_rng(num_classes)
+    for shape in [(), (1,), (3,), (1, 1), (4, 3), (33, 7)]:
+        x = np.exp(3.0 * rng.standard_normal(shape + (num_classes,)))
+        got = _class_sum(np.ascontiguousarray(x.T)).T
+        assert np.array_equal(got, np.add.reduce(x, axis=-1))
 
 
 def _check_mixed_sizes(case, overlapping, batch_size, num_classes):
