@@ -18,7 +18,6 @@ from .corpus import (
 )
 from .dqn import (
     AgentConfig,
-    EpsilonSchedule,
     ReplayBuffer,
     decide,
     evaluate_policy,
@@ -32,7 +31,6 @@ from .harness import (
     ExperimentRecord,
     HarnessConfig,
     diversity_select,
-    random_decide,
     run_experiment,
     uncertainty_decide,
     write_record,

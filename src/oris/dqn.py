@@ -73,22 +73,6 @@ class ReplayBuffer:
 
 
 @dataclass
-class EpsilonSchedule:
-    """Exploration rate end + (start - end) * exp(-decay * step)."""
-
-    start: float = 0.9
-    end: float = 0.05
-    decay: float = 5e-4
-    step: int = 0
-
-    def value(self) -> float:
-        return self.end + (self.start - self.end) * math.exp(-self.decay * self.step)
-
-    def advance(self) -> None:
-        self.step += 1
-
-
-@dataclass
 class AgentConfig:
     gamma: float = 0.99
     tau: float = 0.005
@@ -123,6 +107,10 @@ class AgentConfig:
 
     def resolved_warmup(self) -> int:
         return self.minibatch if self.warmup is None else self.warmup
+
+    def epsilon(self, step: int) -> float:
+        """Exploration rate after step decisions: end + (start - end) * exp(-decay * step)."""
+        return self.eps_end + (self.eps_start - self.eps_end) * math.exp(-self.eps_decay * step)
 
 
 def decide(net: DenseNet, state) -> int:
@@ -194,15 +182,16 @@ def _episode(docs, order, labels, budget: int, reward_cfg: RewardConfig, k: int,
              dt_scale: float, choose):
     """Stream docs in order with error-free labels until budget picks; per
     step yield (state, action, reward, next_state, inclusivity or None), with
-    choose(state) supplying the action. Nothing changes the tracker before the
-    next document is read, so next_state is the next step's state (the last
-    document's is its own state).
+    choose(state) supplying the action. Document t's state reads the tracker
+    at step t, and nothing changes the tracker before the next document is
+    read, so next_state is the next step's state (the last document's is its
+    own state).
     """
     num_classes = len(labels)
     tracker = LastSeenTracker(num_classes, k)
     window = deque(maxlen=reward_cfg.m)
     picks = 0
-    state = encode_state(docs[order[0]].embedding, tracker, dt_scale)
+    state = encode_state(docs[order[0]].embedding, tracker, 0, dt_scale)
     for t in range(len(order)):
         action = choose(state)
         incl = None
@@ -210,11 +199,10 @@ def _episode(docs, order, labels, budget: int, reward_cfg: RewardConfig, k: int,
             picks += 1
             emitted = docs[order[t]].true_class
             window.append(emitted)
-            tracker.record_emission(emitted)
+            tracker.record_emission(emitted, t)
             incl = inclusivity(window, num_classes)
         reward = compute_reward(action, incl, reward_cfg)
-        tracker.advance_step()
-        next_state = (encode_state(docs[order[t + 1]].embedding, tracker, dt_scale)
+        next_state = (encode_state(docs[order[t + 1]].embedding, tracker, t + 1, dt_scale)
                       if t + 1 < len(order) else state)
         yield state, action, reward, next_state, incl
         if picks >= budget:
@@ -230,7 +218,7 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
     the pick budget is exhausted (or the stream ends, in which case the
     episode is logged as truncated). Every step stores a transition, makes
     one Q-update once the buffer holds the warm-up, and blends the target.
-    Epsilon decays per global environment step across episodes.
+    Epsilon decays with the count of decisions across episodes.
     """
     if not docs:
         raise ValueError("need a nonempty training corpus")
@@ -240,16 +228,16 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
     target = net.copy()
     opt = AdamState(net, lr=cfg.lr)
     buf = ReplayBuffer(cfg.replay_capacity, state_dim, seed=buffer_ss)
-    sched = EpsilonSchedule(cfg.eps_start, cfg.eps_end, cfg.eps_decay)
     action_rng = np.random.default_rng(action_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     warmup = cfg.resolved_warmup()
     logs: list[EpisodeLog] = []
+    decisions = 0
 
     def choose(state):
-        eps = sched.value()
-        sched.advance()
-        return select_action(net, state, eps, action_rng)
+        nonlocal decisions
+        decisions += 1
+        return select_action(net, state, cfg.epsilon(decisions - 1), action_rng)
 
     for episode in range(1, cfg.episodes + 1):
         picks = 0
@@ -271,7 +259,7 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
             episode=episode,
             total_reward=total_reward,
             mean_inclusivity=incl_sum / picks if picks else 0.0,
-            epsilon=sched.value(),
+            epsilon=cfg.epsilon(decisions),
             loss=float(np.mean(losses)) if losses else 0.0,
             truncated=picks < cfg.budget,
         ))

@@ -93,14 +93,6 @@ class ExperimentRecord:
     partial_runs: list[int]  # run ids whose stream ended before the budget
 
 
-def random_decide(rng, pick_prob: float) -> int:
-    """Bernoulli(pick_prob) pick. A run-al random run draws the same doubles,
-    one per stream document, in a single call (see _single_run)."""
-    if not 0.0 <= pick_prob <= 1.0:
-        raise ValueError(f"pick probability must be in [0, 1], got {pick_prob}")
-    return PICK if rng.random() < pick_prob else DISCARD
-
-
 def uncertainty_decide(clf, emb, b: int, budget: int, theta0: float) -> int:
     """Pick when the classifier's normalized prediction entropy reaches a
     threshold that decays linearly from theta0 to 0 as the budget is spent.
@@ -148,10 +140,10 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
 
     Only the stream positions the agent has to decide are visited: every
     one for uncertainty and oris, those of its selected ids for diversity,
-    and for random those where one draw of a double per document, the
-    doubles random_decide would draw, falls below pick_prob. The tracker's
-    step is moved to each visited position, so the state and the annotator
-    read the recency that a walk over every document would give."""
+    and for random those where the agent generator's double for the
+    document, all drawn in one call, falls below pick_prob. The state and
+    the annotator read the tracker at the visited position, so they see the
+    recency that a walk over every document would give."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(cfg.labels), cfg.k)
     oracle_state = OracleState(cfg.oracle, cfg.labels, tracker, seed=oracle_ss)
@@ -172,16 +164,15 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
     b = 0
     for t in positions:
         doc = stream[t]
-        tracker.advance_to(t)
         if cfg.agent == "uncertainty":
             action = uncertainty_decide(clf, doc.embedding, b, cfg.budget, cfg.theta0)
         elif cfg.agent == "oris":
-            action = decide(net, encode_state(doc.embedding, tracker, cfg.dt_scale))
+            action = decide(net, encode_state(doc.embedding, tracker, t, cfg.dt_scale))
         else:
             action = PICK
         if action == PICK:
             X[b] = doc.embedding
-            y[b] = oracle_state.annotate(doc)  # also recorded in tracker
+            y[b] = oracle_state.annotate(doc, t)  # also recorded in tracker
             true[b] = doc.true_class
             b += 1
             if b % cfg.update_freq == 0:

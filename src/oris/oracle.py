@@ -73,22 +73,18 @@ class OracleState:
         self.tracker = tracker
         self.rng = np.random.default_rng(seed)
 
-    def annotate(self, doc: Document) -> int:
-        """Return a label for doc: the true class, or with the decay-model's
-        slip probability a uniformly random other class. Records whatever
-        label was emitted in the tracker.
+    def annotate(self, doc: Document, step: int) -> int:
+        """Return a label for doc at stream position step: the true class, or
+        with the decay-model's slip probability a uniformly random other
+        class. Records whatever label was emitted in the tracker.
         """
         true = doc.true_class
         if not 0 <= true < len(self.labels):
             raise ValueError(f"document class {true} outside label space")
-        p = error_probability(self.model, self.tracker.since_last(true))
+        p = error_probability(self.model, self.tracker.since_last(true, step))
         emitted = true
         if p > 0.0 and self.rng.random() < p:
-            others = [c for c in range(len(self.labels)) if c != true]
-            emitted = others[self.rng.integers(len(others))]
-        self.tracker.record_emission(emitted)
+            other = int(self.rng.integers(len(self.labels) - 1))
+            emitted = other + (other >= true)
+        self.tracker.record_emission(emitted, step)
         return emitted
-
-    def advance_step(self) -> None:
-        """One stream step passed (picked or not)."""
-        self.tracker.advance_step()

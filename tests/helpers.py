@@ -9,7 +9,6 @@ import numpy as np
 
 from oris.dqn import (
     EpisodeLog,
-    EpsilonSchedule,
     ReplayBuffer,
     decide,
     select_action,
@@ -17,7 +16,7 @@ from oris.dqn import (
     train_step,
 )
 from oris.encoder import LastSeenTracker, encode_state
-from oris.harness import RecordRow, random_decide
+from oris.harness import RecordRow
 from oris.learner import f1_macro, fit, predict, predict_proba
 from oris.nnet import AdamState, DenseNet, smooth_l1
 from oris.oracle import error_probability
@@ -235,6 +234,15 @@ class ReferenceOracle:
         self.current_step += 1
 
 
+def random_decide(rng, pick_prob: float) -> int:
+    """Bernoulli(pick_prob) pick: the random agent's per-document coin. A
+    run-al random run draws the same doubles, one per stream document, in a
+    single call (see harness._single_run)."""
+    if not 0.0 <= pick_prob <= 1.0:
+        raise ValueError(f"pick probability must be in [0, 1], got {pick_prob}")
+    return PICK if rng.random() < pick_prob else DISCARD
+
+
 def reference_uncertainty_decide(clf, emb, b, budget, theta0):
     if clf is None:
         return PICK
@@ -266,7 +274,7 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
     training_set, picked_true, picked_emitted, rows = [], [], [], []
     clf = None
     b = errors = 0
-    for doc in (train_docs[i] for i in order):
+    for t, doc in enumerate(train_docs[i] for i in order):
         if cfg.agent == "random":
             action = random_decide(agent_rng, pick_prob)
         elif cfg.agent == "uncertainty":
@@ -274,7 +282,7 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
         elif cfg.agent == "diversity":
             action = PICK if doc.id in diversity_ids else DISCARD
         else:
-            action = decide(net, encode_state(doc.embedding, tracker, cfg.dt_scale))
+            action = decide(net, encode_state(doc.embedding, tracker, t, cfg.dt_scale))
         if action == PICK:
             emitted = oracle_state.annotate(doc)
             b += 1
@@ -285,7 +293,7 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
             picked_emitted.append(emitted)
             if picks is not None:
                 picks.append((doc.true_class, emitted))
-            tracker.record_emission(emitted)
+            tracker.record_emission(emitted, t)
             if b % cfg.update_freq == 0:
                 clf = fit(training_set, labels, seed=int(fit_rng.integers(2 ** 31)),
                           epochs=cfg.learner_epochs, batch_size=cfg.learner_batch,
@@ -294,7 +302,6 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
                 human = f1_macro(picked_true, picked_emitted, labels)
                 rows.append(RecordRow(run_id, b, machine, human, b, errors))
         oracle_state.advance_step()
-        tracker.advance_step()
         if b >= cfg.budget:
             break
     return rows, b >= cfg.budget
@@ -311,8 +318,9 @@ def reference_reward(action, window, num_classes, cfg):
 def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_scale=1.0,
                           seed=0):
     """The training loop as first written, with its own pick window and the
-    inclusivity computed twice per pick: the reference that train_agent must
-    match bit for bit. Returns (net, logs)."""
+    inclusivity computed twice per pick and its own count of decisions for
+    the exploration rate: the reference that train_agent must match bit for
+    bit. Returns (net, logs)."""
     num_classes = len(labels)
     emb_dim = len(docs[0].embedding)
     net_ss, shuffle_ss, action_ss, buffer_ss = np.random.SeedSequence(seed).spawn(4)
@@ -320,7 +328,11 @@ def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_
     target = net.copy()
     opt = AdamState(net, lr=cfg.lr)
     buf = ReplayBuffer(cfg.replay_capacity, emb_dim + num_classes, seed=buffer_ss)
-    sched = EpsilonSchedule(cfg.eps_start, cfg.eps_end, cfg.eps_decay)
+    decisions = 0
+
+    def eps_now():
+        return cfg.eps_end + (cfg.eps_start - cfg.eps_end) * math.exp(-cfg.eps_decay * decisions)
+
     action_rng = np.random.default_rng(action_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     warmup = cfg.resolved_warmup()
@@ -334,23 +346,21 @@ def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_
         total_reward = 0.0
         incl_sum = 0.0
         losses = []
-        state = encode_state(docs[order[0]].embedding, tracker, dt_scale)
+        state = encode_state(docs[order[0]].embedding, tracker, 0, dt_scale)
         for t in range(n):
             doc = docs[order[t]]
-            eps = sched.value()
-            sched.advance()
-            action = select_action(net, state, eps, action_rng)
+            action = select_action(net, state, eps_now(), action_rng)
+            decisions += 1
             if action == PICK:
                 picks += 1
                 emitted = doc.true_class
                 window.append(emitted)
-                tracker.record_emission(emitted)
+                tracker.record_emission(emitted, t)
                 incl_sum += inclusivity(list(window), num_classes)
             r = reference_reward(action, window, num_classes, reward_cfg)
             total_reward += r
-            tracker.advance_step()
             if t + 1 < n:
-                next_state = encode_state(docs[order[t + 1]].embedding, tracker, dt_scale)
+                next_state = encode_state(docs[order[t + 1]].embedding, tracker, t + 1, dt_scale)
             else:
                 next_state = state
             buf.push(state, action, r, next_state)
@@ -364,7 +374,7 @@ def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_
             episode=episode,
             total_reward=total_reward,
             mean_inclusivity=incl_sum / picks if picks else 0.0,
-            epsilon=sched.value(),
+            epsilon=eps_now(),
             loss=float(np.mean(losses)) if losses else 0.0,
             truncated=picks < cfg.budget,
         ))
@@ -392,13 +402,12 @@ def reference_evaluate_policy(docs, labels, cfg, reward_cfg=RewardConfig(), k=3,
             if net is None:
                 action = int(action_rng.integers(2))
             else:
-                action = decide(net, encode_state(doc.embedding, tracker, dt_scale))
+                action = decide(net, encode_state(doc.embedding, tracker, t, dt_scale))
             if action == PICK:
                 picks += 1
                 window.append(doc.true_class)
-                tracker.record_emission(doc.true_class)
+                tracker.record_emission(doc.true_class, t)
             total += reference_reward(action, window, num_classes, reward_cfg)
-            tracker.advance_step()
             if picks >= cfg.budget:
                 break
         totals.append(total)

@@ -19,7 +19,6 @@ from oris.corpus import Document, LabelSpace, generate_synthetic
 from oris.dqn import (
     AgentConfig,
     EpisodeLog,
-    EpsilonSchedule,
     ReplayBuffer,
     _episode,
     decide,
@@ -158,18 +157,24 @@ def test_replay_rejects_wrong_state_width():
             ReplayBuffer(**bad)
 
 
-def test_epsilon_schedule_shape():
-    sched = EpsilonSchedule()
-    assert sched.value() == pytest.approx(0.9)
-    values = []
-    for _ in range(5000):
-        values.append(sched.value())
-        sched.advance()
+def test_epsilon_decays_from_start_to_end():
+    cfg = AgentConfig()
+    assert cfg.epsilon(0) == pytest.approx(0.9)
+    values = [cfg.epsilon(step) for step in range(5000)]
     assert all(a > b for a, b in zip(values, values[1:]))  # strictly decreasing
     assert all(0.05 <= v <= 0.9 for v in values)
     # half-life of (eps - end): ln 2 / 0.0005 ~ 1386.29 steps
-    at = EpsilonSchedule(step=1386)
-    assert abs((at.value() - 0.05) - 0.85 / 2) < 1e-3
+    assert abs((cfg.epsilon(1386) - 0.05) - 0.85 / 2) < 1e-3
+
+
+@pytest.mark.parametrize("start, end, decay", [(1.0, 0.1, 1e-2), (0.5, 0.5, 1e-3),
+                                               (0.3, 0.0, 0.0), (0.2, 0.0, 2.0)])
+def test_epsilon_reads_the_configs_eps_fields(start, end, decay):
+    cfg = AgentConfig(eps_start=start, eps_end=end, eps_decay=decay)
+    assert cfg.epsilon(0) == pytest.approx(start, abs=1e-15)
+    for step in (1, 10, 250, 10_000):
+        assert cfg.epsilon(step) == end + (start - end) * math.exp(-decay * step)
+        assert end <= cfg.epsilon(step) <= start + 1e-15
 
 
 def test_train_step_gamma_zero_regresses_to_rewards():

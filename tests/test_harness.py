@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_single_run
+from helpers import random_decide, reference_single_run
 import oris.harness
 from oris.corpus import Document, LabelSpace, generate_synthetic
 from oris.harness import (
@@ -16,7 +16,6 @@ from oris.harness import (
     RecordRow,
     aggregate_records,
     diversity_select,
-    random_decide,
     read_record,
     run_experiment,
     uncertainty_decide,

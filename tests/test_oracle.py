@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from helpers import ReferenceOracle
 from oris.corpus import Document, LabelSpace
 from oris.encoder import LastSeenTracker
 from oris.oracle import DecayModel, OracleState, error_probability
@@ -68,17 +69,18 @@ def test_error_probability_monotone_and_bounded(kind, alpha, beta, dts):
 
 def test_annotate_perfect_is_identity():
     state = _oracle(DecayModel("perfect"), seed=0)
+    step = 0
     for cls in range(5):
         for _ in range(20):
-            assert state.annotate(_doc(cls)) == cls
-            state.advance_step()
+            assert state.annotate(_doc(cls), step) == cls
+            step += 1
 
 
 def test_annotate_certain_slip_never_emits_truth():
     # exponential with beta=0 gives probability exp(alpha*dt) >= 1 -> always slip
     state = _oracle(DecayModel("exponential", alpha=0.0, beta=0.0), seed=3)
     for _ in range(200):
-        assert state.annotate(_doc(2)) != 2
+        assert state.annotate(_doc(2), 0) != 2
 
 
 def test_annotate_error_rate_matches_formula():
@@ -89,9 +91,9 @@ def test_annotate_error_rate_matches_formula():
     p = 1.0 / (1.0 + math.exp(9.0))
     errors = 0
     for i in range(n):
-        if state.annotate(_doc(i % 5)) != i % 5:
+        # every read is at step 0: each class stays at dt == 0
+        if state.annotate(_doc(i % 5), 0) != i % 5:
             errors += 1
-        # do not advance: every class stays at dt == 0 (emissions refresh it anyway)
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(errors - n * p) <= 3 * sigma
 
@@ -102,27 +104,39 @@ def test_slip_target_uniform_over_other_classes():
     counts = {c: 0 for c in range(5) if c != true}
     n = 100_000
     for _ in range(n):
-        emitted = state.annotate(_doc(true))
-        counts[emitted] += 1  # the step never advances, so dt stays 0
+        emitted = state.annotate(_doc(true), 0)
+        counts[emitted] += 1
     result = chisquare(list(counts.values()))
     assert result.pvalue > 0.01
 
 
+@pytest.mark.parametrize("num_classes", [2, 3, 5, 9])
+def test_slip_target_draws_as_the_list_of_other_classes(num_classes):
+    # one integers(C - 1) draw shifted past the true class picks the same label
+    # as indexing the list of the other classes with it, draw for draw
+    labels = LabelSpace([f"c{c}" for c in range(num_classes)])
+    model = DecayModel("exponential", alpha=0.0, beta=0.0)  # every label slips
+    state = OracleState(model, labels, LastSeenTracker(num_classes, 1), seed=17)
+    reference = ReferenceOracle(model, num_classes, seed=17)
+    for i in range(500):
+        doc = _doc(i % num_classes)
+        emitted = state.annotate(doc, 0)
+        assert type(emitted) is int
+        assert emitted == reference.annotate(doc)
+
+
 def test_refresh_memory_on_emitted_label():
     state = _oracle(DecayModel("perfect"), seed=0)
-    for _ in range(7):
-        state.advance_step()
-    state.annotate(_doc(3))
-    assert state.tracker.since_last(3) == 0
-    assert state.tracker.since_last(0) == 7
+    state.annotate(_doc(3), 7)
+    assert state.tracker.since_last(3, 7) == 0
+    assert state.tracker.since_last(0, 7) == 7
 
 
 def test_unseen_class_dt_grows_per_stream_step():
     state = _oracle(DecayModel("perfect"), seed=0)
     for step in range(1, 101):
-        state.advance_step()
-        assert state.tracker.since_last(4) == step
-    assert state.tracker.current_step == 100
+        state.annotate(_doc(step % 4), step)
+        assert state.tracker.since_last(4, step) == step
 
 
 def test_interleaved_emissions_bound_dt():
@@ -131,15 +145,8 @@ def test_interleaved_emissions_bound_dt():
     state = _oracle(DecayModel("perfect"), seed=0)
     for step in range(40):
         cls = step % 2
-        assert state.tracker.since_last(cls) <= 2
-        state.annotate(_doc(cls))
-        state.advance_step()
-
-
-def test_advance_step_increments():
-    state = _oracle(DecayModel("perfect"), seed=0)
-    state.advance_step()
-    assert state.tracker.current_step == 1
+        assert state.tracker.since_last(cls, step) <= 2
+        state.annotate(_doc(cls), step)
 
 
 def test_oracle_rejects_tracker_of_other_class_count():
@@ -150,10 +157,6 @@ def test_oracle_rejects_tracker_of_other_class_count():
 def test_oracle_reads_latest_emission_of_deep_tracker():
     # with k = 3 the slip clock is the most recent emission, not the k-average
     state = _oracle(DecayModel("perfect"), seed=0, k=3)
-    for _ in range(4):
-        state.advance_step()
-    state.annotate(_doc(1))
-    state.advance_step()
-    state.advance_step()
-    assert state.tracker.since_last(1) == 2
-    assert state.tracker.averages()[1] == (2 + 6 + 6) / 3
+    state.annotate(_doc(1), 4)
+    assert state.tracker.since_last(1, 6) == 2
+    assert state.tracker.averages(6)[1] == (2 + 6 + 6) / 3
