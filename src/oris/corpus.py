@@ -228,12 +228,16 @@ def generate_synthetic(
     return docs
 
 
-def shuffle_stream(docs, seed) -> list[Document]:
-    """Seeded permutation of the document list: the stream order."""
-    if not docs:
+def stream_order(num_docs: int, seed) -> np.ndarray:
+    """Seeded permutation of range(num_docs): the stream order."""
+    if num_docs < 1:
         raise ValueError("cannot shuffle an empty document list")
-    order = np.random.default_rng(seed).permutation(len(docs))
-    return [docs[i] for i in order]
+    return np.random.default_rng(seed).permutation(num_docs)
+
+
+def shuffle_stream(docs, seed) -> list[Document]:
+    """The documents in stream order."""
+    return [docs[i] for i in stream_order(len(docs), seed)]
 
 
 def synthetic_token(doc_id: int) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import astuple, dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -113,19 +112,21 @@ class AgentConfig:
         return self.eps_end + (self.eps_start - self.eps_end) * math.exp(-self.eps_decay * step)
 
 
-def decide(net: DenseNet, state) -> int:
-    """Greedy action from the Q-values; a tie goes to pick."""
-    q = net.forward_one(state)
-    return PICK if q[PICK] >= q[DISCARD] else DISCARD
+def decide(net: DenseNet, states) -> list[int]:
+    """Greedy action per row of a (rows, in) state matrix, from that row's
+    Q-values alone (DenseNet.forward_each); a tie goes to pick."""
+    q_rows = net.forward_each(states).tolist()
+    return [PICK if q[PICK] >= q[DISCARD] else DISCARD for q in q_rows]
 
 
 def select_action(net: DenseNet, state, eps: float, rng) -> int:
-    """Epsilon-greedy: uniform random action with probability eps, else greedy."""
+    """Epsilon-greedy: uniform random action with probability eps, else the
+    greedy decision on the state as one row."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
     if eps > 0.0 and rng.random() < eps:
         return int(rng.integers(2))
-    return decide(net, state)
+    return decide(net, state[None])[0]
 
 
 def train_step(source: DenseNet, target: DenseNet, batch, cfg: AgentConfig,
@@ -282,7 +283,8 @@ def evaluate_policy(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = R
         def choose(state):
             return int(action_rng.integers(2))
     else:
-        choose = partial(decide, net)
+        def choose(state):
+            return select_action(net, state, 0.0, action_rng)
     totals = []
     for _ in range(episodes):
         total = 0.0

@@ -31,8 +31,10 @@ class LastSeenTracker:
         """Steps from the class's latest recorded emission to step: the annotator's slip clock."""
         return step - self._buffers[cls][-1]
 
-    def averages(self, step: int) -> np.ndarray:
-        """Per class, the mean of (step - recorded step) over its buffer."""
+    def averages(self, step) -> np.ndarray:
+        """Per class, the mean of (step - recorded step) over its buffer: a
+        vector for one step, a (rows, classes) matrix for a (rows, 1) column
+        of integer steps, whose rows are the vectors of those steps."""
         return (step * self.k - np.array(self._sums)) / self.k
 
     def record_emission(self, cls: int, step: int) -> None:
@@ -41,12 +43,14 @@ class LastSeenTracker:
         self._buffers[cls].append(step)
 
 
-def encode_state(emb, tracker: LastSeenTracker, step: int, dt_scale: float = 1.0) -> np.ndarray:
+def encode_state(emb, tracker: LastSeenTracker, step, dt_scale: float = 1.0) -> np.ndarray:
     """Concatenate the document embedding with per-class averaged recency at step.
 
     The recency tail is divided by dt_scale (default 1, i.e. raw steps).
-    Result length is always len(emb) + num_classes.
+    Result length is always len(emb) + num_classes. A (rows, E) matrix of
+    embeddings with a (rows, 1) column of steps gives the (rows, E + C)
+    matrix of their states, row for row those of one embedding and step.
     """
     if dt_scale <= 0:
         raise ValueError(f"dt_scale must be > 0, got {dt_scale}")
-    return np.concatenate([emb, tracker.averages(step) / dt_scale])
+    return np.concatenate([emb, tracker.averages(step) / dt_scale], axis=-1)

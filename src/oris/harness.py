@@ -19,7 +19,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from .checks import check
-from .corpus import LabelSpace, shuffle_stream, write_csv
+from .corpus import LabelSpace, stream_order, write_csv
 from .dqn import decide
 from .encoder import LastSeenTracker, encode_state
 from .learner import f1_macro, fit_many, predict, predict_proba
@@ -27,6 +27,10 @@ from .oracle import DecayModel, OracleState
 from .reward import DISCARD, PICK, normalized_entropy
 
 AGENT_KINDS = ("random", "uncertainty", "diversity", "oris")
+
+# The oris agent scores this many stream positions per call, all from one
+# tracker reading: a walk to the first pick keeps the states up to it.
+SCORE_AHEAD = 8
 
 # A fit_many call holds an id per pick of every queued span and a weight
 # matrix per span, so the queue is fit once it holds this many picks: a sweep
@@ -131,7 +135,31 @@ def diversity_select(docs, budget: int, cap: int = 5000) -> list[int]:
     return sorted(selected)
 
 
-def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, true):
+def _oris_picks(net, embeddings, tracker: LastSeenTracker, dt_scale: float):
+    """The stream positions that the oris agent picks, in order, for the
+    (stream length, E) matrix of the stream's embeddings.
+
+    Each call of decide scores the next SCORE_AHEAD positions from one
+    tracker reading. Their states hold up to the first pick, whose emission
+    the caller records before it asks for the next position; scoring then
+    resumes after the pick, and the later states are dropped. So every
+    position is decided on the state that a walk over every document gives.
+    """
+    steps = np.arange(len(embeddings))[:, None]
+    t = 0
+    while t < len(embeddings):
+        ahead = slice(t, t + SCORE_AHEAD)
+        actions = decide(net, encode_state(embeddings[ahead], tracker, steps[ahead], dt_scale))
+        if PICK in actions:
+            t += actions.index(PICK)
+            yield t
+            t += 1
+        else:
+            t += SCORE_AHEAD
+
+
+def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, true,
+                embeddings):
     """Stream one seeded run. Its b-th pick's embedding, emitted label and
     true class go to row b of X, y and true, the run's block of the sweep's
     row store. At each refit it yields (picks b, fit seed) and receives the
@@ -139,16 +167,19 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
     returns whether the budget was spent.
 
     Only the stream positions the agent has to decide are visited: every
-    one for uncertainty and oris, those of its selected ids for diversity,
-    and for random those where the agent generator's double for the
-    document, all drawn in one call, falls below pick_prob. The state and
-    the annotator read the tracker at the visited position, so they see the
-    recency that a walk over every document would give."""
+    one for uncertainty, and only the picks of the other agents. For oris
+    those are the positions _oris_picks finds in `embeddings`, the matrix of
+    train_docs' embeddings, taken in stream order; for diversity those of
+    its selected ids; for random those where the agent generator's double
+    for the document, all drawn in one call, falls below pick_prob. The
+    states and the annotator read the tracker at the visited position, so
+    they see the recency that a walk over every document would give."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(cfg.labels), cfg.k)
     oracle_state = OracleState(cfg.oracle, cfg.labels, tracker, seed=oracle_ss)
     fit_rng = np.random.default_rng(fit_ss)
-    stream = shuffle_stream(train_docs, seed)
+    order = stream_order(len(train_docs), seed)
+    stream = [train_docs[i] for i in order]
     if cfg.agent == "random":
         pick_prob = cfg.pick_prob
         if pick_prob is None:
@@ -157,6 +188,8 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
         positions = np.flatnonzero(draws < pick_prob).tolist()
     elif cfg.agent == "diversity":
         positions = [t for t, doc in enumerate(stream) if doc.id in diversity_ids]
+    elif cfg.agent == "oris":
+        positions = _oris_picks(net, embeddings[order], tracker, cfg.dt_scale)
     else:
         positions = range(len(stream))
 
@@ -166,10 +199,8 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
         doc = stream[t]
         if cfg.agent == "uncertainty":
             action = uncertainty_decide(clf, doc.embedding, b, cfg.budget, cfg.theta0)
-        elif cfg.agent == "oris":
-            action = decide(net, encode_state(doc.embedding, tracker, t, cfg.dt_scale))
         else:
-            action = PICK
+            action = PICK  # every other agent visits only its picks
         if action == PICK:
             X[b] = doc.embedding
             y[b] = oracle_state.annotate(doc, t)  # also recorded in tracker
@@ -222,8 +253,10 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     X = np.empty((len(cfg.seeds) * B, E))
     y = np.zeros(len(X), dtype=np.intp)  # emitted labels
     true = np.zeros(len(X), dtype=np.intp)
+    embeddings = (np.stack([d.embedding for d in train_docs]) if cfg.agent == "oris"
+                  else None)
     runs = [_single_run(train_docs, cfg, net, diversity_ids, seed,
-                        X[lo:lo + B], y[lo:lo + B], true[lo:lo + B])
+                        X[lo:lo + B], y[lo:lo + B], true[lo:lo + B], embeddings)
             for lo, seed in zip(range(0, len(X), B), cfg.seeds)]
     rows: list[list[RecordRow]] = [[] for _ in runs]
     partial = []

@@ -1,11 +1,14 @@
 """Small dense networks with hand-rolled forward/backward passes, in float64.
 
 ReLU hidden layers, identity output, smooth-L1 loss, and Adam stepping from the
-flat gradient that backward() writes. forward() takes (rows, in) matrices and
-forward_one() one vector. Text checkpoints round-trip bit-exactly.
+flat gradient that backward() writes. forward() takes (rows, in) matrices for
+training; forward_each() runs each row of one on its own, for decisions. Text
+checkpoints round-trip bit-exactly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,7 +43,7 @@ class DenseNet:
             b[...] = 0.0
 
     def _bind(self, layer_sizes):
-        """Allocate the parameter and gradient vectors, their views and forward_one's rows."""
+        """Allocate the parameter and gradient vectors and their views."""
         self.layer_sizes = layer_sizes
         pairs = list(zip(layer_sizes, layer_sizes[1:]))
         size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs)
@@ -49,8 +52,6 @@ class DenseNet:
         self.weights, self.biases = _layer_views(self.params, pairs)
         self._grads = list(zip(*_layer_views(self.grad, pairs)))
         self._workspace = self._cache = None
-        rows = [np.empty((1, s)) for s in layer_sizes[1:]]
-        *self._hidden_rows, self._out_row = zip([W.T for W in self.weights], self.biases, rows)
 
     @classmethod
     def from_parameters(cls, weights, biases):
@@ -72,13 +73,14 @@ class DenseNet:
 
         Activations are cached for a backward() on the same input, in one
         workspace that is reallocated when the row count changes. The result
-        is a new array that later calls do not overwrite. One vector goes
-        through forward_one() instead.
+        is a new array that later calls do not overwrite. A row of a
+        many-row result can differ in bits from forward() of that row alone;
+        forward_each() gives the one-row bits for every row.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"forward takes a (rows, {self.layer_sizes[0]}) matrix, got shape "
-                             f"{x.shape}; use forward_one for a single vector")
+                             f"{x.shape}; pass one vector as a (1, {self.layer_sizes[0]}) row")
         ws = self._workspace
         if ws is None or ws.rows != len(x):
             ws = self._workspace = _Workspace(self.layer_sizes, len(x))
@@ -89,14 +91,21 @@ class DenseNet:
         self._cache = (x, ws)
         return out
 
-    def forward_one(self, x):
-        """forward(x[None])[0] of one float64 vector, bit for bit: no cache, no
-        check. The result lives in a buffer that the next call overwrites."""
-        a = x[None]
-        for Wt, b, h in self._hidden_rows:
-            a = np.maximum(np.add(np.matmul(a, Wt, out=h), b, out=h), 0.0, out=h)
-        Wt, b, out = self._out_row
-        return np.add(np.matmul(a, Wt, out=out), b, out=out)[0]
+    def forward_each(self, X):
+        """The (rows, out) outputs of a float64 (rows, in) matrix, each row
+        bit for bit that of forward() on that row alone: no cache, no check.
+
+        A (rows, in) product rounds a row differently from a one-row product,
+        and differently at each row count. Here each layer multiplies the
+        (rows, 1, in) stack, one vector-matrix product per row, as forward()
+        does for one row.
+        """
+        a = X[:, None, :]
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            z = np.matmul(a, W.T)
+            a = np.maximum(np.add(z, b, out=z), 0.0, out=z)
+        z = np.matmul(a, self.weights[-1].T)
+        return np.add(z, self.biases[-1], out=z)[:, 0]
 
     def backward(self, x, grad_out):
         """Gradients of sum(output * grad_out) w.r.t. every parameter, for the
@@ -227,8 +236,9 @@ def save_checkpoint(net: DenseNet, path) -> None:
 
 def load_checkpoint(path) -> DenseNet:
     """Read a save_checkpoint file. A layer size that is not an integer >= 1,
-    a field that does not parse, a row of the wrong length or content after
-    the last bias row raises ValueError("<path>:<line>: ...")."""
+    a field that does not parse, a NaN or infinite parameter, a row of the
+    wrong length or content after the last bias row raises
+    ValueError("<path>:<line>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines[0].strip() != CHECKPOINT_MAGIC:
@@ -240,6 +250,9 @@ def load_checkpoint(path) -> DenseNet:
             values = [parse(v) for v in (lines[i] if i < len(lines) else "").split()]
         except ValueError as exc:
             raise ValueError(f"{path}:{i + 1}: {exc}") from None
+        bad = [v for v in values if parse is float and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{path}:{i + 1}: parameters must be finite, got {bad[0]}")
         if width is not None and len(values) != width:
             raise ValueError(f"{path}:{i + 1}: expected {width} values, got {len(values)}")
         return values

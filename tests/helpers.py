@@ -10,7 +10,6 @@ import numpy as np
 from oris.dqn import (
     EpisodeLog,
     ReplayBuffer,
-    decide,
     select_action,
     soft_update,
     train_step,
@@ -152,6 +151,12 @@ class ReferenceNet:
         return grads
 
 
+def reference_decide(ref_net, state):
+    """Greedy action on one state vector through ReferenceNet; a tie goes to pick."""
+    q = ref_net.forward(state)
+    return PICK if q[PICK] >= q[DISCARD] else DISCARD
+
+
 class ReferenceAdam:
     """Per-tensor first/second moments, as (mW, mb) pairs per layer."""
 
@@ -257,7 +262,9 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
     """One run of the online loop as first written, with two recency states
     (ReferenceOracle and a LastSeenTracker) updated side by side. Returns
     (rows, completed): the reference that harness._single_run must match.
-    A `picks` list receives (true class, emitted label) of every pick."""
+    It decides every document on its own, the oris agent through
+    ReferenceNet. A `picks` list receives (true class, emitted label) of
+    every pick."""
     labels = cfg.labels
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     oracle_state = ReferenceOracle(cfg.oracle, len(labels), seed=oracle_ss)
@@ -270,6 +277,7 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
     test_X = np.stack([d.embedding for d in test_docs])
     test_y = np.array([d.true_class for d in test_docs])
     order = np.random.default_rng(seed).permutation(len(train_docs))
+    ref_net = ReferenceNet(net) if cfg.agent == "oris" else None
 
     training_set, picked_true, picked_emitted, rows = [], [], [], []
     clf = None
@@ -282,7 +290,8 @@ def reference_single_run(train_docs, test_docs, cfg, net, diversity_ids, run_id,
         elif cfg.agent == "diversity":
             action = PICK if doc.id in diversity_ids else DISCARD
         else:
-            action = decide(net, encode_state(doc.embedding, tracker, t, cfg.dt_scale))
+            action = reference_decide(ref_net, encode_state(doc.embedding, tracker, t,
+                                                            cfg.dt_scale))
         if action == PICK:
             emitted = oracle_state.annotate(doc)
             b += 1
@@ -383,9 +392,11 @@ def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_
 
 def reference_evaluate_policy(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_scale=1.0,
                               seed=0, episodes=50, net=None):
-    """The evaluation loop as first written, encoding a state only for a net:
-    the reference that evaluate_policy must match exactly."""
+    """The evaluation loop as first written, encoding a state only for a net
+    and deciding through ReferenceNet: the reference that evaluate_policy
+    must match exactly."""
     num_classes = len(labels)
+    ref_net = None if net is None else ReferenceNet(net)
     shuffle_ss, action_ss = np.random.SeedSequence(seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     action_rng = np.random.default_rng(action_ss)
@@ -402,7 +413,8 @@ def reference_evaluate_policy(docs, labels, cfg, reward_cfg=RewardConfig(), k=3,
             if net is None:
                 action = int(action_rng.integers(2))
             else:
-                action = decide(net, encode_state(doc.embedding, tracker, t, dt_scale))
+                action = reference_decide(ref_net, encode_state(doc.embedding, tracker, t,
+                                                                dt_scale))
             if action == PICK:
                 picks += 1
                 window.append(doc.true_class)

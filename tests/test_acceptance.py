@@ -324,4 +324,4 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     reloaded = load_checkpoint(ckpt)
     rng = np.random.default_rng(77)
     states = rng.standard_normal((1000, 3 + 2))
-    assert all(decide(nets[0], s) == decide(reloaded, s) for s in states)
+    assert decide(nets[0], states) == decide(reloaded, states)

@@ -58,19 +58,32 @@ def _row(state, action, reward, next_state):
 
 
 class _FixedNet:
+    """Q-values q for every state."""
+
     def __init__(self, q):
         self.q = np.asarray(q, dtype=float)
 
-    def forward(self, state):
-        return self.q
+    def forward_each(self, states):
+        return np.tile(self.q, (len(states), 1))
 
-    forward_one = forward
+
+class _StatesAreQValues:
+    """A net whose Q-values are its input rows."""
+
+    @staticmethod
+    def forward_each(states):
+        return np.asarray(states, dtype=float)
 
 
 def test_decide_greedy_and_tie_to_pick():
-    assert decide(_FixedNet([0.2, 0.9]), np.zeros(2)) == PICK
-    assert decide(_FixedNet([0.9, 0.2]), np.zeros(2)) == DISCARD
-    assert decide(_FixedNet([0.4, 0.4]), np.zeros(2)) == PICK
+    assert decide(_FixedNet([0.2, 0.9]), np.zeros((1, 2))) == [PICK]
+    assert decide(_FixedNet([0.9, 0.2]), np.zeros((1, 2))) == [DISCARD]
+    assert decide(_FixedNet([0.4, 0.4]), np.zeros((1, 2))) == [PICK]
+
+
+def test_decide_reads_each_row():
+    q = [[0.2, 0.9], [0.9, 0.2], [0.4, 0.4], [-1.0, -1.5], [0.0, 0.0]]
+    assert decide(_StatesAreQValues, q) == [PICK, DISCARD, PICK, DISCARD, PICK]
 
 
 def test_select_action_eps_zero_is_greedy():
@@ -336,8 +349,7 @@ def test_decide_checkpoint_round_trip_preserves_decisions(tmp_path):
     save_checkpoint(net, path)
     again = load_checkpoint(path)
     states = rng.standard_normal((1000, 6))
-    for s in states:
-        assert decide(net, s) == decide(again, s)
+    assert decide(net, states) == decide(again, states)
 
 
 def test_agent_config_validation():

@@ -143,3 +143,26 @@ def test_since_last_and_averages_match_replay(num_classes, k, script):
             assert tracker.since_last(c, step) == step - history[c][-1]
         expected = [sum(step - s for s in history[c][-k:]) / k for c in range(num_classes)]
         assert tracker.averages(step).tolist() == expected
+
+
+@given(
+    num_classes=st.integers(min_value=1, max_value=9),
+    k=st.integers(min_value=1, max_value=4),
+    emissions=st.lists(st.integers(min_value=0, max_value=8), max_size=12),
+    gaps=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=12),
+    dt_scale=st.sampled_from([1.0, 3.0, 0.7, 250.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_encode_state_over_a_column_of_steps_equals_the_scalar_calls(
+        num_classes, k, emissions, gaps, dt_scale):
+    """A (rows, 1) column of steps, as the oris agent scores a stream chunk,
+    gives row for row the bits of encode_state at each step."""
+    tracker = LastSeenTracker(num_classes, k)
+    for step, cls in enumerate(emissions):
+        tracker.record_emission(cls % num_classes, 3 * step)
+    steps = 3 * len(emissions) + np.cumsum(gaps)
+    embeddings = np.random.default_rng(len(gaps)).standard_normal((len(steps), 4))
+    states = encode_state(embeddings, tracker, steps[:, None], dt_scale)
+    assert states.shape == (len(steps), 4 + num_classes)
+    for state, emb, step in zip(states, embeddings, steps.tolist()):
+        assert np.array_equal(state, encode_state(emb, tracker, step, dt_scale))

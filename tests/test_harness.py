@@ -42,6 +42,23 @@ def _always_pick_net(state_dim):
     return net
 
 
+def _never_pick_net(state_dim):
+    net = _always_pick_net(state_dim)
+    net.biases[-1][DISCARD] = 1.0
+    return net
+
+
+def _threshold_net(state_dim, threshold=1.5):
+    """Picks a document whose first embedding coordinate reaches threshold:
+    picks come in clumps and gaps, so a chunk's first pick can fall
+    anywhere in it."""
+    net = DenseNet([state_dim, 2], seed=0)
+    net.weights[0][:] = 0.0
+    net.weights[0][PICK, 0] = 1.0
+    net.biases[0][:] = [0.0, -threshold]
+    return net
+
+
 def test_random_decide_extremes_and_rate():
     rng = np.random.default_rng(0)
     assert all(random_decide(rng, 1.0) == PICK for _ in range(50))
@@ -338,6 +355,11 @@ def test_run_experiment_matches_reference_loop(reference_corpus, agent, oracle, 
 PROPERTY_TRAIN = _docs([14, 10, 6], dim=3, sep=2.0, seed=31, labels=LABELS3)
 PROPERTY_TEST = _docs([5, 5, 5], dim=3, sep=2.0, seed=32, labels=LABELS3, start_id=100)
 PROPERTY_NET = DenseNet([3 + 3, 8, 2], seed=5)
+# oris nets of the property tests: one whose picks depend on the recency
+# tail, one that never picks, one that always picks and one that picks by
+# the embedding
+PROPERTY_NETS = {"untrained": PROPERTY_NET, "never": _never_pick_net(3 + 3),
+                 "always": _always_pick_net(3 + 3), "threshold": _threshold_net(3 + 3)}
 
 
 @given(st.data())
@@ -443,7 +465,10 @@ def test_full_refit_queue_is_fit_early(monkeypatch, reference_corpus, agent):
 def test_error_counts_and_human_f1_match_the_replayed_picks(data):
     """Each row's oracle_errors is the number of emitted labels that differ
     from the true class over the run's first b picks, and its human f1 is
-    f1_macro of those labels; the picks are replayed by the reference loop."""
+    f1_macro of those labels; the picks are replayed by the reference loop,
+    which decides every document on its own, and its rows and partial runs
+    are the sweep's. The oris net may never or always pick, and the stream
+    may be shorter than the agent's SCORE_AHEAD."""
     update_freq = data.draw(st.integers(1, 6), label="update_freq")
     cfg = HarnessConfig(
         labels=LABELS3,
@@ -456,14 +481,22 @@ def test_error_counts_and_human_f1_match_the_replayed_picks(data):
                          label="oracle"),
         learner_epochs=2, learner_batch=4,
     )
-    record = run_experiment(PROPERTY_TRAIN, PROPERTY_TEST, cfg, net=PROPERTY_NET)
-    diversity_ids = frozenset(diversity_select(PROPERTY_TRAIN, cfg.budget, cap=cfg.diversity_cap)
+    net = PROPERTY_NETS[data.draw(st.sampled_from(sorted(PROPERTY_NETS)), label="net")]
+    train = PROPERTY_TRAIN
+    if cfg.agent != "diversity":  # which needs `budget` documents
+        train = PROPERTY_TRAIN[:data.draw(st.sampled_from([30, 5, 1]), label="stream length")]
+    record = run_experiment(train, PROPERTY_TEST, cfg, net=net)
+    diversity_ids = frozenset(diversity_select(train, cfg.budget, cap=cfg.diversity_cap)
                               if cfg.agent == "diversity" else ())
+    ref_partial = []
     for run_id, seed in enumerate(cfg.seeds):
         picks = []
-        reference_single_run(PROPERTY_TRAIN, PROPERTY_TEST, cfg, PROPERTY_NET, diversity_ids,
-                             run_id, seed, picks=picks)
+        ref_rows, completed = reference_single_run(train, PROPERTY_TEST, cfg, net, diversity_ids,
+                                                   run_id, seed, picks=picks)
+        if not completed:
+            ref_partial.append(run_id)
         rows = [r for r in record.rows if r.run_id == run_id]
+        assert rows == ref_rows
         assert len(rows) == len(picks) // cfg.update_freq
         for row in rows:
             first = picks[:row.picks]
@@ -471,3 +504,57 @@ def test_error_counts_and_human_f1_match_the_replayed_picks(data):
             assert row.oracle_errors == sum(true != emitted for true, emitted in first)
             true, emitted = zip(*first)
             assert row.human_f1_macro == f1_macro(list(true), list(emitted), LABELS3)
+    assert record.partial_runs == ref_partial
+
+
+@pytest.mark.parametrize("case", ["never picks", "always picks", "short stream",
+                                  "budget mid-chunk", "f = 1"])
+def test_oris_scores_chunks_and_matches_the_one_document_reference(monkeypatch, case):
+    """The oris agent scores up to SCORE_AHEAD positions per decide call,
+    from the position after the last pick, and its sweep writes the rows
+    and partial runs of the reference loop, which decides one document at
+    a time."""
+    calls = []  # (rows scored, positions picked) per decide call
+    decide = oris.harness.decide
+
+    def recorded(net, states):
+        actions = decide(net, states)
+        calls.append((len(states), [j for j, action in enumerate(actions) if action == PICK]))
+        return actions
+
+    monkeypatch.setattr(oris.harness, "decide", recorded)
+    net, train, budget, update_freq = {
+        "never picks": (PROPERTY_NETS["never"], PROPERTY_TRAIN, 10, 5),
+        "always picks": (PROPERTY_NETS["always"], PROPERTY_TRAIN, 12, 4),
+        "short stream": (PROPERTY_NETS["always"], PROPERTY_TRAIN[:5], 10, 5),
+        "budget mid-chunk": (PROPERTY_NETS["threshold"], PROPERTY_TRAIN, 3, 3),
+        "f = 1": (PROPERTY_NETS["untrained"], PROPERTY_TRAIN, 9, 1),
+    }[case]
+    cfg = HarnessConfig(labels=LABELS3, agent="oris", budget=budget, update_freq=update_freq,
+                        seeds=(1, 2, 3), oracle=REFERENCE_ORACLES["sigmoid"],
+                        learner_epochs=2, learner_batch=4)
+    record = run_experiment(train, PROPERTY_TEST, cfg, net=net)
+    ref_rows, ref_partial = [], []
+    for run_id, seed in enumerate(cfg.seeds):
+        rows, completed = reference_single_run(train, PROPERTY_TEST, cfg, net, frozenset(),
+                                               run_id, seed)
+        ref_rows.extend(rows)
+        if not completed:
+            ref_partial.append(run_id)
+    assert record.rows == ref_rows
+    assert record.partial_runs == ref_partial
+
+    ahead = oris.harness.SCORE_AHEAD
+    assert ahead == 8 and all(1 <= rows <= ahead for rows, _ in calls)
+    if case == "never picks":  # 30 documents: three full chunks and one of 6
+        assert record.rows == [] and record.partial_runs == [0, 1, 2]
+        assert calls == [(8, []), (8, []), (8, []), (6, [])] * 3
+    elif case in ("always picks", "short stream"):  # a chunk per pick, from the next document
+        chunks = [min(ahead, len(train) - t) for t in range(min(budget, len(train)))]
+        assert calls == [(rows, list(range(rows))) for rows in chunks] * 3
+    elif case == "budget mid-chunk":  # later positions were scored, and are dropped
+        assert not record.partial_runs
+        rows, picked = calls[-1]  # the chunk of the last run's last pick
+        assert 0 < picked[0] < picked[-1] < rows
+    else:
+        assert len(record.rows) == 3 * budget

@@ -45,8 +45,9 @@ def test_forward_batch_matches_single():
     rng = np.random.default_rng(0)
     batch = rng.standard_normal((5, 4))
     out = net.forward(batch)
+    assert np.allclose(net.forward_each(batch), out)
     for i in range(5):
-        assert np.allclose(net.forward_one(batch[i]), out[i])
+        assert np.allclose(net.forward(batch[i:i + 1])[0], out[i])
 
 
 def test_forward_shape_mismatch():
@@ -58,7 +59,7 @@ def test_forward_shape_mismatch():
 def test_forward_takes_only_a_matrix():
     net = DenseNet([4, 8, 2], seed=0)
     for x in (np.zeros(4), np.zeros((1, 1, 4))):
-        with pytest.raises(ValueError, match=r"\(rows, 4\) matrix.*forward_one"):
+        with pytest.raises(ValueError, match=r"\(rows, 4\) matrix.*\(1, 4\) row"):
             net.forward(x)
 
 
@@ -236,6 +237,9 @@ def _set_line(lineno, text):
     (_set_line(5, "0.5"), 5, "expected 2 values, got 1"),
     (lambda lines: lines[:7], 8, "expected 1 values, got 0"),  # truncated: no last bias row
     (lambda lines: lines[:8] + ["0.25", ""], 9, "content after the last bias row"),
+    (_set_line(4, "0.5 nan"), 4, "finite, got nan"),  # parses as a float, but is no weight
+    (_set_line(6, "0.0 0.0 -inf"), 6, "finite, got -inf"),
+    (_set_line(8, "inf"), 8, "finite, got inf"),
 ])
 def test_checkpoint_names_the_file_and_line_of_a_malformed_row(tmp_path, edit, lineno, message):
     path = _corrupted_checkpoint(tmp_path, edit)
@@ -306,17 +310,35 @@ def _states(rng, n, embedding_dim=8, num_classes=5):
 
 
 @pytest.mark.parametrize("sizes", [[13, 64, 64, 2], [13, 256, 256, 2], [13, 8, 2]])
-def test_forward_one_bit_identical_to_forward_and_reference(sizes):
+def test_forward_each_bit_identical_to_one_row_forward_and_reference(sizes):
     net = DenseNet(sizes, seed=sum(sizes))
     ref = ReferenceNet(net)
     rng = np.random.default_rng(len(sizes))
-    for x in _states(rng, 500):
-        got = net.forward_one(x).copy()
-        assert np.array_equal(got, net.forward(x[None])[0])
-        assert np.array_equal(got, ref.forward(x))
+    X = _states(rng, 500)
+    got = net.forward_each(X)
+    assert got.shape == (500, 2)
+    for x, row in zip(X, got):
+        assert np.array_equal(row, net.forward(x[None])[0])
+        assert np.array_equal(row, ref.forward(x))
 
 
-def test_forward_one_between_forward_and_backward_leaves_the_gradients():
+@pytest.mark.parametrize("sizes", [[13, 64, 64, 2], [13, 256, 256, 2], [6, 8, 2], [9, 32, 24, 2]])
+def test_every_row_of_forward_each_is_the_reference_forward_of_that_row(sizes):
+    """At every row count from 1 to 40, and on a misaligned row view, each
+    row is ReferenceNet's one-vector forward of it: a (rows, in) matrix
+    product would not give these bits."""
+    net = DenseNet(sizes, seed=len(sizes))
+    ref = ReferenceNet(net)
+    rng = np.random.default_rng(sum(sizes))
+    for rows in range(1, 41):
+        X = _states(rng, rows + 1, embedding_dim=sizes[0] - 5)[1:]
+        got = net.forward_each(X)
+        assert got.shape == (rows, 2)
+        for x, row in zip(X, got):
+            assert np.array_equal(row, ref.forward(x))
+
+
+def test_forward_each_between_forward_and_backward_leaves_the_gradients():
     net = DenseNet([13, 64, 64, 2], seed=3)
     twin = net.copy()
     rng = np.random.default_rng(3)
@@ -325,16 +347,15 @@ def test_forward_one_between_forward_and_backward_leaves_the_gradients():
         X = _states(rng, 32)
         grad_out = rng.standard_normal((32, 2))
         assert np.array_equal(net.forward(X), twin.forward(X))
-        for x in _states(rng, 10):
-            net.forward_one(x)
+        net.forward_each(_states(rng, 10))
         net.backward(X, grad_out)
         optimizer_step(net, opt)
         twin.backward(X, grad_out)
         optimizer_step(twin, twin_opt)
         assert np.array_equal(net.grad, twin.grad)
         assert np.array_equal(net.params, twin.params)
-        x = _states(rng, 1)[0]  # it reads the updated parameters
-        assert np.array_equal(net.forward_one(x), twin.forward(x[None])[0])
+        x = _states(rng, 1)  # it reads the updated parameters
+        assert np.array_equal(net.forward_each(x), twin.forward(x))
 
 
 def test_parameters_are_views_of_one_flat_vector():
