@@ -13,7 +13,6 @@ from .corpus import (
     generate_synthetic,
     load_dataset,
     load_word_vectors,
-    shuffle_stream,
     tokenize,
 )
 from .dqn import (

@@ -1,9 +1,13 @@
-"""Data model, corpus ingestion, document embedding, stream construction, and
+"""Data model, corpus ingestion, document embedding, stream order, and
 the text formats of the package's files, result CSVs included.
 
 Documents are represented by the mean of the pre-trained word vectors of
-their in-vocabulary tokens. Synthetic corpora draw class-conditional
-Gaussian embeddings so class separability is controlled analytically.
+their in-vocabulary tokens. A word-vector table can be loaded for one
+corpus only: `dataset_vocabulary` collects the tokens of its dataset files
+and `load_word_vectors(path, vocab=...)` converts the numbers of those
+words' lines alone, so a large table costs little more than reading it.
+Synthetic corpora draw class-conditional Gaussian embeddings so class
+separability is controlled analytically.
 """
 
 from __future__ import annotations
@@ -85,13 +89,17 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def load_word_vectors(path) -> EmbeddingTable:
+def load_word_vectors(path, vocab=None) -> EmbeddingTable:
     """Read a word-vector text file: header "<count> <dim>", then one
     "<word> <v1> ... <vdim>" line per word.
 
     Words are lowercased (first occurrence wins). Lines whose numeric fields
     fail to parse are skipped with a log message; a line with the wrong number
-    of components is a hard error.
+    of components is a hard error. Given a `vocab` (a set of lowercased
+    words), only its words' lines are converted and kept: every other line is
+    still checked for its component count, but its numbers are not parsed, so
+    an unparseable or duplicate unused word is passed over without a message.
+    The header count is checked against the lines read either way.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -104,7 +112,7 @@ def load_word_vectors(path) -> EmbeddingTable:
         if dim < 1:
             raise ValueError(f"{path}: vector dimension must be >= 1, got {dim}")
         vectors: dict[str, np.ndarray] = {}
-        skipped = 0
+        skipped = unused = 0
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -116,8 +124,11 @@ def load_word_vectors(path) -> EmbeddingTable:
                     f"{path}:{lineno}: expected {dim} components, got {len(fields) - 1}"
                 )
             word = fields[0].lower()
+            if vocab is not None and word not in vocab:
+                unused += 1
+                continue
             try:
-                vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+                vec = np.array(fields[1:], dtype=np.float64)
             except ValueError:
                 skipped += 1
                 logger.warning("%s:%d: unparseable vector skipped", path, lineno)
@@ -127,10 +138,11 @@ def load_word_vectors(path) -> EmbeddingTable:
                 logger.warning("%s:%d: duplicate word %r skipped", path, lineno, word)
                 continue
             vectors[word] = vec
-    if len(vectors) != declared_count - skipped:
+    if len(vectors) + unused != declared_count - skipped:
         logger.warning(
-            "%s: header declares %d words, loaded %d (%d skipped)",
+            "%s: header declares %d words, loaded %d (%d skipped%s)",
             path, declared_count, len(vectors), skipped,
+            f", {unused} unused" if unused else "",
         )
     return EmbeddingTable(dim, vectors)
 
@@ -158,11 +170,26 @@ def embed_document(tokens, table: EmbeddingTable) -> np.ndarray:
     """Mean vector of the in-vocabulary tokens; zero vector if there are none.
 
     Out-of-vocabulary tokens are excluded from both the sum and the divisor.
+    The sum and the division are the two ufunc calls `np.mean` makes, so the
+    result has its bits.
     """
-    vecs = [v for v in (table.get(t) for t in tokens) if v is not None]
+    vectors = table.vectors
+    vecs = [vectors[t] for t in tokens if t in vectors]
     if not vecs:
         return np.zeros(table.dimension)
-    return np.mean(vecs, axis=0)
+    return np.add.reduce(np.asarray(vecs), axis=0) / len(vecs)
+
+
+def dataset_vocabulary(*paths) -> set[str]:
+    """Every token of the dataset files' texts: the words `load_dataset` looks
+    up, so `load_word_vectors(..., vocab=)` can leave out the rest."""
+    vocab: set[str] = set()
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                # the text before the last tab, as load_dataset splits it
+                vocab.update(tokenize(line.rpartition("\t")[0]))
+    return vocab
 
 
 def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
@@ -184,10 +211,12 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
                 bad.append(f"line {lineno}: missing tab separator")
                 continue
             label = label.strip()
-            if label not in labels:
+            try:
+                true_class = labels.index(label)
+            except KeyError:
                 bad.append(f"line {lineno}: unknown label {label!r}")
                 continue
-            docs.append(Document(id=start_id + len(docs), true_class=labels.index(label),
+            docs.append(Document(id=start_id + len(docs), true_class=true_class,
                                  embedding=embed_document(tokenize(text), table)))
     if bad:
         raise ValueError(f"{path}: " + "; ".join(bad))
@@ -233,11 +262,6 @@ def stream_order(num_docs: int, seed) -> np.ndarray:
     if num_docs < 1:
         raise ValueError("cannot shuffle an empty document list")
     return np.random.default_rng(seed).permutation(num_docs)
-
-
-def shuffle_stream(docs, seed) -> list[Document]:
-    """The documents in stream order."""
-    return [docs[i] for i in stream_order(len(docs), seed)]
 
 
 def synthetic_token(doc_id: int) -> str:

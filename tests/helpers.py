@@ -7,6 +7,7 @@ from collections import deque
 
 import numpy as np
 
+from oris.corpus import stream_order
 from oris.dqn import (
     EpisodeLog,
     ReplayBuffer,
@@ -246,6 +247,11 @@ def random_decide(rng, pick_prob: float) -> int:
     if not 0.0 <= pick_prob <= 1.0:
         raise ValueError(f"pick probability must be in [0, 1], got {pick_prob}")
     return PICK if rng.random() < pick_prob else DISCARD
+
+
+def shuffle_stream(docs, seed) -> list:
+    """The documents in stream order: `corpus.stream_order` applied to a list."""
+    return [docs[i] for i in stream_order(len(docs), seed)]
 
 
 def reference_uncertainty_decide(clf, emb, b, budget, theta0):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +9,19 @@ from oris.corpus import (
     Document,
     EmbeddingTable,
     LabelSpace,
+    dataset_vocabulary,
     embed_document,
     generate_synthetic,
     load_dataset,
     load_word_vectors,
-    shuffle_stream,
     surrogate_table,
     tokenize,
     write_synthetic_corpus,
     write_word_vectors,
 )
 from oris.learner import f1_macro, fit, predict
+
+from helpers import shuffle_stream
 
 
 @pytest.fixture
@@ -95,6 +99,52 @@ def test_word_vector_round_trip(tmp_path, tiny_table):
         assert np.array_equal(again.get(word), vec)
 
 
+# Number strings a word-vector file may hold: shortest repr and %.6f forms of
+# doubles over a wide exponent range, subnormals, signed zeros, overflow and
+# underflow, the spellings of inf and NaN, and forms that float() rejects or
+# accepts only in Python (underscores, non-ASCII digits).
+_DOUBLES = np.random.default_rng(16).standard_normal(150) * 10.0 ** np.arange(-75, 75)
+NUMBER_STRINGS = (
+    [repr(float(v)) for v in _DOUBLES] + [f"{v:.6f}" for v in _DOUBLES]
+    + ["5e-324", "-5e-324", "2.2250738585072009e-308", "1e-320", "-0.0", "0", "-0",
+       "+1.5", ".5", "1.", "1E5", "1e400", "-1e400", "1e-400", "inf", "-Infinity",
+       "NaN", "nan", "-nan", "1_000", "1_0.2_5", "1__0", "_1", "1_", "0x10", "1.5f",
+       "1,5", "one", "--1", "1e", "e5", "nan(1)", "infinit",
+       "\u0661\u0662", "\uff11\uff12"]
+)
+
+
+def _float_or_none(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_load_word_vectors_parses_like_float(tmp_path, caplog, dim):
+    # one line per window of `dim` strings: a line is kept with float()'s bits
+    # exactly when float() takes each of its fields, and skipped otherwise
+    rows = [[NUMBER_STRINGS[(i + j) % len(NUMBER_STRINGS)] for j in range(dim)]
+            for i in range(len(NUMBER_STRINGS))]
+    path = tmp_path / "numbers.vec"
+    path.write_text(f"{len(rows)} {dim}\n"
+                    + "".join(f"w{i} {' '.join(row)}\n" for i, row in enumerate(rows)),
+                    encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        table = load_word_vectors(path)
+    expected = {f"w{i}": [_float_or_none(t) for t in row] for i, row in enumerate(rows)}
+    kept = {w for w, vals in expected.items() if None not in vals}
+    assert set(table.vectors) == kept
+    for word in kept:
+        want = np.array(expected[word], dtype=np.float64)
+        assert table.vectors[word].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    skipped_lines = sorted(int(r.getMessage().split(":")[1]) for r in caplog.records
+                           if "unparseable" in r.getMessage())
+    assert skipped_lines == [i + 2 for i, row in enumerate(rows) if f"w{i}" not in kept]
+    assert skipped_lines  # the list holds strings that both parsers reject
+
+
 def test_embed_document_mean(tiny_table):
     assert np.allclose(embed_document(["a", "b"], tiny_table), [0.5, 0.5])
     assert np.allclose(embed_document(["a", "a"], tiny_table), [1.0, 0.0])
@@ -117,6 +167,22 @@ def test_embed_permutation_invariant_and_linear(perm, scale):
     assert np.allclose(embed_document(list(perm), table), base)
     scaled = EmbeddingTable(2, {w: scale * v for w, v in table.vectors.items()})
     assert np.allclose(embed_document(list(perm), scaled), scale * base, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 300])
+def test_embed_document_has_np_mean_bits(dim):
+    rng = np.random.default_rng(dim)
+    words = [f"t{i}" for i in range(12)]
+    table = EmbeddingTable(dim, {w: rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 8)
+                                 for w in words})
+    for n in range(1, 21):
+        # repeated words and out-of-vocabulary tokens, as a real text has
+        tokens = [str(t) for t in rng.choice(words + ["oov", "zzz"], size=n)]
+        vecs = [table.vectors[t] for t in tokens if t in table.vectors]
+        got = embed_document(tokens, table)
+        want = np.mean(vecs, axis=0) if vecs else np.zeros(dim)
+        assert got.shape == (dim,)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_load_dataset_sequential_ids(tmp_path, tiny_table):
@@ -154,6 +220,78 @@ def test_load_dataset_record_count_at_scale(tmp_path, tiny_table):
     path.write_text("".join(f"a b\t{'pos' if i % 2 else 'neg'}\n" for i in range(3845)))
     docs = load_dataset(path, tiny_table, labels)
     assert len(docs) == 3845
+
+
+def _write_vectors(path, lines, declared=None):
+    count = len(lines) if declared is None else declared
+    dim = len(lines[0].split()) - 1
+    path.write_text(f"{count} {dim}\n" + "".join(line + "\n" for line in lines))
+    return path
+
+
+def test_dataset_vocabulary_is_every_token_load_dataset_looks_up(tmp_path):
+    a = tmp_path / "a.tsv"
+    a.write_text("Hello, World!\tpos\nno separator here\n\nfoo-bar\tbar\tneg\n")
+    b = tmp_path / "b.tsv"
+    b.write_text("world again\tneg")
+    assert dataset_vocabulary(a, b) == {"hello", "world", "foo-bar", "bar", "again"}
+
+
+def test_filtered_load_keeps_the_full_load_bits(tmp_path):
+    rng = np.random.default_rng(4)
+    words = [f"Word{i}" for i in range(40)]
+    lines = [w + " " + " ".join(f"{v:.6f}" if i % 2 else repr(float(v))
+                                for v in rng.standard_normal(5))
+             for i, w in enumerate(words)]
+    path = _write_vectors(tmp_path / "vecs.vec", lines)
+    full = load_word_vectors(path)
+    vocab = {"word3", "word17", "word39", "not-in-table"}
+    part = load_word_vectors(path, vocab=vocab)
+    assert part.dimension == full.dimension == 5
+    assert set(part.vectors) == {"word3", "word17", "word39"}
+    for word, vec in part.vectors.items():
+        assert vec.view(np.uint64).tolist() == full.vectors[word].view(np.uint64).tolist()
+
+
+def test_filtered_load_still_checks_an_unused_lines_width(tmp_path):
+    path = _write_vectors(tmp_path / "vecs.vec", ["a 1 0", "b 0 1", "unused 1 2 3"])
+    with pytest.raises(ValueError, match=r"vecs\.vec:4: expected 2 components, got 3"):
+        load_word_vectors(path, vocab={"a"})
+
+
+def test_filtered_load_passes_over_an_unused_bad_line_silently(tmp_path, caplog):
+    lines = ["a 1 0", "unused x y", "other 1 1", "Other 0 1", "b 0 1"]
+    path = _write_vectors(tmp_path / "vecs.vec", lines)
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        table = load_word_vectors(path, vocab={"a", "b"})
+    assert set(table.vectors) == {"a", "b"}
+    assert caplog.records == []  # neither a skip nor a header-count warning
+    # the full load reports both lines
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        load_word_vectors(path)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(":3: unparseable" in m for m in messages)
+    assert any(":5: duplicate word 'other'" in m for m in messages)
+
+
+def test_filtered_load_counts_lines_read_against_the_header(tmp_path, caplog):
+    path = _write_vectors(tmp_path / "vecs.vec", ["a 1 0", "b 0 1", "c 1 1"], declared=4)
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        load_word_vectors(path, vocab={"a"})
+        load_word_vectors(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: header declares 4 words, loaded 1 (0 skipped, 2 unused)",
+        f"{path}: header declares 4 words, loaded 3 (0 skipped)"]
+
+
+def test_filtered_load_keeps_a_used_words_first_line(tmp_path, caplog):
+    path = _write_vectors(tmp_path / "vecs.vec", ["x 9 9", "A 1 0", "b 0 1", "a 5 5"])
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        table = load_word_vectors(path, vocab={"a"})
+    assert set(table.vectors) == {"a"}
+    assert table.vectors["a"].tolist() == [1.0, 0.0]
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(":5: duplicate word 'a'" in m for m in messages)
 
 
 def test_generate_synthetic_reproducible():
