@@ -81,8 +81,7 @@ def _cmd_train_agent(args) -> int:
     cfg = parse_config(args.config)
     path_key = "data.rl_train" if cfg["data.rl_train"] is not None else "data.train"
     _require(cfg, path_key, "data.vectors")
-    vocab = corpus.dataset_vocabulary(cfg[path_key])
-    table = corpus.load_word_vectors(cfg["data.vectors"], vocab=vocab)
+    table = corpus.load_word_vectors(cfg["data.vectors"])
     docs = corpus.load_dataset(cfg[path_key], table, cfg.label_space())
     net, logs = train_agent(
         docs, cfg.label_space(), cfg.agent_config(),
@@ -106,8 +105,7 @@ def _cmd_run_al(args) -> int:
             raise ValueError("--checkpoint is required for the oris agent")
         net = load_checkpoint(args.checkpoint)
     _require(cfg, "data.train", "data.test", "data.vectors")
-    vocab = corpus.dataset_vocabulary(cfg["data.train"], cfg["data.test"])
-    table = corpus.load_word_vectors(cfg["data.vectors"], vocab=vocab)
+    table = corpus.load_word_vectors(cfg["data.vectors"])
     train_docs = corpus.load_dataset(cfg["data.train"], table, cfg.label_space())
     test_docs = corpus.load_dataset(cfg["data.test"], table, cfg.label_space(),
                                     start_id=len(train_docs))

@@ -2,12 +2,8 @@
 the text formats of the package's files, result CSVs included.
 
 Documents are represented by the mean of the pre-trained word vectors of
-their in-vocabulary tokens. A word-vector table can be loaded for one
-corpus only: `dataset_vocabulary` collects the tokens of its dataset files
-and `load_word_vectors(path, vocab=...)` converts the numbers of those
-words' lines alone, so a large table costs little more than reading it.
-Synthetic corpora draw class-conditional Gaussian embeddings so class
-separability is controlled analytically.
+their in-vocabulary tokens. Synthetic corpora draw class-conditional
+Gaussian embeddings so class separability is controlled analytically.
 """
 
 from __future__ import annotations
@@ -89,17 +85,15 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def load_word_vectors(path, vocab=None) -> EmbeddingTable:
+def load_word_vectors(path) -> EmbeddingTable:
     """Read a word-vector text file: header "<count> <dim>", then one
     "<word> <v1> ... <vdim>" line per word.
 
     Words are lowercased (first occurrence wins). Lines whose numeric fields
     fail to parse are skipped with a log message; a line with the wrong number
-    of components is a hard error. Given a `vocab` (a set of lowercased
-    words), only its words' lines are converted and kept: every other line is
-    still checked for its component count, but its numbers are not parsed, so
-    an unparseable or duplicate unused word is passed over without a message.
-    The header count is checked against the lines read either way.
+    of components is a hard error. Each line's numbers are parsed by one
+    `np.array(..., dtype=np.float64)` call, which takes and rejects the
+    strings `float()` does, with its bits.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -112,7 +106,7 @@ def load_word_vectors(path, vocab=None) -> EmbeddingTable:
         if dim < 1:
             raise ValueError(f"{path}: vector dimension must be >= 1, got {dim}")
         vectors: dict[str, np.ndarray] = {}
-        skipped = unused = 0
+        skipped = 0
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -124,9 +118,6 @@ def load_word_vectors(path, vocab=None) -> EmbeddingTable:
                     f"{path}:{lineno}: expected {dim} components, got {len(fields) - 1}"
                 )
             word = fields[0].lower()
-            if vocab is not None and word not in vocab:
-                unused += 1
-                continue
             try:
                 vec = np.array(fields[1:], dtype=np.float64)
             except ValueError:
@@ -138,11 +129,10 @@ def load_word_vectors(path, vocab=None) -> EmbeddingTable:
                 logger.warning("%s:%d: duplicate word %r skipped", path, lineno, word)
                 continue
             vectors[word] = vec
-    if len(vectors) + unused != declared_count - skipped:
+    if len(vectors) != declared_count - skipped:
         logger.warning(
-            "%s: header declares %d words, loaded %d (%d skipped%s)",
+            "%s: header declares %d words, loaded %d (%d skipped)",
             path, declared_count, len(vectors), skipped,
-            f", {unused} unused" if unused else "",
         )
     return EmbeddingTable(dim, vectors)
 
@@ -178,18 +168,6 @@ def embed_document(tokens, table: EmbeddingTable) -> np.ndarray:
     if not vecs:
         return np.zeros(table.dimension)
     return np.add.reduce(np.asarray(vecs), axis=0) / len(vecs)
-
-
-def dataset_vocabulary(*paths) -> set[str]:
-    """Every token of the dataset files' texts: the words `load_dataset` looks
-    up, so `load_word_vectors(..., vocab=)` can leave out the rest."""
-    vocab: set[str] = set()
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                # the text before the last tab, as load_dataset splits it
-                vocab.update(tokenize(line.rpartition("\t")[0]))
-    return vocab
 
 
 def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,

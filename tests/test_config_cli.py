@@ -1,4 +1,3 @@
-import logging
 import os
 import subprocess
 import sys
@@ -11,8 +10,8 @@ import oris
 from oris.cli import main
 from oris.config import _SCHEMA, ConfigError, parse_config
 from oris.corpus import LabelSpace, load_dataset, load_word_vectors
-from oris.dqn import AgentConfig, train_agent, write_training_log
-from oris.harness import HarnessConfig, read_record, run_experiment, write_record
+from oris.dqn import AgentConfig
+from oris.harness import HarnessConfig, read_record
 from oris.nnet import DenseNet, save_checkpoint
 from oris.oracle import DecayModel, error_probability
 from oris.reward import RewardConfig
@@ -345,49 +344,6 @@ agent.hidden = 8, 8
                      "--checkpoint", str(ckpt), "--out", str(csv_out)]) == 0
         outputs.append((ckpt.read_bytes(), log.read_bytes(), csv_out.read_bytes()))
     assert outputs[0] == outputs[1]
-
-
-def test_commands_load_only_the_corpus_words_and_write_the_full_load_bytes(tmp_path, caplog):
-    cfg_text = SYNTH_CFG + f"""
-data.train = {tmp_path}/synth/train.tsv
-data.test = {tmp_path}/synth/test.tsv
-data.vectors = {tmp_path}/synth/vectors.vec
-agent.episodes = 2
-agent.budget = 5
-agent.minibatch = 8
-agent.replay_capacity = 100
-agent.hidden = 8, 8
-"""
-    cfg_path = _write(tmp_path, cfg_text)
-    assert main(["gen-synth", "--config", cfg_path, "--out-dir", str(tmp_path / "synth")]) == 0
-    # pad the table with words no dataset file uses, one of them unparseable
-    vec_path = tmp_path / "synth" / "vectors.vec"
-    header, *lines = vec_path.read_text().splitlines()
-    count, dim = map(int, header.split())
-    lines += ["unused " + " ".join(["0.5"] * dim), "broken " + " ".join(["x"] * dim)]
-    vec_path.write_text(f"{count + 2} {dim}\n" + "\n".join(lines) + "\n")
-
-    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
-        assert main(["train-agent", "--config", cfg_path, "--out", str(tmp_path / "a.ckpt")]) == 0
-        assert main(["run-al", "--config", cfg_path, "--agent", "oris",
-                     "--checkpoint", str(tmp_path / "a.ckpt"), "--out", str(tmp_path / "a.csv")]) == 0
-    assert caplog.records == []  # train-agent leaves out the test words without a word
-
-    # the same steps on the whole table
-    cfg = parse_config(cfg_path)
-    labels = cfg.label_space()
-    table = load_word_vectors(vec_path)
-    train = load_dataset(cfg["data.train"], table, labels)
-    test = load_dataset(cfg["data.test"], table, labels, start_id=len(train))
-    net, logs = train_agent(train, labels, cfg.agent_config(), reward_cfg=cfg.reward_config(),
-                            k=cfg["encoder.k"], dt_scale=cfg["encoder.dt_scale"],
-                            seed=cfg.seeds[0])
-    save_checkpoint(net, tmp_path / "b.ckpt")
-    write_training_log(logs, tmp_path / "b.ckpt.log.csv")
-    write_record(run_experiment(train, test, cfg.harness_config(agent="oris"), net=net),
-                 tmp_path / "b.csv")
-    for a, b in (("a.ckpt", "b.ckpt"), ("a.ckpt.log.csv", "b.ckpt.log.csv"), ("a.csv", "b.csv")):
-        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
 
 
 @pytest.mark.parametrize("outputs", [3, 1])

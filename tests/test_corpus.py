@@ -9,7 +9,6 @@ from oris.corpus import (
     Document,
     EmbeddingTable,
     LabelSpace,
-    dataset_vocabulary,
     embed_document,
     generate_synthetic,
     load_dataset,
@@ -220,78 +219,6 @@ def test_load_dataset_record_count_at_scale(tmp_path, tiny_table):
     path.write_text("".join(f"a b\t{'pos' if i % 2 else 'neg'}\n" for i in range(3845)))
     docs = load_dataset(path, tiny_table, labels)
     assert len(docs) == 3845
-
-
-def _write_vectors(path, lines, declared=None):
-    count = len(lines) if declared is None else declared
-    dim = len(lines[0].split()) - 1
-    path.write_text(f"{count} {dim}\n" + "".join(line + "\n" for line in lines))
-    return path
-
-
-def test_dataset_vocabulary_is_every_token_load_dataset_looks_up(tmp_path):
-    a = tmp_path / "a.tsv"
-    a.write_text("Hello, World!\tpos\nno separator here\n\nfoo-bar\tbar\tneg\n")
-    b = tmp_path / "b.tsv"
-    b.write_text("world again\tneg")
-    assert dataset_vocabulary(a, b) == {"hello", "world", "foo-bar", "bar", "again"}
-
-
-def test_filtered_load_keeps_the_full_load_bits(tmp_path):
-    rng = np.random.default_rng(4)
-    words = [f"Word{i}" for i in range(40)]
-    lines = [w + " " + " ".join(f"{v:.6f}" if i % 2 else repr(float(v))
-                                for v in rng.standard_normal(5))
-             for i, w in enumerate(words)]
-    path = _write_vectors(tmp_path / "vecs.vec", lines)
-    full = load_word_vectors(path)
-    vocab = {"word3", "word17", "word39", "not-in-table"}
-    part = load_word_vectors(path, vocab=vocab)
-    assert part.dimension == full.dimension == 5
-    assert set(part.vectors) == {"word3", "word17", "word39"}
-    for word, vec in part.vectors.items():
-        assert vec.view(np.uint64).tolist() == full.vectors[word].view(np.uint64).tolist()
-
-
-def test_filtered_load_still_checks_an_unused_lines_width(tmp_path):
-    path = _write_vectors(tmp_path / "vecs.vec", ["a 1 0", "b 0 1", "unused 1 2 3"])
-    with pytest.raises(ValueError, match=r"vecs\.vec:4: expected 2 components, got 3"):
-        load_word_vectors(path, vocab={"a"})
-
-
-def test_filtered_load_passes_over_an_unused_bad_line_silently(tmp_path, caplog):
-    lines = ["a 1 0", "unused x y", "other 1 1", "Other 0 1", "b 0 1"]
-    path = _write_vectors(tmp_path / "vecs.vec", lines)
-    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
-        table = load_word_vectors(path, vocab={"a", "b"})
-    assert set(table.vectors) == {"a", "b"}
-    assert caplog.records == []  # neither a skip nor a header-count warning
-    # the full load reports both lines
-    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
-        load_word_vectors(path)
-    messages = [r.getMessage() for r in caplog.records]
-    assert any(":3: unparseable" in m for m in messages)
-    assert any(":5: duplicate word 'other'" in m for m in messages)
-
-
-def test_filtered_load_counts_lines_read_against_the_header(tmp_path, caplog):
-    path = _write_vectors(tmp_path / "vecs.vec", ["a 1 0", "b 0 1", "c 1 1"], declared=4)
-    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
-        load_word_vectors(path, vocab={"a"})
-        load_word_vectors(path)
-    assert [r.getMessage() for r in caplog.records] == [
-        f"{path}: header declares 4 words, loaded 1 (0 skipped, 2 unused)",
-        f"{path}: header declares 4 words, loaded 3 (0 skipped)"]
-
-
-def test_filtered_load_keeps_a_used_words_first_line(tmp_path, caplog):
-    path = _write_vectors(tmp_path / "vecs.vec", ["x 9 9", "A 1 0", "b 0 1", "a 5 5"])
-    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
-        table = load_word_vectors(path, vocab={"a"})
-    assert set(table.vectors) == {"a"}
-    assert table.vectors["a"].tolist() == [1.0, 0.0]
-    messages = [r.getMessage() for r in caplog.records]
-    assert any(":5: duplicate word 'a'" in m for m in messages)
 
 
 def test_generate_synthetic_reproducible():
