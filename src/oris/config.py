@@ -14,6 +14,7 @@ no component reads, carry a literal default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .checks import CheckError, collect
@@ -43,6 +44,15 @@ def _parse_int_list(raw):
     return tuple(int(part) for part in _parse_str_list(raw))
 
 
+def _parse_float(raw):
+    """float(raw), refusing NaN and infinities: no key is meant to take them,
+    and NaN fails every comparison, so it would slip past range checks."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _or_auto(parse):
     def parse_or_auto(raw):
         return None if raw.lower() == "auto" else parse(raw)
@@ -68,40 +78,40 @@ _SCHEMA = {
     "data.classes": (_parse_str_list, None, ("c0", "c1", "c2", "c3", "c4")),
     "seeds": (_parse_int_list, HarnessConfig, "seeds"),
     "oracle.kind": (_parse_choice(DECAY_KINDS), DecayModel, "kind"),
-    "oracle.alpha": (float, DecayModel, "alpha"),
-    "oracle.beta": (float, DecayModel, "beta"),
+    "oracle.alpha": (_parse_float, DecayModel, "alpha"),
+    "oracle.beta": (_parse_float, DecayModel, "beta"),
     "encoder.k": (int, HarnessConfig, "k"),
-    "encoder.dt_scale": (float, HarnessConfig, "dt_scale"),
-    "reward.rho": (float, RewardConfig, "rho"),
-    "reward.delta": (float, RewardConfig, "delta"),
-    "reward.lambda": (float, RewardConfig, "lam"),
+    "encoder.dt_scale": (_parse_float, HarnessConfig, "dt_scale"),
+    "reward.rho": (_parse_float, RewardConfig, "rho"),
+    "reward.delta": (_parse_float, RewardConfig, "delta"),
+    "reward.lambda": (_parse_float, RewardConfig, "lam"),
     "reward.m": (int, RewardConfig, "m"),
-    "agent.gamma": (float, AgentConfig, "gamma"),
-    "agent.tau": (float, AgentConfig, "tau"),
+    "agent.gamma": (_parse_float, AgentConfig, "gamma"),
+    "agent.tau": (_parse_float, AgentConfig, "tau"),
     "agent.minibatch": (int, AgentConfig, "minibatch"),
     "agent.budget": (int, AgentConfig, "budget"),
     "agent.episodes": (int, AgentConfig, "episodes"),
     "agent.replay_capacity": (int, AgentConfig, "replay_capacity"),
     "agent.warmup": (_or_auto(int), AgentConfig, "warmup"),
-    "agent.lr": (float, AgentConfig, "lr"),
-    "agent.eps_start": (float, AgentConfig, "eps_start"),
-    "agent.eps_end": (float, AgentConfig, "eps_end"),
-    "agent.eps_decay": (float, AgentConfig, "eps_decay"),
+    "agent.lr": (_parse_float, AgentConfig, "lr"),
+    "agent.eps_start": (_parse_float, AgentConfig, "eps_start"),
+    "agent.eps_end": (_parse_float, AgentConfig, "eps_end"),
+    "agent.eps_decay": (_parse_float, AgentConfig, "eps_decay"),
     "agent.hidden": (_parse_int_list, AgentConfig, "hidden"),
     "harness.agent": (_parse_choice(AGENT_KINDS), HarnessConfig, "agent"),
     "harness.budget": (int, HarnessConfig, "budget"),
     "harness.update_freq": (int, HarnessConfig, "update_freq"),
-    "harness.pick_prob": (_or_auto(float), HarnessConfig, "pick_prob"),
-    "harness.theta0": (float, HarnessConfig, "theta0"),
+    "harness.pick_prob": (_or_auto(_parse_float), HarnessConfig, "pick_prob"),
+    "harness.theta0": (_parse_float, HarnessConfig, "theta0"),
     "harness.diversity_cap": (int, HarnessConfig, "diversity_cap"),
     "learner.epochs": (int, HarnessConfig, "learner_epochs"),
     "learner.batch": (int, HarnessConfig, "learner_batch"),
-    "learner.lr": (float, HarnessConfig, "learner_lr"),
+    "learner.lr": (_parse_float, HarnessConfig, "learner_lr"),
     "synth.train_per_class": (_parse_int_list, None, ()),
     "synth.test_per_class": (_parse_int_list, None, ()),
     "synth.rl_per_class": (_parse_int_list, None, ()),
     "synth.dim": (int, None, 8),
-    "synth.sep": (float, None, 5.0),
+    "synth.sep": (_parse_float, None, 5.0),
     "synth.seed": (int, None, 7),
 }
 

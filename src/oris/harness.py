@@ -73,7 +73,7 @@ class HarnessConfig:
              f"got cap={self.diversity_cap}, B={self.budget}"),
             (self.learner_epochs < 1, f"learner.epochs must be >= 1, got {self.learner_epochs}"),
             (self.learner_batch < 1, f"learner.batch must be >= 1, got {self.learner_batch}"),
-            (self.learner_lr <= 0, f"learner.lr must be > 0, got {self.learner_lr}"),
+            (not self.learner_lr > 0, f"learner.lr must be > 0, got {self.learner_lr}"),
         )
 
 

@@ -73,13 +73,23 @@ def _grads(probs_T, onehot_T, X, out):
     """Gradients of the mean cross-entropy w.r.t. [W | b], written to out
     (..., C, E + 1), from class-major probabilities (C, n) or (C, n, s) of
     the rows of X (n, E) or (s, n, E) and their one-hot labels of the same
-    shape; probs_T is overwritten. The matmul and the row sum run on a
-    row-major copy, as the reference forms them."""
+    shape; probs_T is overwritten. The matmul runs on a row-major copy, as
+    the reference forms it. The row sum adds the n rows in sequence, as the
+    reference does: over the class-major array, with s-long inner loops,
+    when s spans outnumber the C classes, and over the row-major copy, with
+    C-long ones, otherwise. A single span (or a (C, n) array) must take the
+    row-major sum, since numpy adds the rows of a contiguous axis pairwise;
+    s > C >= 1 excludes it."""
     probs_T -= onehot_T
     probs_T /= X.shape[-2]
     g = np.ascontiguousarray(probs_T.T)
     np.matmul(g.swapaxes(-1, -2), X, out=out[..., :-1])
-    np.add.reduce(g, axis=-2, out=out[..., -1])  # rows in sequence
+    if X.ndim == 3 and len(X) > len(probs_T):
+        # through a contiguous (C, s) temporary: a sum written to the
+        # strided out[..., -1].T view ran slower
+        out[..., -1] = np.add.reduce(probs_T, axis=-2).T
+    else:
+        np.add.reduce(g, axis=-2, out=out[..., -1])
     return out
 
 
@@ -119,8 +129,9 @@ def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
     step on its rows of the (S, C, E + 1) [W | b] array. A step gathers its
     rows with `take`, runs the per-span forward matmul, then bias, softmax,
     one-hot subtraction and / n on one class-major (C, n, s) copy, and the
-    per-span gradient matmul and row sum on its row-major copy; the loss is
-    never formed. Each span's generator draws its row order for up to
+    per-span gradient matmul on its row-major copy; the bias row sum runs in
+    the layout _grads picks by s against C, and the loss is never formed.
+    Each span's generator draws its row order for up to
     ORDER_IDS / (S * longest n) epochs in one `permuted` call, whose rows are
     those of as many `permutation` calls. Per span, the float64 arithmetic is
     op for op that of cross_entropy_and_grads applied to
@@ -137,7 +148,7 @@ def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
     for start, n in spans:
         if n < 1 or start < 0 or start + n > len(X):
             raise ValueError(f"span ({start}, {n}) is empty or not within the {len(X)} rows")
-    if epochs < 1 or batch_size < 1 or lr <= 0:
+    if epochs < 1 or batch_size < 1 or not lr > 0:
         raise ValueError("epochs and batch_size must be >= 1 and lr > 0")
     num_classes = len(labels)
     if y.min() < 0 or y.max() >= num_classes:

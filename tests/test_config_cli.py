@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import oris
+from oris.checks import CheckError
 from oris.cli import main
 from oris.config import _SCHEMA, ConfigError, parse_config
 from oris.corpus import LabelSpace, load_dataset, load_word_vectors
@@ -203,6 +204,39 @@ def test_config_rejects_bad_learner_settings(tmp_path):
     cfg = parse_config(_write(tmp_path, "learner.epochs = 1\nlearner.batch = 1\n"
                                         "learner.lr = 1e-6\n"))
     assert cfg.harness_config().learner_epochs == 1
+
+
+FLOAT_KEYS = ["oracle.alpha", "oracle.beta", "encoder.dt_scale", "reward.rho", "reward.delta",
+              "reward.lambda", "agent.gamma", "agent.tau", "agent.lr", "agent.eps_start",
+              "agent.eps_end", "agent.eps_decay", "harness.pick_prob", "harness.theta0",
+              "learner.lr", "synth.sep"]
+
+
+def _parses_a_float(parse):
+    try:
+        return isinstance(parse("0.5"), float)
+    except ValueError:
+        return False
+
+
+def test_float_keys_are_every_key_that_parses_a_float():
+    assert set(FLOAT_KEYS) == {k for k, (parse, _, _) in _SCHEMA.items() if _parses_a_float(parse)}
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_config_refuses_a_non_finite_float(tmp_path, key, raw):
+    """No float key takes NaN or an infinity: NaN fails every comparison, so
+    it would slip past the range checks and run (a NaN oracle.beta gives an
+    annotator that never slips) instead of failing here."""
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, f"{key} = {raw}\n"))
+    assert info.value.problems == [f"line 1: bad value for {key}: {raw!r} (must be finite)"]
+
+
+def test_harness_config_refuses_a_nan_learner_lr():
+    with pytest.raises(CheckError, match="learner.lr must be > 0, got nan"):
+        HarnessConfig(labels=LabelSpace(["a", "b"]), learner_lr=float("nan"))
 
 
 def test_config_rejects_bad_synth_settings(tmp_path):

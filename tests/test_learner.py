@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_force_f1_macro,
@@ -200,6 +202,64 @@ def _check_mixed_sizes(case, overlapping, batch_size, num_classes):
             assert np.array_equal(got.bias, b)
 
 
+def _check_spans_against_reference(X, y, spans, num_classes, batch_size, epochs=2):
+    labels = LabelSpace([f"c{i}" for i in range(num_classes)])
+    seeds = [11 * i + 3 for i in range(len(spans))]
+    clfs = fit_many(X, y, spans, labels, seeds, epochs=epochs, batch_size=batch_size, lr=0.1)
+    for (start, n), seed, clf in zip(spans, seeds, clfs):
+        W, b = reference_fit(_span_pairs(X, y, start, n), num_classes, seed=seed,
+                             epochs=epochs, batch_size=batch_size, lr=0.1)
+        assert np.array_equal(clf.weights, W)
+        assert np.array_equal(clf.bias, b)
+
+
+# span counts s against the class count C: a step takes its bias row sum over
+# the class-major array only when s > C
+SPAN_COUNTS = {
+    "a lone span": lambda C: 1,
+    "fewer spans than classes": lambda C: C - 1,
+    "as many spans as classes": lambda C: C,
+    "one span more than classes": lambda C: C + 1,
+    "many more spans than classes": lambda C: 3 * C + 1,
+}
+# a case holds s (C, E + 1) parameter and gradient arrays; leave out those
+# above about 80 MB (many more spans than 130 classes at E = 300)
+STEP_CASES = [(C, E, kind) for C in (2, 5, 9, 130) for E in (1, 8, 13, 50, 300)
+              for kind in SPAN_COUNTS if SPAN_COUNTS[kind](C) * C * (E + 1) <= 5_200_000]
+
+
+@pytest.mark.parametrize("num_classes,dim,kind", STEP_CASES)
+def test_fit_many_step_layouts_bit_identical_to_reference(num_classes, dim, kind):
+    """Equal spans of 21 rows at batch 10 stack all s spans in every step,
+    two of 10 rows (which numpy would sum pairwise over a contiguous axis)
+    and a last one of one row, at embedding widths from 1 to 300."""
+    s = SPAN_COUNTS[kind](num_classes)
+    rng = np.random.default_rng(1000 * num_classes + dim)
+    X = rng.standard_normal((28, dim))
+    y = rng.integers(0, num_classes, size=len(X))
+    _check_spans_against_reference(X, y, [(i % 8, 21) for i in range(s)], num_classes,
+                                   batch_size=10)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_fit_many_bit_identical_to_reference_at_drawn_shapes(data):
+    """Drawn class counts (on both sides of 8 and of 128), widths, batch
+    sizes and span sizes, so that steps stack fewer, as many and more spans
+    than classes, lone spans and batches of one row."""
+    num_classes = data.draw(st.one_of(st.integers(2, 9), st.sampled_from([127, 128, 129])),
+                            label="classes")
+    dim = data.draw(st.sampled_from([1, 2, 8, 13, 50]), label="dim")
+    batch_size = data.draw(st.integers(1, 16), label="batch")
+    sizes = data.draw(st.lists(st.integers(1, 3 * batch_size), min_size=1, max_size=32),
+                      label="sizes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    X = rng.standard_normal((max(sizes) + 3, dim))
+    y = rng.integers(0, num_classes, size=len(X))
+    spans = [(i % 4, n) for i, n in enumerate(sizes)]
+    _check_spans_against_reference(X, y, spans, num_classes, batch_size)
+
+
 def test_fit_many_never_reads_rows_outside_its_spans():
     """run_experiment's row store is np.empty and a partial run never writes
     its last rows, so rows outside every span (NaN here, with labels that
@@ -227,6 +287,9 @@ def test_fit_many_rejects_bad_spans_seeds_and_labels():
             fit_many(X, y, [(0, 10), span], LABELS5, [0, 1])
     with pytest.raises(ValueError, match="one seed per span"):
         fit_many(X, y, [(0, 10), (0, 5)], LABELS5, [0])
+    for lr in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="lr > 0"):
+            fit_many(X, y, [(0, 10)], LABELS5, [0], lr=lr)
     for label in (5, -1):
         y[4] = label
         with pytest.raises(ValueError, match="label outside"):
