@@ -1,4 +1,4 @@
-"""Data model, corpus ingestion, document embedding, stream order, and
+"""Data model, corpus ingestion, document embedding, and
 the text formats of the package's files, result CSVs included.
 
 Documents are represented by the mean of the pre-trained word vectors of
@@ -67,12 +67,6 @@ class EmbeddingTable:
 
     def __len__(self):
         return len(self.vectors)
-
-    def __contains__(self, word):
-        return word in self.vectors
-
-    def get(self, word):
-        return self.vectors.get(word)
 
 
 def tokenize(text: str) -> list[str]:
@@ -233,13 +227,6 @@ def generate_synthetic(
         for row in samples:
             docs.append(Document(id=start_id + len(docs), true_class=c, embedding=row))
     return docs
-
-
-def stream_order(num_docs: int, seed) -> np.ndarray:
-    """Seeded permutation of range(num_docs): the stream order."""
-    if num_docs < 1:
-        raise ValueError("cannot shuffle an empty document list")
-    return np.random.default_rng(seed).permutation(num_docs)
 
 
 def synthetic_token(doc_id: int) -> str:

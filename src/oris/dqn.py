@@ -96,7 +96,9 @@ class AgentConfig:
             (self.budget < 1 or self.episodes < 1, "budget and episodes must be >= 1"),
             (not 0.0 <= self.eps_end <= self.eps_start <= 1.0,
              "need 0 <= eps_end <= eps_start <= 1"),
-            (self.eps_decay < 0 or self.lr <= 0, "eps_decay must be >= 0 and lr > 0"),
+            (not 0 <= self.eps_decay < math.inf,
+             f"eps_decay must be finite and >= 0, got {self.eps_decay}"),
+            (not 0 < self.lr < math.inf, f"lr must be finite and > 0, got {self.lr}"),
             (not self.hidden or any(h < 1 for h in self.hidden),
              f"hidden sizes must be positive, got {self.hidden}"),
             # a larger warm-up is never reached: no Q-update would ever run
@@ -149,7 +151,7 @@ def train_step(source: DenseNet, target: DenseNet, batch, cfg: AgentConfig,
     loss, dpred = smooth_l1(taken, targets)
     grad_out = np.zeros_like(q)
     grad_out[np.arange(n), actions] = dpred / n
-    source.backward(states, grad_out)
+    source.backward(grad_out)
     optimizer_step(source, opt)
     return float(loss.mean())
 

@@ -12,6 +12,7 @@ store that are bit-identical to separate fits (see run_experiment).
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from .checks import check
-from .corpus import LabelSpace, stream_order, write_csv
+from .corpus import LabelSpace, write_csv
 from .dqn import decide
 from .encoder import LastSeenTracker, encode_state
 from .learner import f1_macro, fit_many, predict, predict_proba
@@ -66,14 +67,16 @@ class HarnessConfig:
             (self.pick_prob is not None and not 0.0 <= self.pick_prob <= 1.0,
              f"pick_prob must be in [0, 1], got {self.pick_prob}"),
             (self.k < 1, f"history depth k must be >= 1, got {self.k}"),
-            (self.dt_scale <= 0, f"dt_scale must be > 0, got {self.dt_scale}"),
+            (not 0 < self.dt_scale < math.inf,
+             f"dt_scale must be finite and > 0, got {self.dt_scale}"),
             (not 0.0 < self.theta0 <= 1.0, f"theta0 must be in (0, 1], got {self.theta0}"),
             # the thinned pool could not hold `budget` clusters
             (self.diversity_cap < self.budget, "diversity_cap must be >= budget; "
              f"got cap={self.diversity_cap}, B={self.budget}"),
             (self.learner_epochs < 1, f"learner.epochs must be >= 1, got {self.learner_epochs}"),
             (self.learner_batch < 1, f"learner.batch must be >= 1, got {self.learner_batch}"),
-            (not self.learner_lr > 0, f"learner.lr must be > 0, got {self.learner_lr}"),
+            (not 0 < self.learner_lr < math.inf,
+             f"learner.lr must be finite and > 0, got {self.learner_lr}"),
         )
 
 
@@ -113,12 +116,15 @@ def diversity_select(docs, budget: int, cap: int = 5000) -> list[int]:
     embeddings into `budget` clusters, keeping the document nearest each
     cluster mean (ties broken toward the lowest id). Deterministic.
 
-    Corpora larger than `cap` are thinned to evenly spaced positions first.
+    Corpora larger than `cap` are thinned to evenly spaced positions first,
+    so `cap` must be at least `budget`.
     """
     if len(docs) < budget:
         raise ValueError(f"need at least {budget} documents, got {len(docs)}")
+    if cap < budget:  # the thinned pool could not hold `budget` clusters
+        raise ValueError(f"cap must be >= budget; got cap={cap}, B={budget}")
     pool = docs
-    if cap and len(docs) > cap:
+    if len(docs) > cap:
         keep = np.unique(np.linspace(0, len(docs) - 1, cap).round().astype(int))
         pool = [docs[i] for i in keep]
     X = np.stack([d.embedding for d in pool])
@@ -178,7 +184,7 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
     tracker = LastSeenTracker(len(cfg.labels), cfg.k)
     oracle_state = OracleState(cfg.oracle, cfg.labels, tracker, seed=oracle_ss)
     fit_rng = np.random.default_rng(fit_ss)
-    order = stream_order(len(train_docs), seed)
+    order = np.random.default_rng(seed).permutation(len(train_docs))
     stream = [train_docs[i] for i in order]
     if cfg.agent == "random":
         pick_prob = cfg.pick_prob

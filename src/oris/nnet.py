@@ -51,7 +51,7 @@ class DenseNet:
         self.grad = np.zeros(size)
         self.weights, self.biases = _layer_views(self.params, pairs)
         self._grads = list(zip(*_layer_views(self.grad, pairs)))
-        self._workspace = self._cache = None
+        self._workspace = None
 
     @classmethod
     def from_parameters(cls, weights, biases):
@@ -64,14 +64,10 @@ class DenseNet:
     def copy(self) -> "DenseNet":
         return DenseNet.from_parameters(self.weights, self.biases)
 
-    @property
-    def num_layers(self):
-        return len(self.weights)
-
     def forward(self, x):
         """Run the net on a (rows, in) matrix and return the (rows, out) result.
 
-        Activations are cached for a backward() on the same input, in one
+        Activations are cached for the backward() that follows, in one
         workspace that is reallocated when the row count changes. The result
         is a new array that later calls do not overwrite. A row of a
         many-row result can differ in bits from forward() of that row alone;
@@ -87,9 +83,7 @@ class DenseNet:
         a = ws.acts[0] = x
         for z, h, W, b in zip(ws.pre, ws.acts[1:], self.weights, self.biases):  # hidden layers
             a = np.maximum(np.add(np.matmul(a, W.T, out=z), b, out=z), 0.0, out=h)
-        out = a @ self.weights[-1].T + self.biases[-1]
-        self._cache = (x, ws)
-        return out
+        return a @ self.weights[-1].T + self.biases[-1]
 
     def forward_each(self, X):
         """The (rows, out) outputs of a float64 (rows, in) matrix, each row
@@ -107,22 +101,21 @@ class DenseNet:
         z = np.matmul(a, self.weights[-1].T)
         return np.add(z, self.biases[-1], out=z)[:, 0]
 
-    def backward(self, x, grad_out):
-        """Gradients of sum(output * grad_out) w.r.t. every parameter, for the
-        (rows, out) grad_out of the matching forward(); the ReLU subgradient
-        at exactly 0 is taken to be 0. Writes them into `grad`, for
-        optimizer_step(), and returns one (dW, db) view of it per layer.
+    def backward(self, grad_out):
+        """Gradients of sum(output * grad_out) w.r.t. every parameter, at the
+        input of the last forward(), for the (rows, out) grad_out of its
+        output; the ReLU subgradient at exactly 0 is taken to be 0. Writes
+        them into `grad`, for optimizer_step(), and returns one (dW, db) view
+        of it per layer.
         """
-        if self._cache is None:
+        ws = self._workspace
+        if ws is None:
             raise RuntimeError("backward called before forward")
-        cached_x, ws = self._cache
-        if cached_x is not x and not np.array_equal(cached_x, np.asarray(x, dtype=np.float64)):
-            raise RuntimeError("stale forward cache: backward input differs from cached input")
         g = np.asarray(grad_out, dtype=np.float64)
         out_shape = (ws.rows, self.layer_sizes[-1])
         if g.shape != out_shape:
             raise ValueError(f"grad_out shape {g.shape} != output shape {out_shape}")
-        for i in reversed(range(self.num_layers)):
+        for i in reversed(range(len(self.weights))):
             dW, db = self._grads[i]
             np.matmul(g.T, ws.acts[i], out=dW)
             np.add.reduce(g, axis=0, out=db)

@@ -34,7 +34,10 @@ class DecayModel:
         check(
             (self.kind not in DECAY_KINDS,
              f"unknown decay kind {self.kind!r}, expected one of {DECAY_KINDS}"),
-            (self.kind != "perfect" and self.alpha < 0, f"alpha must be >= 0, got {self.alpha}"),
+            (self.kind != "perfect" and not 0 <= self.alpha < math.inf,
+             f"alpha must be finite and >= 0, got {self.alpha}"),
+            (self.kind != "perfect" and not math.isfinite(self.beta),
+             f"beta must be finite, got {self.beta}"),
         )
 
 

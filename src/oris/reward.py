@@ -32,9 +32,9 @@ class RewardConfig:
 
     def __post_init__(self):
         check(
-            (self.rho <= 0, f"rho must be > 0, got {self.rho}"),
-            (self.delta <= 0, f"delta must be > 0, got {self.delta}"),
-            (self.lam < 0, f"lam must be >= 0, got {self.lam}"),
+            (not 0 < self.rho < math.inf, f"rho must be finite and > 0, got {self.rho}"),
+            (not 0 < self.delta < math.inf, f"delta must be finite and > 0, got {self.delta}"),
+            (not 0 <= self.lam < math.inf, f"lam must be finite and >= 0, got {self.lam}"),
             (self.m < 1, f"memory window m must be >= 1, got {self.m}"),
         )
 

@@ -7,7 +7,6 @@ from collections import deque
 
 import numpy as np
 
-from oris.corpus import stream_order
 from oris.dqn import (
     EpisodeLog,
     ReplayBuffer,
@@ -30,7 +29,7 @@ def finite_difference_net_grads(net, x, grad_out, h=1e-5):
         return float((net.forward(x) * grad_out).sum())
 
     grads = []
-    for li in range(net.num_layers):
+    for li in range(len(net.weights)):
         layer = []
         for arr in (net.weights[li], net.biases[li]):
             fd = np.zeros_like(arr)
@@ -250,8 +249,9 @@ def random_decide(rng, pick_prob: float) -> int:
 
 
 def shuffle_stream(docs, seed) -> list:
-    """The documents in stream order: `corpus.stream_order` applied to a list."""
-    return [docs[i] for i in stream_order(len(docs), seed)]
+    """The documents in stream order: the seeded permutation that
+    `harness._single_run` applies to its stream."""
+    return [docs[i] for i in np.random.default_rng(seed).permutation(len(docs))]
 
 
 def reference_uncertainty_decide(clf, emb, b, budget, theta0):

@@ -155,9 +155,9 @@ def test_config_rejects_bad_encoder_k_and_dt_scale(tmp_path):
     for agent in ("random", "uncertainty", "diversity", "oris"):
         with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
             parse_config(_write(tmp_path, f"harness.agent = {agent}\nencoder.k = 0\n"))
-        with pytest.raises(ConfigError, match="dt_scale must be > 0, got 0.0"):
+        with pytest.raises(ConfigError, match="dt_scale must be finite and > 0, got 0.0"):
             parse_config(_write(tmp_path, f"harness.agent = {agent}\nencoder.dt_scale = 0\n"))
-    with pytest.raises(ConfigError, match="dt_scale must be > 0, got -0.5"):
+    with pytest.raises(ConfigError, match="dt_scale must be finite and > 0, got -0.5"):
         parse_config(_write(tmp_path, "encoder.dt_scale = -0.5\n"))
     assert parse_config(_write(tmp_path, "encoder.k = 1\nencoder.dt_scale = 1e-3\n"))
 
@@ -168,21 +168,21 @@ def test_config_reports_every_component_problem_at_once(tmp_path):
     with pytest.raises(ConfigError) as info:
         parse_config(_write(tmp_path, body))
     assert info.value.problems == [
-        "rho must be > 0, got 0.0",
+        "rho must be finite and > 0, got 0.0",
         "memory window m must be >= 1, got 0",
         "tau must be in (0, 1], got 0.0",
         "minibatch must be >= 1, got 0",
         "history depth k must be >= 1, got 0",
-        "dt_scale must be > 0, got 0.0",
+        "dt_scale must be finite and > 0, got 0.0",
     ]
     # the decay model is checked once, inside harness_config
     with pytest.raises(ConfigError) as info:
         parse_config(_write(tmp_path, "oracle.alpha = -1\n"))
-    assert info.value.problems == ["alpha must be >= 0, got -1.0"]
+    assert info.value.problems == ["alpha must be finite and >= 0, got -1.0"]
     # an invalid class list or oracle hides no harness problem
     with pytest.raises(ConfigError) as info:
         parse_config(_write(tmp_path, "oracle.alpha = -1\nencoder.k = 0\n"))
-    assert info.value.problems == ["alpha must be >= 0, got -1.0",
+    assert info.value.problems == ["alpha must be finite and >= 0, got -1.0",
                                    "history depth k must be >= 1, got 0"]
     with pytest.raises(ConfigError) as info:
         parse_config(_write(tmp_path, "data.classes = a\nharness.budget = 0\n"))
@@ -196,8 +196,8 @@ def test_config_reports_every_component_problem_at_once(tmp_path):
 def test_config_rejects_bad_learner_settings(tmp_path):
     for body, message in (("learner.epochs = 0\n", "learner.epochs must be >= 1, got 0"),
                           ("learner.batch = -2\n", "learner.batch must be >= 1, got -2"),
-                          ("learner.lr = 0\n", "learner.lr must be > 0, got 0.0"),
-                          ("learner.lr = -0.1\n", "learner.lr must be > 0, got -0.1")):
+                          ("learner.lr = 0\n", "learner.lr must be finite and > 0, got 0.0"),
+                          ("learner.lr = -0.1\n", "learner.lr must be finite and > 0, got -0.1")):
         with pytest.raises(ConfigError) as info:
             parse_config(_write(tmp_path, body))
         assert info.value.problems == [message]
@@ -235,7 +235,7 @@ def test_config_refuses_a_non_finite_float(tmp_path, key, raw):
 
 
 def test_harness_config_refuses_a_nan_learner_lr():
-    with pytest.raises(CheckError, match="learner.lr must be > 0, got nan"):
+    with pytest.raises(CheckError, match="learner.lr must be finite and > 0, got nan"):
         HarnessConfig(labels=LabelSpace(["a", "b"]), learner_lr=float("nan"))
 
 

@@ -49,8 +49,8 @@ def test_tokenize_lowercases_and_strips_punctuation():
 def test_load_word_vectors_minimal(tiny_table):
     assert tiny_table.dimension == 2
     assert len(tiny_table) == 2
-    assert np.array_equal(tiny_table.get("a"), [1.0, 0.0])
-    assert np.array_equal(tiny_table.get("b"), [0.0, 1.0])
+    assert np.array_equal(tiny_table.vectors["a"], [1.0, 0.0])
+    assert np.array_equal(tiny_table.vectors["b"], [0.0, 1.0])
 
 
 def test_load_word_vectors_dimension_mismatch(tmp_path):
@@ -70,7 +70,7 @@ def test_load_word_vectors_skips_unparseable_rows(tmp_path, caplog):
     path.write_text("3 2\na 1 0\nbroken x y\nb 0 1\n")
     table = load_word_vectors(path)
     assert len(table) == 2
-    assert "broken" not in table
+    assert "broken" not in table.vectors
 
 
 def test_load_word_vectors_300dim_count_matches_scan(tmp_path):
@@ -95,7 +95,7 @@ def test_word_vector_round_trip(tmp_path, tiny_table):
     again = load_word_vectors(out)
     assert again.dimension == tiny_table.dimension
     for word, vec in tiny_table.vectors.items():
-        assert np.array_equal(again.get(word), vec)
+        assert np.array_equal(again.vectors[word], vec)
 
 
 # Number strings a word-vector file may hold: shortest repr and %.6f forms of
@@ -258,11 +258,6 @@ def test_shuffle_stream_deterministic_and_seed_sensitive():
     assert order1 == order2
     assert order1 != order3
     assert sorted(order1) == [d.id for d in docs]  # permutation preserves id multiset
-
-
-def test_shuffle_stream_rejects_empty():
-    with pytest.raises(ValueError):
-        shuffle_stream([], seed=0)
 
 
 def test_synthetic_corpus_round_trips_exactly(tmp_path):

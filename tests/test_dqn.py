@@ -360,6 +360,13 @@ def test_agent_config_validation():
             AgentConfig(**bad)
 
 
+@pytest.mark.parametrize("name", ["gamma", "tau", "lr", "eps_start", "eps_end", "eps_decay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_agent_config_refuses_a_non_finite_field(name, value):
+    with pytest.raises(ValueError, match=name):
+        AgentConfig(**{name: value})
+
+
 def test_agent_config_rejects_unreachable_warmup():
     # a warm-up above the replay capacity is never reached: no Q-update would run
     for warmup in (0, -3, 101):

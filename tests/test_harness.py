@@ -123,6 +123,21 @@ def test_diversity_select_respects_cap():
     assert all(0 <= i < 60 for i in capped)
 
 
+def test_diversity_select_refuses_a_cap_below_the_budget():
+    docs = _docs([30, 30])
+    assert len(diversity_select(docs, 20, cap=20)) == 20
+    with pytest.raises(ValueError, match="cap must be >= budget"):
+        diversity_select(docs, 20, cap=19)
+
+
+@pytest.mark.parametrize("name,label", [("dt_scale", "dt_scale"), ("theta0", "theta0"),
+                                        ("pick_prob", "pick_prob"), ("learner_lr", "learner.lr")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_harness_config_refuses_a_non_finite_field(name, label, value):
+    with pytest.raises(ValueError, match=label):
+        HarnessConfig(labels=LABELS2, **{name: value})
+
+
 def _base_cfg(**overrides):
     defaults = dict(labels=LABELS2, agent="random", budget=4, update_freq=2,
                     seeds=(1,), oracle=DecayModel("perfect"), pick_prob=1.0)
@@ -207,6 +222,15 @@ def test_run_experiment_rejects_overlapping_test_ids():
     test = _docs([2, 2], seed=14)  # ids collide with the stream
     with pytest.raises(ValueError, match="overlaps"):
         run_experiment(train, test, _base_cfg())
+
+
+def test_run_experiment_refuses_an_empty_stream_or_test_set():
+    train = _docs([5, 5], seed=13)
+    test = _docs([2, 2], seed=14, start_id=50)
+    with pytest.raises(ValueError, match="empty training stream"):
+        run_experiment([], test, _base_cfg())
+    with pytest.raises(ValueError, match="empty test set"):
+        run_experiment(train, [], _base_cfg())
 
 
 def test_run_experiment_oris_requires_net():

@@ -53,6 +53,14 @@ def test_invalid_model_parameters():
         error_probability(DecayModel("sigmoid"), -1)
 
 
+@pytest.mark.parametrize("kind", ["sigmoid", "exponential"])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_decay_model_refuses_a_non_finite_field(kind, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DecayModel(kind, **{name: value})
+
+
 @given(
     kind=st.sampled_from(["sigmoid", "exponential"]),
     alpha=st.floats(min_value=0.0, max_value=5.0),

@@ -90,3 +90,10 @@ def test_config_validation():
     for bad in (dict(rho=0.0), dict(delta=0.0), dict(lam=-0.1), dict(m=0)):
         with pytest.raises(ValueError):
             RewardConfig(**bad)
+
+
+@pytest.mark.parametrize("name", ["rho", "delta", "lam"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_reward_config_refuses_a_non_finite_field(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RewardConfig(**{name: value})
