@@ -92,7 +92,6 @@ _SCHEMA = {
     "agent.budget": (int, AgentConfig, "budget"),
     "agent.episodes": (int, AgentConfig, "episodes"),
     "agent.replay_capacity": (int, AgentConfig, "replay_capacity"),
-    "agent.warmup": (_or_auto(int), AgentConfig, "warmup"),
     "agent.lr": (_parse_float, AgentConfig, "lr"),
     "agent.eps_start": (_parse_float, AgentConfig, "eps_start"),
     "agent.eps_end": (_parse_float, AgentConfig, "eps_end"),

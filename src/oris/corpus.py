@@ -33,9 +33,6 @@ class LabelSpace:
     def __len__(self):
         return len(self.classes)
 
-    def __contains__(self, name):
-        return name in self._index
-
     def __eq__(self, other):
         return isinstance(other, LabelSpace) and self.classes == other.classes
 

@@ -5,8 +5,8 @@ One generator, _episode, streams a shuffled copy of the corpus for both
 training and evaluation: a pick queries an error-free annotator (so the
 learned policy is not tied to one decay behavior), updates the pick window
 and recency tracker, and earns the inclusivity reward. Training stores every
-step's transition and, once the buffer has warmed up, performs one Q-update
-followed by a soft target blend; evaluation only sums the rewards.
+step's transition and, once the buffer holds a minibatch, performs one
+Q-update followed by a soft target blend; evaluation only sums the rewards.
 """
 
 from __future__ import annotations
@@ -50,7 +50,12 @@ class ReplayBuffer:
         return self._size
 
     def push(self, state, action: int, reward: float, next_state) -> None:
-        """Store one row, overwriting the oldest once the ring is full."""
+        """Store one row, overwriting the oldest once the ring is full. A
+        state or next_state not of shape (state_dim,) raises ValueError."""
+        want = self._states.shape[1:]
+        if np.shape(state) != want or np.shape(next_state) != want:
+            raise ValueError(f"state and next_state must have shape {want}, got "
+                             f"{np.shape(state)} and {np.shape(next_state)}")
         i = self._write
         self._states[i] = state
         self._actions[i] = action
@@ -60,14 +65,13 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int):
-        """(states, actions, rewards, next_states) of min(batch_size, len)
-        rows drawn uniformly with replacement."""
+        """(states, actions, rewards, next_states) of batch_size rows drawn
+        uniformly with replacement, however few rows the ring holds."""
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
-        n = min(batch_size, self._size)
-        idx = self.rng.integers(0, self._size, size=n)
+        idx = self.rng.integers(0, self._size, size=batch_size)
         return self._states[idx], self._actions[idx], self._rewards[idx], self._next_states[idx]
 
 
@@ -79,7 +83,6 @@ class AgentConfig:
     budget: int = 500
     episodes: int = 10000
     replay_capacity: int = 50000
-    warmup: int | None = None  # None -> minibatch size
     lr: float = 1e-4
     eps_start: float = 0.9
     eps_end: float = 0.05
@@ -101,13 +104,7 @@ class AgentConfig:
             (not 0 < self.lr < math.inf, f"lr must be finite and > 0, got {self.lr}"),
             (not self.hidden or any(h < 1 for h in self.hidden),
              f"hidden sizes must be positive, got {self.hidden}"),
-            # a larger warm-up is never reached: no Q-update would ever run
-            (self.warmup is not None and not 1 <= self.warmup <= self.replay_capacity,
-             f"warmup must be in 1..replay_capacity ({self.replay_capacity}), got {self.warmup}"),
         )
-
-    def resolved_warmup(self) -> int:
-        return self.minibatch if self.warmup is None else self.warmup
 
     def epsilon(self, step: int) -> float:
         """Exploration rate after step decisions: end + (start - end) * exp(-decay * step)."""
@@ -220,7 +217,7 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
     Each episode streams a fresh shuffle of the corpus through _episode until
     the pick budget is exhausted (or the stream ends, in which case the
     episode is logged as truncated). Every step stores a transition, makes
-    one Q-update once the buffer holds the warm-up, and blends the target.
+    one Q-update once the buffer holds a minibatch, and blends the target.
     Epsilon decays with the count of decisions across episodes.
     """
     if not docs:
@@ -233,7 +230,6 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
     buf = ReplayBuffer(cfg.replay_capacity, state_dim, seed=buffer_ss)
     action_rng = np.random.default_rng(action_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
-    warmup = cfg.resolved_warmup()
     logs: list[EpisodeLog] = []
     decisions = 0
 
@@ -255,7 +251,7 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
                 incl_sum += incl
             total_reward += r
             buf.push(state, action, r, next_state)
-            if len(buf) >= warmup:
+            if len(buf) >= cfg.minibatch:
                 losses.append(train_step(net, target, buf.sample(cfg.minibatch), cfg, opt))
             soft_update(net, target, cfg.tau)
         logs.append(EpisodeLog(

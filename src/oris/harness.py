@@ -111,7 +111,7 @@ def uncertainty_decide(clf, emb, b: int, budget: int, theta0: float) -> int:
     return PICK if entropy >= theta0 * (1.0 - b / budget) else DISCARD
 
 
-def diversity_select(docs, budget: int, cap: int = 5000) -> list[int]:
+def diversity_select(docs, budget: int, cap: int) -> list[int]:
     """Offline selection: average-linkage agglomerative clustering of the
     embeddings into `budget` clusters, keeping the document nearest each
     cluster mean (ties broken toward the lowest id). Deterministic.

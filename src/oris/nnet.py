@@ -67,7 +67,7 @@ class DenseNet:
     def forward(self, x):
         """Run the net on a (rows, in) matrix and return the (rows, out) result.
 
-        Activations are cached for the backward() that follows, in one
+        Each hidden layer's activation is cached for backward(), in one
         workspace that is reallocated when the row count changes. The result
         is a new array that later calls do not overwrite. A row of a
         many-row result can differ in bits from forward() of that row alone;
@@ -81,8 +81,8 @@ class DenseNet:
         if ws is None or ws.rows != len(x):
             ws = self._workspace = _Workspace(self.layer_sizes, len(x))
         a = ws.acts[0] = x
-        for z, h, W, b in zip(ws.pre, ws.acts[1:], self.weights, self.biases):  # hidden layers
-            a = np.maximum(np.add(np.matmul(a, W.T, out=z), b, out=z), 0.0, out=h)
+        for h, W, b in zip(ws.acts[1:], self.weights, self.biases):  # hidden layers, in place
+            a = np.maximum(np.add(np.matmul(a, W.T, out=h), b, out=h), 0.0, out=h)
         return a @ self.weights[-1].T + self.biases[-1]
 
     def forward_each(self, X):
@@ -104,9 +104,9 @@ class DenseNet:
     def backward(self, grad_out):
         """Gradients of sum(output * grad_out) w.r.t. every parameter, at the
         input of the last forward(), for the (rows, out) grad_out of its
-        output; the ReLU subgradient at exactly 0 is taken to be 0. Writes
-        them into `grad`, for optimizer_step(), and returns one (dW, db) view
-        of it per layer.
+        output; each ReLU mask is activation > 0, the same as z > 0, so the
+        subgradient at exactly 0 is 0. Writes them into `grad`, for
+        optimizer_step(), and returns one (dW, db) view of it per layer.
         """
         ws = self._workspace
         if ws is None:
@@ -120,10 +120,9 @@ class DenseNet:
             np.matmul(g.T, ws.acts[i], out=dW)
             np.add.reduce(g, axis=0, out=db)
             if i > 0:
-                delta, mask = ws.deltas[i - 1], ws.masks[i - 1]
+                delta = ws.deltas[i - 1]
                 np.matmul(g, self.weights[i], out=delta)
-                np.greater(ws.pre[i - 1], 0.0, out=mask)
-                g = np.multiply(delta, mask, out=delta)
+                g = np.multiply(delta, ws.acts[i] > 0.0, out=delta)
         return self._grads
 
 
@@ -143,20 +142,18 @@ def _layer_views(flat, pairs):
 class _Workspace:
     """Hidden-layer buffers of one forward/backward pass over `rows` inputs.
 
-    acts[i] is the input of layer i (acts[0] is the caller's input); pre[i]
-    is hidden layer i's pre-activation, deltas[i] the gradient reaching its
-    output and masks[i] its ReLU mask. A net that never runs backward never
-    touches the pages of the last two. The output layer writes a new array
-    per call, which forward() returns.
+    acts[i] is the input of layer i (acts[0] is the caller's input), so
+    acts[i + 1] is hidden layer i's activation; deltas[i] is the gradient
+    reaching that layer's output. A net that never runs backward never
+    touches the pages of the deltas. The output layer writes a new array per
+    call, which forward() returns.
     """
 
     def __init__(self, layer_sizes, rows):
         hidden = layer_sizes[1:-1]
         self.rows = rows
-        self.pre = [np.empty((rows, s)) for s in hidden]
         self.acts = [None] + [np.empty((rows, s)) for s in hidden]
         self.deltas = [np.empty((rows, s)) for s in hidden]
-        self.masks = [np.empty((rows, s), dtype=bool) for s in hidden]
 
 
 def smooth_l1(pred, target):

@@ -350,7 +350,6 @@ def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_
 
     action_rng = np.random.default_rng(action_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
-    warmup = cfg.resolved_warmup()
     n = len(docs)
     logs = []
     for episode in range(1, cfg.episodes + 1):
@@ -379,7 +378,7 @@ def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_
             else:
                 next_state = state
             buf.push(state, action, r, next_state)
-            if len(buf) >= warmup:
+            if len(buf) >= cfg.minibatch:
                 losses.append(train_step(net, target, buf.sample(cfg.minibatch), cfg, opt))
             soft_update(net, target, cfg.tau)
             state = next_state

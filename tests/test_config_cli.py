@@ -66,7 +66,6 @@ COMPONENT_KEYS = {
     "agent.budget": ("agent", "budget", 40),
     "agent.episodes": ("agent", "episodes", 3),
     "agent.replay_capacity": ("agent", "replay_capacity", 200),
-    "agent.warmup": ("agent", "warmup", 32),
     "agent.lr": ("agent", "lr", 0.003),
     "agent.eps_start": ("agent", "eps_start", 0.8),
     "agent.eps_end": ("agent", "eps_end", 0.1),
@@ -245,17 +244,6 @@ def test_config_rejects_bad_synth_settings(tmp_path):
     assert info.value.problems == ["synth.sep must be >= 0, got -1.0",
                                    "synth.dim must be >= 1, got 0"]
     assert parse_config(_write(tmp_path, "synth.dim = 1\nsynth.sep = 0\n"))
-
-
-def test_config_rejects_unreachable_warmup(tmp_path):
-    # replay_capacity defaults to 50000
-    for body in ("agent.warmup = 0\n", "agent.warmup = -3\n", "agent.warmup = 50001\n",
-                 "agent.replay_capacity = 600\nagent.warmup = 601\n"):
-        with pytest.raises(ConfigError, match="warmup must be in 1..replay_capacity"):
-            parse_config(_write(tmp_path, body))
-    assert parse_config(_write(tmp_path, "agent.warmup = 50000\n")).agent_config().warmup == 50000
-    cfg = parse_config(_write(tmp_path, "agent.warmup = auto\n"))
-    assert cfg.agent_config().resolved_warmup() == 512
 
 
 def test_config_rejects_f_greater_than_budget(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_sample_single_item_buffer():
     only = _transition(rng)
     buf.push(*only)
     states, actions, rewards, next_states = buf.sample(8)
-    assert len(actions) == 1  # min(batch, size)
+    assert len(actions) == 8  # with replacement, however few rows the ring holds
     assert all(_row(*row) == _row(*only) for row in zip(states, actions, rewards, next_states))
 
 
@@ -163,8 +164,13 @@ def test_sample_uniform_with_replacement():
 
 def test_replay_rejects_wrong_state_width():
     buf = ReplayBuffer(capacity=3, state_dim=4, seed=0)
-    with pytest.raises(ValueError):
-        buf.push(np.zeros(5), 0, 0.0, np.zeros(5))
+    for state, next_state in ((np.zeros(5), np.zeros(5)), (np.zeros(1), np.zeros(4)),
+                              (np.zeros(4), np.zeros(1)), (np.zeros((1, 4)), np.zeros(4)),
+                              (np.zeros(4), np.zeros((1, 4)))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"must have shape (4,), got {state.shape} and {next_state.shape}")):
+            buf.push(state, 0, 0.0, next_state)
+    assert len(buf) == 0
     for bad in (dict(capacity=0, state_dim=4), dict(capacity=3, state_dim=0)):
         with pytest.raises(ValueError):
             ReplayBuffer(**bad)
@@ -367,16 +373,6 @@ def test_agent_config_refuses_a_non_finite_field(name, value):
         AgentConfig(**{name: value})
 
 
-def test_agent_config_rejects_unreachable_warmup():
-    # a warm-up above the replay capacity is never reached: no Q-update would run
-    for warmup in (0, -3, 101):
-        with pytest.raises(ValueError, match="warmup must be in 1..replay_capacity"):
-            AgentConfig(minibatch=4, replay_capacity=100, warmup=warmup)
-    assert AgentConfig(minibatch=4, replay_capacity=100, warmup=1).resolved_warmup() == 1
-    assert AgentConfig(minibatch=4, replay_capacity=100, warmup=100).resolved_warmup() == 100
-    assert AgentConfig(minibatch=4, replay_capacity=100).resolved_warmup() == 4
-
-
 def test_evaluate_policy_rejects_empty_corpus():
     with pytest.raises(ValueError, match="nonempty"):
         evaluate_policy([], LABELS2, AgentConfig(minibatch=4, replay_capacity=100))
@@ -391,10 +387,10 @@ LABELS3 = LabelSpace(["a", "b", "c"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_train_and_evaluate_match_reference_loops(k, m, dt_scale, budget):
     # 30 documents: budget 5 is reached every episode, budget 40 truncates every
-    # one; the warm-up of 20 transitions is reached after episode 1 at budget 5
+    # one; the minibatch of 20 transitions is reached after episode 1 at budget 5
     # and inside it at budget 40
     docs = generate_synthetic(LABELS3, [10, 12, 8], 3, 2.0, seed=k + m)
-    cfg = AgentConfig(budget=budget, episodes=4, minibatch=4, replay_capacity=200, warmup=20,
+    cfg = AgentConfig(budget=budget, episodes=4, minibatch=20, replay_capacity=200,
                       lr=1e-2, eps_decay=0.05, hidden=(8,))
     reward_cfg = RewardConfig(m=m)
     net, logs = train_agent(docs, LABELS3, cfg, reward_cfg, k=k, dt_scale=dt_scale, seed=11)

@@ -91,29 +91,29 @@ def test_uncertainty_decide_threshold_schedule():
 def test_diversity_select_hand_case():
     pts = [(0.0, 0.0), (0.0, 1.0), (10.0, 10.0), (10.0, 11.0)]
     docs = [Document(i, 0, np.array(p)) for i, p in enumerate(pts)]
-    selected = diversity_select(docs, 2)
+    selected = diversity_select(docs, 2, cap=5000)
     # one pick per pair; ties to the cluster mean break toward the lower id
     assert selected == [0, 2]
 
 
 def test_diversity_select_budget_equals_corpus():
     docs = _docs([3, 3])
-    assert diversity_select(docs, 6) == [0, 1, 2, 3, 4, 5]
+    assert diversity_select(docs, 6, cap=5000) == [0, 1, 2, 3, 4, 5]
 
 
 def test_diversity_select_duplicated_points_cluster_together():
     docs = [Document(0, 0, np.array([0.0, 0.0])),
             Document(1, 0, np.array([0.0, 0.0])),
             Document(2, 0, np.array([5.0, 5.0]))]
-    selected = diversity_select(docs, 2)
+    selected = diversity_select(docs, 2, cap=5000)
     assert selected == [0, 2]
 
 
 def test_diversity_select_deterministic_and_validates():
     docs = _docs([10, 10])
-    assert diversity_select(docs, 8) == diversity_select(docs, 8)
+    assert diversity_select(docs, 8, cap=20) == diversity_select(docs, 8, cap=20)
     with pytest.raises(ValueError):
-        diversity_select(docs, 21)
+        diversity_select(docs, 21, cap=5000)
 
 
 def test_diversity_select_respects_cap():

@@ -303,6 +303,56 @@ def test_forward_backward_adam_bit_identical_to_reference(sizes, batch, seed):
         assert np.array_equal(opt.v, flatten_pairs(ref_opt.v))
 
 
+def _relu_boundary_net():
+    """A [5, 3, 4, 2] net in small integers, so that every product and sum is
+    exact: its hidden pre-activations include +0.0 (as 2 - 2, or -3 + 3) and
+    negatives in both hidden layers. The last input row's products underflow:
+    a one-row pass over it gives a -0.0 pre-activation where the matmul
+    kernel keeps the sign of an underflowing product, +0.0 elsewhere."""
+    W0 = [[1, -1, 0, 0, 0], [1, 1, 0, 0, 0], [-1, -1, -1e-200, -1e-200, -1e-200]]
+    b0 = [0.0, -1.0, -0.0]
+    W1 = [[1, -1, 5], [1, 0, 0], [0, 1, 0], [0, 1, 0]]
+    b1 = [3.0, -1.0, -3.0, 1.0]
+    W2 = [[1, -2, 1, 1], [-1, 1, 2, -1]]
+    net = DenseNet.from_parameters([np.array(w, dtype=float) for w in (W0, W1, W2)],
+                                   [np.array(b) for b in (b0, b1, [0.5, -0.5])])
+    x = np.array([[2, 2, 0, 0, 0], [1, 1, 0, 0, 0], [3, -1, 0, 0, 0], [-2, 2, 0, 0, 0],
+                  [0, 0, 1e-200, 1e-200, 1e-200]])
+    return net, x
+
+
+def test_relu_mask_at_signed_zero_pre_activations_matches_reference():
+    """backward reads the ReLU mask off the activation; at a pre-activation of
+    exactly +0.0 or -0.0 the mask is 0, as the reference's pre > 0 is."""
+    net, x = _relu_boundary_net()
+    ref = ReferenceNet(net)
+    opt, ref_opt = AdamState(net, lr=1e-2), ReferenceAdam(net, lr=1e-2)
+    grad_out = np.array([[1.0, -2.0], [0.5, 1.5], [-1.0, 1.0], [2.0, 0.25], [1.0, 1.0]])
+    for rows in (slice(0, 5), slice(4, 5), slice(0, 1)):
+        out = net.forward(x[rows])
+        assert np.array_equal(out, ref.forward(x[rows]))
+        net.backward(grad_out[rows])
+        ref_grads = ref.backward(grad_out[rows])
+        assert np.array_equal(net.grad, flatten_pairs(ref_grads))
+        optimizer_step(net, opt)
+        reference_optimizer_step(ref, ref_grads, ref_opt)
+        assert np.array_equal(net.params, flatten_pairs(zip(ref.weights, ref.biases)))
+    net, x = _relu_boundary_net()
+    ref = ReferenceNet(net)
+    ref.forward(x)
+    for z in ref._cache[1][:-1]:  # the hidden pre-activations
+        assert ((z == 0.0) & ~np.signbit(z)).any()
+        assert (z < 0.0).any()
+        assert (z > 0.0).any()
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan])
+def test_relu_output_is_positive_exactly_where_its_input_is(z):
+    # the identity behind reading the mask off the activation
+    z = np.array([z])
+    assert np.array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
+
+
 def test_forward_output_survives_later_forward():
     net = DenseNet([3, 8, 2], seed=0)
     rng = np.random.default_rng(0)
