@@ -326,6 +326,11 @@ def test_relu_mask_at_signed_zero_pre_activations_matches_reference():
     exactly +0.0 or -0.0 the mask is 0, as the reference's pre > 0 is."""
     net, x = _relu_boundary_net()
     ref = ReferenceNet(net)
+    ref.forward(x)
+    for z in ref._cache[1][:-1]:  # the hidden pre-activations
+        assert ((z == 0.0) & ~np.signbit(z)).any()
+        assert (z < 0.0).any()
+        assert (z > 0.0).any()
     opt, ref_opt = AdamState(net, lr=1e-2), ReferenceAdam(net, lr=1e-2)
     grad_out = np.array([[1.0, -2.0], [0.5, 1.5], [-1.0, 1.0], [2.0, 0.25], [1.0, 1.0]])
     for rows in (slice(0, 5), slice(4, 5), slice(0, 1)):
@@ -337,13 +342,6 @@ def test_relu_mask_at_signed_zero_pre_activations_matches_reference():
         optimizer_step(net, opt)
         reference_optimizer_step(ref, ref_grads, ref_opt)
         assert np.array_equal(net.params, flatten_pairs(zip(ref.weights, ref.biases)))
-    net, x = _relu_boundary_net()
-    ref = ReferenceNet(net)
-    ref.forward(x)
-    for z in ref._cache[1][:-1]:  # the hidden pre-activations
-        assert ((z == 0.0) & ~np.signbit(z)).any()
-        assert (z < 0.0).any()
-        assert (z > 0.0).any()
 
 
 @pytest.mark.parametrize("z", [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan])
