@@ -1,5 +1,5 @@
 """The error of every settings check: all failed checks of an object at once,
-so config.parse_config can merge the `problems` of every object it builds."""
+so config.parse_config can list the problems of every component it builds."""
 
 from __future__ import annotations
 
@@ -17,13 +17,3 @@ def check(*checks) -> None:
     problems = [message for failed, message in checks if failed]
     if problems:
         raise CheckError(problems)
-
-
-def collect(problems: list, build, *args, **kwargs):
-    """build(*args, **kwargs), or None once the problems of its CheckError
-    are added to `problems`."""
-    try:
-        return build(*args, **kwargs)
-    except CheckError as exc:
-        problems.extend(exc.problems)
-        return None

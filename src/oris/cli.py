@@ -105,6 +105,9 @@ def _cmd_run_al(args) -> int:
             raise ValueError("--checkpoint is required for the oris agent")
         net = load_checkpoint(args.checkpoint)
     _require(cfg, "data.train", "data.test", "data.vectors")
+    if os.path.samefile(cfg["data.train"], cfg["data.test"]):
+        raise ValueError(f"data.test is data.train ({cfg['data.test']}): the classifier "
+                         "would be scored on its own training stream")
     table = corpus.load_word_vectors(cfg["data.vectors"])
     train_docs = corpus.load_dataset(cfg["data.train"], table, cfg.label_space())
     test_docs = corpus.load_dataset(cfg["data.test"], table, cfg.label_space(),

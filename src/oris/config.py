@@ -1,4 +1,4 @@
-"""Flat dotted-key configuration files and the fully-defaulted experiment config.
+"""Flat dotted-key configuration files, parsed into the checked components of one experiment.
 
 Format: one `section.key = value` per line; `#` starts a comment. Lists are
 comma-separated and parse to tuples. Every key is optional — an empty file
@@ -7,17 +7,18 @@ problem reported at once.
 
 One table, _SCHEMA, maps each key to its parser and to the field it sets of a
 component config (DecayModel, RewardConfig, AgentConfig or HarnessConfig).
-That field's default is the key's, so the CLI and a direct caller of the
-components run the same experiment. Only the data.* and synth.* keys, which
-no component reads, carry a literal default.
+parse_config builds each component once, from the keys the file sets: an
+unset key leaves its field to the constructor's default, so the CLI and a
+direct caller of the components run the same experiment. Only the data.* and
+synth.* keys, which no component reads, carry a literal default.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import replace
 
-from .checks import CheckError, collect
+from .checks import CheckError
 from .corpus import LabelSpace
 from .dqn import AgentConfig
 from .harness import AGENT_KINDS, HarnessConfig
@@ -68,8 +69,8 @@ def _parse_choice(options):
 
 
 # key -> (parser, component, field): the key sets that field of the component
-# class, and the field's default is the key's. A key that no component reads
-# has component None and its literal default in place of the field.
+# class, and an unset key leaves it to the constructor. A key that no
+# component reads has component None and its literal default in place of the field.
 _SCHEMA = {
     "data.train": (str, None, None),
     "data.test": (str, None, None),
@@ -114,62 +115,41 @@ _SCHEMA = {
     "synth.seed": (int, None, 7),
 }
 
-
-def _default(component, name):
-    """The default of field `name` of `component`, or `name` itself when there is no component."""
-    if component is None:
-        return name
-    spec = {f.name: f for f in fields(component)}[name]
-    return spec.default_factory() if spec.default is MISSING else spec.default
+# the oracle.beta of each decay kind at which p(0) < 1; 1 + exp(beta) rounds
+# to 1 below about -36.74, so a sigmoid p(0) is 1 there
+_SLIP_FREE_BETA = {"sigmoid": "above about -36.74", "exponential": "< 0"}
 
 
-@dataclass
 class ExperimentConfig:
-    """Validated union of every module's settings plus data paths and seeds."""
+    """The components parse_config built and checked, and the values of the
+    data.* and synth.* keys. The accessors return the checked objects
+    themselves, not copies: HarnessConfig and AgentConfig are mutable, and a
+    caller must not change them."""
 
-    values: dict = field(default_factory=dict)
+    def __init__(self, plain, built):
+        self._plain = plain  # data.* and synth.* key -> value
+        self._built = built  # component class -> the object built from the file
 
     def __getitem__(self, key):
-        return self.values[key]
+        _, owner, name = _SCHEMA[key]
+        return self._plain[key] if owner is None else getattr(self._built[owner], name)
 
     @property
     def seeds(self):
-        return list(self.values["seeds"])
-
-    @property
-    def classes(self):
-        return list(self.values["data.classes"])
+        return list(self._built[HarnessConfig].seeds)
 
     def label_space(self) -> LabelSpace:
-        return LabelSpace(self.classes)
-
-    def _build(self, component, **given):
-        """component() from the value of every key that sets one of its fields;
-        `given` fields override them."""
-        set_here = {name: self.values[key]
-                    for key, (_, owner, name) in _SCHEMA.items() if owner is component}
-        return component(**{**set_here, **given})
-
-    def decay_model(self) -> DecayModel:
-        return self._build(DecayModel)
+        return self._built[HarnessConfig].labels
 
     def reward_config(self) -> RewardConfig:
-        return self._build(RewardConfig)
+        return self._built[RewardConfig]
 
     def agent_config(self) -> AgentConfig:
-        return self._build(AgentConfig)
+        return self._built[AgentConfig]
 
     def harness_config(self, agent: str | None = None) -> HarnessConfig:
-        # built apart, so an invalid class list or oracle hides no harness check
-        problems = []
-        labels = collect(problems, self.label_space)
-        oracle = collect(problems, self.decay_model)
-        given = {} if agent is None else {"agent": agent}
-        cfg = collect(problems, self._build, HarnessConfig, labels=labels, oracle=oracle,
-                      **given)
-        if problems:
-            raise CheckError(problems)
-        return cfg
+        harness = self._built[HarnessConfig]
+        return harness if agent is None else replace(harness, agent=agent)
 
 
 def _read_pairs(path):
@@ -189,52 +169,59 @@ def _read_pairs(path):
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; every invalid key/value is listed
-    in the raised ConfigError. Missing keys take their defaults.
+    """Parse a config file and build each component once from the keys it
+    sets; every invalid key/value and every failed check is listed in the
+    raised ConfigError. An unset key keeps its default.
     """
     pairs, problems = _read_pairs(path)
-    values = {key: _default(owner, name) for key, (_, owner, name) in _SCHEMA.items()}
-    explicit = set()
+    values = {}
     for lineno, key, raw in pairs:
         if key not in _SCHEMA:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in explicit:
+        if key in values:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        parser = _SCHEMA[key][0]
         try:
-            values[key] = parser(raw)
+            values[key] = _SCHEMA[key][0](raw)
         except ValueError as exc:
             reason = str(exc) or "unparseable value"
             problems.append(f"line {lineno}: bad value for {key}: {raw!r} ({reason})")
-            continue
-        explicit.add(key)
 
-    cfg = ExperimentConfig(values=values)
-    # Constraint validation is delegated to the component configs, each of
-    # which reports all of its problems; harness_config also reports those
-    # of the label space and the decay model it builds.
-    for build in (cfg.reward_config, cfg.agent_config, cfg.harness_config):
-        collect(problems, build)
-    if values["oracle.kind"] == "exponential" and values["oracle.beta"] >= 0:
-        # alpha, dt >= 0, so alpha * dt + beta >= 0: every label would slip
-        problems.append(
-            f"oracle.beta must be < 0 for the exponential oracle, got {values['oracle.beta']}"
-        )
-    if (values["oracle.kind"] == "sigmoid"
-            and error_probability(DecayModel("sigmoid", 0.0, values["oracle.beta"]), 0) == 1.0):
-        # 1 + exp(beta) rounds to 1 below about -36.74, so p(0) = 1 and p grows with dt
-        problems.append(
-            f"oracle.beta must be above about -36.74 for the sigmoid oracle, got "
-            f"{values['oracle.beta']}: every label would slip"
-        )
-    if values["synth.sep"] < 0:
-        problems.append(f"synth.sep must be >= 0, got {values['synth.sep']}")
-    if values["synth.dim"] < 1:
-        problems.append(f"synth.dim must be >= 1, got {values['synth.dim']}")
+    def set_fields(component):
+        return {name: values[key] for key, (_, owner, name) in _SCHEMA.items()
+                if owner is component and key in values}
+
+    def build(component, *args, **given):
+        """component() from the fields the file sets and `given`, or None once
+        the problems of its CheckError are listed."""
+        try:
+            return component(*args, **given, **set_fields(component))
+        except CheckError as exc:
+            problems.extend(exc.problems)
+            return None
+
+    plain = {key: values.get(key, default)
+             for key, (_, owner, default) in _SCHEMA.items() if owner is None}
+    reward, agent = build(RewardConfig), build(AgentConfig)
+    # an invalid class list or oracle hides no harness check
+    labels = build(LabelSpace, plain["data.classes"])
+    oracle = build(DecayModel)
+    harness = build(HarnessConfig, labels=labels, oracle=oracle)
+    # p(dt) never falls as dt grows, so p(0) = 1 means every label slips;
+    # alpha * 0 = 0, so an invalid alpha hides no regime check
+    regime = DecayModel(**{**set_fields(DecayModel), "alpha": 0.0})
+    if error_probability(regime, 0) == 1.0:
+        problems.append(f"oracle.beta must be {_SLIP_FREE_BETA[regime.kind]} for the "
+                        f"{regime.kind} oracle, got {regime.beta}: every label would slip")
+    if plain["synth.sep"] < 0:
+        problems.append(f"synth.sep must be >= 0, got {plain['synth.sep']}")
+    if plain["synth.dim"] < 1:
+        problems.append(f"synth.dim must be >= 1, got {plain['synth.dim']}")
+    if plain["synth.seed"] < 0:
+        problems.append(f"synth.seed must be >= 0, got {plain['synth.seed']}")
 
     if problems:
         raise ConfigError(problems)
-    return cfg
-
+    return ExperimentConfig(plain, {RewardConfig: reward, AgentConfig: agent,
+                                    DecayModel: oracle, HarnessConfig: harness})

@@ -64,6 +64,9 @@ class HarnessConfig:
             (not 0 < self.update_freq <= self.budget, "update frequency must be in (0, budget]; "
              f"got f={self.update_freq}, B={self.budget}"),
             (not self.seeds, "need at least one seed"),
+            # a repeated seed repeats its run, which aggregate would count twice
+            (min(self.seeds, default=0) < 0 or len(set(self.seeds)) < len(self.seeds),
+             f"seeds must be distinct and >= 0, got {self.seeds}"),
             (self.pick_prob is not None and not 0.0 <= self.pick_prob <= 1.0,
              f"pick_prob must be in [0, 1], got {self.pick_prob}"),
             (self.k < 1, f"history depth k must be >= 1, got {self.k}"),

@@ -12,7 +12,7 @@ from oris.cli import main
 from oris.config import _SCHEMA, ConfigError, parse_config
 from oris.corpus import LabelSpace, load_dataset, load_word_vectors
 from oris.dqn import AgentConfig
-from oris.harness import HarnessConfig, read_record
+from oris.harness import AGENT_KINDS, HarnessConfig, read_record
 from oris.nnet import DenseNet, save_checkpoint
 from oris.oracle import DecayModel, error_probability
 from oris.reward import RewardConfig
@@ -84,7 +84,7 @@ COMPONENT_KEYS = {
 
 
 def _components(cfg):
-    return {"oracle": cfg.decay_model(), "reward": cfg.reward_config(),
+    return {"oracle": cfg.harness_config().oracle, "reward": cfg.reward_config(),
             "agent": cfg.agent_config(), "harness": cfg.harness_config()}
 
 
@@ -116,7 +116,7 @@ oracle.kind = sigmoid
 oracle.alpha = 0.3
 oracle.beta = 9
 """))
-    model = cfg.decay_model()
+    model = cfg.harness_config().oracle
     assert model.kind == "sigmoid"
     assert model.alpha == 0.3
     assert model.beta == 9.0
@@ -130,7 +130,7 @@ def test_config_rejects_exponential_oracle_without_negative_beta(tmp_path):
         parse_config(_write(tmp_path, "oracle.kind = exponential\n"))  # default beta 9
     cfg = parse_config(_write(tmp_path, "oracle.kind = exponential\noracle.alpha = 0.6\n"
                                         "oracle.beta = -19\n"))
-    assert cfg.decay_model().beta == -19.0
+    assert cfg.harness_config().oracle.beta == -19.0
     assert parse_config(_write(tmp_path, "oracle.kind = sigmoid\noracle.beta = 9\n"))
 
 
@@ -139,7 +139,7 @@ def test_config_rejects_a_sigmoid_oracle_that_always_slips(tmp_path):
                                           "sigmoid oracle, got -40.0"):
         parse_config(_write(tmp_path, "oracle.beta = -40\n"))  # sigmoid is the default kind
     cfg = parse_config(_write(tmp_path, "oracle.kind = sigmoid\noracle.beta = -36\n"))
-    assert error_probability(cfg.decay_model(), 0) < 1.0
+    assert error_probability(cfg.harness_config().oracle, 0) < 1.0
     with pytest.raises(ConfigError, match="oracle.beta must be < 0"):  # its own message kept
         parse_config(_write(tmp_path, "oracle.kind = exponential\noracle.beta = 0\n"))
 
@@ -174,7 +174,7 @@ def test_config_reports_every_component_problem_at_once(tmp_path):
         "history depth k must be >= 1, got 0",
         "dt_scale must be finite and > 0, got 0.0",
     ]
-    # the decay model is checked once, inside harness_config
+    # the decay model is built and checked once
     with pytest.raises(ConfigError) as info:
         parse_config(_write(tmp_path, "oracle.alpha = -1\n"))
     assert info.value.problems == ["alpha must be finite and >= 0, got -1.0"]
@@ -190,6 +190,54 @@ def test_config_reports_every_component_problem_at_once(tmp_path):
         "budget must be >= 1, got 0",
         "update frequency must be in (0, budget]; got f=25, B=0",
     ]
+    # every stage at once: lines, reward, agent, label space, oracle, harness,
+    # the oracle regime, synth
+    body = ("bogus = 1\nsynth.dim = 0\nharness.budget = 0\noracle.kind = exponential\n"
+            "oracle.beta = 2\noracle.alpha = -1\ndata.classes = a\nagent.tau = 0\n"
+            "reward.m = 0\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, body))
+    assert info.value.problems == [
+        "line 1: unknown key 'bogus'",
+        "memory window m must be >= 1, got 0",
+        "tau must be in (0, 1], got 0.0",
+        "need at least 2 classes, got 1",
+        "alpha must be finite and >= 0, got -1.0",
+        "budget must be >= 1, got 0",
+        "update frequency must be in (0, budget]; got f=25, B=0",
+        "oracle.beta must be < 0 for the exponential oracle, got 2.0: every label would slip",
+        "synth.dim must be >= 1, got 0",
+    ]
+    # the regime reads only the kind and beta, so an invalid alpha does not hide it
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, "oracle.alpha = -1\noracle.beta = -40\n"))
+    assert info.value.problems == [
+        "alpha must be finite and >= 0, got -1.0",
+        "oracle.beta must be above about -36.74 for the sigmoid oracle, got -40.0: "
+        "every label would slip",
+    ]
+
+
+def test_harness_config_override_refuses_an_unknown_agent(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "")
+    message = f"unknown agent 'bogus', expected one of {AGENT_KINDS}"
+    with pytest.raises(CheckError) as info:
+        parse_config(cfg_path).harness_config(agent="bogus")
+    assert info.value.problems == [message]
+    assert main(["run-al", "--config", cfg_path, "--agent", "bogus", "--out", "x.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("body, problem", [
+    ("seeds = -1, 2\n", "seeds must be distinct and >= 0, got (-1, 2)"),
+    ("seeds = 1, 1\n", "seeds must be distinct and >= 0, got (1, 1)"),
+    ("synth.seed = -3\n", "synth.seed must be >= 0, got -3"),
+])
+def test_config_refuses_a_negative_or_repeated_seed(tmp_path, body, problem):
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(tmp_path, body))
+    assert info.value.problems == [problem]
+    assert parse_config(_write(tmp_path, "seeds = 0, 2, 1\nsynth.seed = 0\n")).seeds == [0, 2, 1]
 
 
 def test_config_rejects_bad_learner_settings(tmp_path):
@@ -385,6 +433,36 @@ data.vectors = {tmp_path}/synth/vectors.vec
                  "--out", str(out_csv)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"[5, 4, {outputs}]" in err
+    assert not out_csv.exists()
+
+
+def test_run_al_refuses_a_bad_seed_before_loading_anything(tmp_path, capsys):
+    cfg_path = _write(tmp_path, SYNTH_CFG.replace("seeds = 1, 2", "seeds = -1, 2") + f"""
+data.train = {tmp_path}/synth/train.tsv
+data.test = {tmp_path}/synth/test.tsv
+data.vectors = {tmp_path}/synth/vectors.vec
+""")
+    out_csv = tmp_path / "random.csv"
+    assert main(["run-al", "--config", cfg_path, "--agent", "random",
+                 "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert "seeds must be distinct and >= 0, got (-1, 2)" in err and "Traceback" not in err
+    assert not out_csv.exists()
+
+
+def test_run_al_refuses_a_test_file_that_is_its_training_file(tmp_path, capsys):
+    cfg_path = _write(tmp_path, SYNTH_CFG + f"""
+data.train = {tmp_path}/synth/train.tsv
+data.test = {tmp_path}/synth/../synth/train.tsv
+data.vectors = {tmp_path}/synth/vectors.vec
+""")
+    assert main(["gen-synth", "--config", cfg_path, "--out-dir", str(tmp_path / "synth")]) == 0
+    capsys.readouterr()
+    out_csv = tmp_path / "random.csv"
+    assert main(["run-al", "--config", cfg_path, "--agent", "random",
+                 "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.test is data.train") and "Traceback" not in err
     assert not out_csv.exists()
 
 

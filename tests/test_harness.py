@@ -328,6 +328,7 @@ def test_aggregate_matches_hand_calculation(tmp_path):
 def test_harness_config_validation():
     for bad in (dict(update_freq=0), dict(update_freq=600), dict(agent="bogus"),
                 dict(pick_prob=1.5), dict(theta0=0.0), dict(seeds=()),
+                dict(seeds=(1, -1)), dict(seeds=(3, 1, 3)),
                 dict(diversity_cap=499), dict(agent="diversity", diversity_cap=0),
                 dict(k=0), dict(k=-2), dict(dt_scale=0.0), dict(dt_scale=-1.0),
                 # caught when the config is built, not at the first refit
@@ -397,8 +398,8 @@ def test_lockstep_sweep_equals_one_seed_sweeps(data):
         agent=data.draw(st.sampled_from(AGENT_KINDS), label="agent"),
         budget=data.draw(st.integers(update_freq, 28), label="budget"),
         update_freq=update_freq,
-        seeds=tuple(data.draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=4),
-                              label="seeds")),
+        seeds=tuple(data.draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=4,
+                                       unique=True), label="seeds")),
         oracle=data.draw(st.sampled_from([DecayModel("perfect"), *REFERENCE_ORACLES.values()]),
                          label="oracle"),
         k=data.draw(st.integers(1, 3), label="k"),
@@ -499,8 +500,8 @@ def test_error_counts_and_human_f1_match_the_replayed_picks(data):
         agent=data.draw(st.sampled_from(AGENT_KINDS), label="agent"),
         budget=data.draw(st.integers(update_freq, 28), label="budget"),
         update_freq=update_freq,
-        seeds=tuple(data.draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=3),
-                              label="seeds")),
+        seeds=tuple(data.draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=3,
+                                       unique=True), label="seeds")),
         oracle=data.draw(st.sampled_from(sorted(REFERENCE_ORACLES.values(), key=repr)),
                          label="oracle"),
         learner_epochs=2, learner_batch=4,
