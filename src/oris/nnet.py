@@ -2,17 +2,17 @@
 
 ReLU hidden layers, identity output, smooth-L1 loss, and Adam stepping from the
 flat gradient that backward() writes. forward() takes (rows, in) matrices for
-training; forward_each() runs each row of one on its own, for decisions. Text
-checkpoints round-trip bit-exactly.
+training; forward_each() runs each row of one on its own, for decisions.
+Checkpoints are .npz files of the flat parameter vector, exact to the bit.
 """
 
 from __future__ import annotations
 
-import math
+import zipfile
 
 import numpy as np
 
-CHECKPOINT_MAGIC = "densenet-v1"
+CHECKPOINT_MAGIC = "densenet-v2"
 
 ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
 ADAM_BETA2 = 0.999
@@ -53,16 +53,11 @@ class DenseNet:
         self._grads = list(zip(*_layer_views(self.grad, pairs)))
         self._workspace = None
 
-    @classmethod
-    def from_parameters(cls, weights, biases):
-        net = cls.__new__(cls)
-        net._bind([np.shape(weights[0])[1]] + [np.shape(w)[0] for w in weights])
-        for dst, src in zip(net.weights + net.biases, list(weights) + list(biases)):
-            dst[...] = src
-        return net
-
     def copy(self) -> "DenseNet":
-        return DenseNet.from_parameters(self.weights, self.biases)
+        dup = DenseNet.__new__(DenseNet)
+        dup._bind(list(self.layer_sizes))
+        dup.params[...] = self.params
+        return dup
 
     def forward(self, x):
         """Run the net on a (rows, in) matrix and return the (rows, out) result.
@@ -212,50 +207,40 @@ def optimizer_step(net: DenseNet, opt: AdamState) -> None:
 
 
 def save_checkpoint(net: DenseNet, path) -> None:
-    """Versioned text checkpoint: layer sizes, then row-major weight matrices
-    and bias vectors at 17 significant digits (bit-exact round-trip).
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write(" ".join(str(s) for s in net.layer_sizes) + "\n")
-        for W, b in zip(net.weights, net.biases):
-            for row in W:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-            fh.write(" ".join(f"{v:.17g}" for v in b) + "\n")
+    """Write net to path, as given, as an uncompressed .npz of `magic` ("densenet-v2"),
+    `layer_sizes` and `params`; numpy dates each member 1980-01-01, so its bytes are fixed."""
+    with open(path, "wb") as fh:  # np.savez would append .npz to a bare path
+        np.savez(fh, magic=np.array(CHECKPOINT_MAGIC),
+                 layer_sizes=np.array(net.layer_sizes, dtype=np.int64), params=net.params)
 
 
 def load_checkpoint(path) -> DenseNet:
-    """Read a save_checkpoint file. A layer size that is not an integer >= 1,
-    a field that does not parse, a NaN or infinite parameter, a row of the
-    wrong length or content after the last bias row raises
-    ValueError("<path>:<line>: ...")."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[0].strip() != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: unsupported checkpoint format {lines[0].strip()!r}")
-
-    def row(i, parse=float, width=None):
-        """The fields of 0-based line i; a ValueError names the file and line."""
-        try:
-            values = [parse(v) for v in (lines[i] if i < len(lines) else "").split()]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i + 1}: {exc}") from None
-        bad = [v for v in values if parse is float and not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"{path}:{i + 1}: parameters must be finite, got {bad[0]}")
-        if width is not None and len(values) != width:
-            raise ValueError(f"{path}:{i + 1}: expected {width} values, got {len(values)}")
-        return values
-
-    sizes = row(1, int)
-    if len(sizes) < 2 or min(sizes) < 1:
-        raise ValueError(f"{path}:2: need two or more layer sizes >= 1, got {sizes}")
-    weights, biases, i = [], [], 2
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        weights.append(np.array([row(i + r, width=fan_in) for r in range(fan_out)]))
-        biases.append(np.array(row(i + fan_out, width=fan_out)))
-        i += fan_out + 1
-    extra = [j for j in range(i, len(lines)) if lines[j].strip()]
-    if extra:
-        raise ValueError(f"{path}:{extra[0] + 1}: content after the last bias row")
-    return DenseNet.from_parameters(weights, biases)
+    """Read a save_checkpoint file into a new net, bit for bit. Any other file, layer sizes
+    not two or more integers >= 1, or params not the finite float64 vector they imply raise
+    ValueError("<path>: ..."); a densenet-v1 text checkpoint is named as one."""
+    with open(path, "rb") as fh:
+        if fh.read(11) == b"densenet-v1":
+            raise ValueError(f"{path}: a densenet-v1 text checkpoint; this version reads "
+                             f"{CHECKPOINT_MAGIC} only: retrain it with train-agent")
+        try:  # NpzFile seeks the zip's directory itself; a non-.npy member reads as bytes
+            with np.lib.npyio.NpzFile(fh) as npz:
+                magic, sizes, params = (np.asarray(npz[key])
+                                        for key in ("magic", "layer_sizes", "params"))
+        except (OSError, EOFError, KeyError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint: {exc}") from None
+    if magic.shape != () or magic.item() != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint: magic is {magic!r}")
+    if sizes.dtype.kind not in "iu" or sizes.ndim != 1 or sizes.size < 2 or sizes.min() < 1:
+        raise ValueError(f"{path}: need two or more integer layer sizes >= 1, got {sizes!r}")
+    sizes = sizes.tolist()  # Python ints, so the size cannot overflow; checked before _bind
+    size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if params.dtype.kind != "f" or params.dtype.itemsize != 8 or params.shape != (size,):
+        raise ValueError(f"{path}: layer sizes {sizes} need {size} float64 params, got "
+                         f"{params.dtype} of shape {params.shape}")
+    bad = params[~np.isfinite(params)]
+    if bad.size:
+        raise ValueError(f"{path}: parameters must be finite, got {bad[0]}")
+    net = DenseNet.__new__(DenseNet)
+    net._bind(sizes)
+    net.params[...] = params
+    return net

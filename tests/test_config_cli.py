@@ -4,6 +4,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oris
@@ -466,7 +467,8 @@ data.vectors = {tmp_path}/synth/vectors.vec
     assert not out_csv.exists()
 
 
-def test_run_al_rejects_a_checkpoint_with_a_zero_size_layer(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["zero-size layer", "v1 text"])
+def test_run_al_rejects_a_refused_checkpoint(tmp_path, capsys, kind):
     cfg_text = SYNTH_CFG + f"""
 data.train = {tmp_path}/synth/train.tsv
 data.test = {tmp_path}/synth/test.tsv
@@ -474,16 +476,20 @@ data.vectors = {tmp_path}/synth/vectors.vec
 """
     cfg_path = _write(tmp_path, cfg_text)
     assert main(["gen-synth", "--config", cfg_path, "--out-dir", str(tmp_path / "synth")]) == 0
-    ckpt = tmp_path / "zero.ckpt"
-    # 5 -> 0 -> 2, with every row the sizes ask for: no weight rows and an empty
-    # bias row for the 0-unit layer, then two empty weight rows and a 2-value bias row
-    ckpt.write_text("densenet-v1\n5 0 2\n\n\n\n0 0\n")
+    ckpt = tmp_path / "bad.ckpt"
+    if kind == "v1 text":
+        ckpt.write_text("densenet-v1\n5 2\n0 0 0 0 0\n0 0 0 0 0\n0 0\n")
+    else:  # 5 -> 0 -> 2, with the 2 biases that are all such a net's parameters
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, magic=np.array("densenet-v2"), layer_sizes=np.array([5, 0, 2]),
+                     params=np.zeros(2))
     capsys.readouterr()
     out_csv = tmp_path / "oris.csv"
     assert main(["run-al", "--config", cfg_path, "--agent", "oris", "--checkpoint", str(ckpt),
                  "--out", str(out_csv)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {ckpt}:2: ") and "Traceback" not in err
+    assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
+    assert ("densenet-v1 text checkpoint" in err) == (kind == "v1 text")
     assert not out_csv.exists()
 
 

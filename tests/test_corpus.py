@@ -99,16 +99,15 @@ def test_word_vector_round_trip(tmp_path, tiny_table):
 
 
 # Number strings a word-vector file may hold: shortest repr and %.6f forms of
-# doubles over a wide exponent range, subnormals, signed zeros, overflow and
-# underflow, the spellings of inf and NaN, and forms that float() rejects or
-# accepts only in Python (underscores, non-ASCII digits).
+# doubles over a wide exponent range, subnormals, signed zeros, underflow, and
+# forms that float() rejects or accepts only in Python (underscores, non-ASCII
+# digits). Spellings that parse to NaN or infinity are NON_FINITE_STRINGS.
 _DOUBLES = np.random.default_rng(16).standard_normal(150) * 10.0 ** np.arange(-75, 75)
 NUMBER_STRINGS = (
     [repr(float(v)) for v in _DOUBLES] + [f"{v:.6f}" for v in _DOUBLES]
     + ["5e-324", "-5e-324", "2.2250738585072009e-308", "1e-320", "-0.0", "0", "-0",
-       "+1.5", ".5", "1.", "1E5", "1e400", "-1e400", "1e-400", "inf", "-Infinity",
-       "NaN", "nan", "-nan", "1_000", "1_0.2_5", "1__0", "_1", "1_", "0x10", "1.5f",
-       "1,5", "one", "--1", "1e", "e5", "nan(1)", "infinit",
+       "+1.5", ".5", "1.", "1E5", "1e-400", "1_000", "1_0.2_5", "1__0", "_1", "1_",
+       "0x10", "1.5f", "1,5", "one", "--1", "1e", "e5", "nan(1)", "infinit",
        "\u0661\u0662", "\uff11\uff12"]
 )
 
@@ -142,6 +141,18 @@ def test_load_word_vectors_parses_like_float(tmp_path, caplog, dim):
                            if "unparseable" in r.getMessage())
     assert skipped_lines == [i + 2 for i, row in enumerate(rows) if f"w{i}" not in kept]
     assert skipped_lines  # the list holds strings that both parsers reject
+
+
+NON_FINITE_STRINGS = ["1e400", "-1e400", "inf", "-Infinity", "NaN", "nan", "-nan"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE_STRINGS)
+def test_load_word_vectors_refuses_a_non_finite_component(tmp_path, text):
+    path = tmp_path / "bad.vec"
+    path.write_text(f"4 2\na 1 2\nb 3 x\nc 0.5 {text}\nd {text} {text}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_word_vectors(path)
+    assert str(info.value) == f"{path}:4: components must be finite, got {float(text)}"
 
 
 def test_embed_document_mean(tiny_table):

@@ -1,10 +1,13 @@
+import io
 import os
-import re
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     ReferenceAdam,
@@ -220,51 +223,133 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_checkpoint_rejects_other_formats(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text("something-else\n1 2\n")
-    with pytest.raises(ValueError, match="unsupported"):
-        load_checkpoint(path)
+def test_checkpoint_is_the_path_as_given_with_fixed_bytes(tmp_path):
+    net = DenseNet([5, 16, 16, 2], seed=123)
+    first, second, again = (tmp_path / name for name in ("a.ckpt", "b.ckpt", "again.ckpt"))
+    save_checkpoint(net, first)
+    save_checkpoint(net, second)
+    save_checkpoint(load_checkpoint(first), again)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt", "again.ckpt", "b.ckpt"]
+    assert first.read_bytes() == second.read_bytes() == again.read_bytes()
+    with zipfile.ZipFile(first) as archive:
+        assert sorted(archive.namelist()) == ["layer_sizes.npy", "magic.npy", "params.npy"]
+        assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
 
 
-def _corrupted_checkpoint(tmp_path, edit):
-    """A saved [2, 3, 1] net's checkpoint lines (1 magic, 2 sizes, 3-5 weight
-    rows, 6 bias row, 7 weight row, 8 bias row), passed through edit."""
-    path = tmp_path / "net.ckpt"
-    save_checkpoint(DenseNet([2, 3, 1], seed=0), path)
-    path.write_text("\n".join(edit(path.read_text().split("\n"))))
-    return path
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+               np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny,
+               -np.finfo(float).tiny]
 
 
-def _set_line(lineno, text):
-    return lambda lines: lines[:lineno - 1] + [text] + lines[lineno:]
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_checkpoint_round_trips_sizes_and_params_bit_for_bit(tmp_path_factory, data):
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5), label="layer sizes")
+    net = DenseNet(sizes, seed=0)
+    draws = data.draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                         st.floats(allow_nan=False, allow_infinity=False)),
+                               min_size=net.params.size, max_size=net.params.size),
+                      label="params")
+    net.params[...] = draws
+    path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+    save_checkpoint(net, path)
+    again = load_checkpoint(path)
+    assert again.layer_sizes == sizes and all(type(s) is int for s in again.layer_sizes)
+    assert np.array_equal(again.params.view(np.uint64), net.params.view(np.uint64))
+    for a, b in zip(net.weights + net.biases, again.weights + again.biases):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("edit,lineno,message", [
-    (lambda lines: [lines[0], "2 0 1", "", "", "0"], 2, "layer sizes >= 1"),  # zero-width layer
-    (_set_line(2, "2 -3 1"), 2, "layer sizes >= 1"),
-    (_set_line(2, "2 3.5 1"), 2, "'3.5'"),
-    (_set_line(2, "2 four 1"), 2, "'four'"),
-    (_set_line(4, "0.5 x"), 4, "'x'"),
-    (_set_line(6, "0.0 nope 0.0"), 6, "'nope'"),
-    (_set_line(5, "0.5"), 5, "expected 2 values, got 1"),
-    (lambda lines: lines[:7], 8, "expected 1 values, got 0"),  # truncated: no last bias row
-    (lambda lines: lines[:8] + ["0.25", ""], 9, "content after the last bias row"),
-    (_set_line(4, "0.5 nan"), 4, "finite, got nan"),  # parses as a float, but is no weight
-    (_set_line(6, "0.0 0.0 -inf"), 6, "finite, got -inf"),
-    (_set_line(8, "inf"), 8, "finite, got inf"),
+def _npz_bytes(**arrays):
+    """The bytes np.savez writes for these arrays: by default a valid [2, 1] net's."""
+    buf = io.BytesIO()
+    np.savez(buf, **{"magic": np.array("densenet-v2"), "layer_sizes": np.array([2, 1]),
+                     "params": np.array([0.5, -0.5, 0.0]), **arrays})
+    return buf.getvalue()
+
+
+def _without(name):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(_npz_bytes())) as src, zipfile.ZipFile(buf, "w") as dst:
+        for info in src.infolist():
+            if info.filename != name:
+                dst.writestr(info, src.read(info))
+    return buf.getvalue()
+
+
+def _npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+def _flipped(at, mask=0xFF):
+    """_npz_bytes() with the byte at offset at(data) xor-ed with mask."""
+    data = _npz_bytes()
+    i = at(data)
+    return data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+
+
+def _param_bytes(data):
+    return data.index(np.array([0.5, -0.5, 0.0]).tobytes())
+
+
+def _directory(data):  # the first member's central directory header
+    return data.index(b"PK\x01\x02")
+
+
+def _end_record(data):
+    return data.rindex(b"PK\x05\x06")
+
+
+@pytest.mark.parametrize("content,message", [
+    pytest.param(b"densenet-v1\n2 1\n0.5 -0.5\n0\n",
+                 "a densenet-v1 text checkpoint; this version reads densenet-v2 only: "
+                 "retrain it with train-agent", id="v1-text"),
+    pytest.param(b"something-else\n1 2\n", "not a zip file", id="not-an-archive"),
+    pytest.param(_npy_bytes(), "not a zip file", id="npy"),
+    pytest.param(b"", "not a zip file", id="empty"),
+    pytest.param(_npz_bytes()[:-40], "not a zip file", id="truncated"),
+    pytest.param(_flipped(_param_bytes), "Bad CRC-32", id="corrupted-member"),
+    pytest.param(_flipped(lambda d: _directory(d) + 8, 0x01), "encrypted", id="encrypted-flag"),
+    pytest.param(_flipped(lambda d: _directory(d) + 6), "zip file version", id="zip-version"),
+    # byte 29 is the high byte of the first local header's extra-field length
+    pytest.param(_flipped(lambda d: 29), "not a densenet-v2", id="local-extra-length"),
+    pytest.param(_flipped(lambda d: _end_record(d) + 16, 0x01), "not a densenet-v2",
+                 id="directory-offset"),
+    pytest.param(_without("params.npy"), "params", id="missing-params"),
+    pytest.param(_without("magic.npy"), "magic", id="missing-magic"),
+    pytest.param(_npz_bytes(params=np.array([0.5, None, 0.0], dtype=object)),
+                 "Object arrays cannot be loaded", id="object-array"),
+    pytest.param(_npz_bytes(magic=np.array("densenet-v3")), "densenet-v3", id="wrong-magic"),
+    pytest.param(_npz_bytes(magic=np.array(["densenet-v2"])), "magic is", id="1d-magic"),
+    pytest.param(_npz_bytes(layer_sizes=np.array([2, 0, 1]), params=np.zeros(1)),
+                 "layer sizes >= 1", id="zero-size-layer"),
+    pytest.param(_npz_bytes(layer_sizes=np.array([2, -3, 1])), "layer sizes >= 1",
+                 id="negative-size"),
+    pytest.param(_npz_bytes(layer_sizes=np.array([3])), "two or more", id="one-size"),
+    pytest.param(_npz_bytes(layer_sizes=np.array([2.0, 1.0])), "integer", id="float-sizes"),
+    pytest.param(_npz_bytes(layer_sizes=np.array([True, True])), "integer", id="bool-sizes"),
+    pytest.param(_npz_bytes(layer_sizes=np.array([[2, 1]])), "layer sizes", id="2d-sizes"),
+    pytest.param(_npz_bytes(layer_sizes=np.array([10**9, 10**9])),
+                 "need 1000000001000000000 float64 params", id="oversized-sizes"),
+    pytest.param(_npz_bytes(params=np.zeros(3, dtype=np.float32)), "got float32",
+                 id="float32-params"),
+    pytest.param(_npz_bytes(params=np.zeros(4)), "need 3 float64 params", id="params-size"),
+    pytest.param(_npz_bytes(params=np.zeros((1, 3))), "shape (1, 3)", id="2d-params"),
+    pytest.param(_npz_bytes(params=np.array([0.5, np.nan, 0.0])), "finite, got nan",
+                 id="nan-param"),
+    pytest.param(_npz_bytes(params=np.array([0.5, 0.0, -np.inf])), "finite, got -inf",
+                 id="inf-param"),
 ])
-def test_checkpoint_names_the_file_and_line_of_a_malformed_row(tmp_path, edit, lineno, message):
-    path = _corrupted_checkpoint(tmp_path, edit)
-    pattern = re.escape(f"{path}:{lineno}: ") + ".*" + re.escape(message)
-    with pytest.raises(ValueError, match=pattern):
+def test_checkpoint_refusal_names_the_file(tmp_path, content, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-
-
-def test_checkpoint_allows_trailing_blank_lines(tmp_path):
-    net = DenseNet([2, 3, 1], seed=0)
-    path = _corrupted_checkpoint(tmp_path, lambda lines: lines + ["", "  "])
-    assert np.array_equal(load_checkpoint(path).params, net.params)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
 
 
 def test_copy_is_independent():
@@ -314,8 +399,9 @@ def _relu_boundary_net():
     W1 = [[1, -1, 5], [1, 0, 0], [0, 1, 0], [0, 1, 0]]
     b1 = [3.0, -1.0, -3.0, 1.0]
     W2 = [[1, -2, 1, 1], [-1, 1, 2, -1]]
-    net = DenseNet.from_parameters([np.array(w, dtype=float) for w in (W0, W1, W2)],
-                                   [np.array(b) for b in (b0, b1, [0.5, -0.5])])
+    net = DenseNet([5, 3, 4, 2])
+    for dst, src in zip(net.weights + net.biases, (W0, W1, W2, b0, b1, [0.5, -0.5])):
+        dst[...] = src
     x = np.array([[2, 2, 0, 0, 0], [1, 1, 0, 0, 0], [3, -1, 0, 0, 0], [-2, 2, 0, 0, 0],
                   [0, 0, 1e-200, 1e-200, 1e-200]])
     return net, x
@@ -428,17 +514,13 @@ def test_parameters_are_views_of_one_flat_vector():
     assert net.params[-1] == -1.0
 
 
-def test_copy_and_from_parameters_own_their_buffers():
+def test_copy_owns_its_buffers():
     net = DenseNet([2, 3, 1], seed=0)
     dup = net.copy()
-    built = DenseNet.from_parameters(net.weights, net.biases)
-    assert np.array_equal(dup.params, net.params) and np.array_equal(built.params, net.params)
-    for other in (dup, built):
-        assert not np.shares_memory(other.params, net.params)
-        assert not np.shares_memory(other.grad, net.grad)
-        assert all(np.shares_memory(w, other.params) for w in other.weights + other.biases)
+    assert np.array_equal(dup.params, net.params) and dup.layer_sizes == net.layer_sizes
+    assert not np.shares_memory(dup.params, net.params)
+    assert not np.shares_memory(dup.grad, net.grad)
+    assert all(np.shares_memory(w, dup.params) for w in dup.weights + dup.biases)
     before = net.params.copy()
     dup.params += 1.0
-    built.weights[0][0, 0] += 1.0
     assert np.array_equal(net.params, before)
-    assert not np.shares_memory(dup.params, built.params)
