@@ -175,10 +175,14 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
     """Read a tab-separated "<text>\\t<label>" file into embedded documents.
 
     Documents get sequential ids from start_id. All offending lines (unknown
-    labels, missing separators) are reported in one error.
+    labels, missing separators) are reported in one error. A document with no
+    word in the table embeds as zeros: a file of only such documents is an
+    error, and some of them are counted in one warning.
     """
     docs: list[Document] = []
     bad: list[str] = []
+    words = table.vectors.keys()
+    unseen = 0  # documents with no word in the table
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -194,12 +198,20 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
             except KeyError:
                 bad.append(f"line {lineno}: unknown label {label!r}")
                 continue
+            tokens = tokenize(text)
+            unseen += words.isdisjoint(tokens)  # stops at the first word in the table
             docs.append(Document(id=start_id + len(docs), true_class=true_class,
-                                 embedding=embed_document(tokenize(text), table)))
+                                 embedding=embed_document(tokens, table)))
     if bad:
         raise ValueError(f"{path}: " + "; ".join(bad))
     if not docs:
         raise ValueError(f"{path}: no records")
+    if unseen == len(docs):
+        raise ValueError(f"{path}: none of its {len(docs)} documents has a word in the "
+                         f"vector table")
+    if unseen:
+        logger.warning("%s: %d of %d documents have no word in the vector table and embed "
+                       "as zeros", path, unseen, len(docs))
     return docs
 
 

@@ -1,12 +1,12 @@
 """The sampling agent: replay buffer, epsilon-greedy policy, episode training
 loop with soft target updates, and greedy inference decisions.
 
-One generator, _episode, streams a shuffled copy of the corpus for both
-training and evaluation: a pick queries an error-free annotator (so the
-learned policy is not tied to one decay behavior), updates the pick window
-and recency tracker, and earns the inclusivity reward. Training stores every
-step's transition and, once the buffer holds a minibatch, performs one
-Q-update followed by a soft target blend; evaluation only sums the rewards.
+One generator, _episode, streams a shuffled copy of the corpus per training
+episode: a pick queries an error-free annotator (so the learned policy is not
+tied to one decay behavior), updates the pick window and recency tracker, and
+earns the inclusivity reward. Training stores every step's transition and,
+once the buffer holds a minibatch, performs one Q-update followed by a soft
+target blend.
 """
 
 from __future__ import annotations
@@ -180,9 +180,10 @@ def write_training_log(logs, path) -> None:
 
 def _episode(docs, order, labels, budget: int, reward_cfg: RewardConfig, k: int,
              dt_scale: float, choose):
-    """Stream docs in order with error-free labels until budget picks; per
-    step yield (state, action, reward, next_state, inclusivity or None), with
-    choose(state) supplying the action. Document t's state reads the tracker
+    """One training episode: stream docs in order with error-free labels until
+    budget picks; per step yield (state, action, reward, next_state,
+    inclusivity or None), with choose(state) supplying the action (train_agent
+    passes its epsilon-greedy choice). Document t's state reads the tracker
     at step t, and nothing changes the tracker before the next document is
     read, so next_state is the next step's state (the last document's is its
     own state).
@@ -264,30 +265,3 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
         ))
     return net, logs
 
-
-def evaluate_policy(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = RewardConfig(),
-                    k: int = 3, dt_scale: float = 1.0, seed=0, episodes: int = 50,
-                    net: DenseNet | None = None):
-    """Per-episode total reward of the training episode without learning:
-    greedy decisions when a net is given, uniform random actions otherwise.
-    Returns the list of episode totals.
-    """
-    if not docs:
-        raise ValueError("need a nonempty corpus")
-    shuffle_ss, action_ss = np.random.SeedSequence(seed).spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    action_rng = np.random.default_rng(action_ss)
-    if net is None:
-        def choose(state):
-            return int(action_rng.integers(2))
-    else:
-        def choose(state):
-            return select_action(net, state, 0.0, action_rng)
-    totals = []
-    for _ in range(episodes):
-        total = 0.0
-        for step in _episode(docs, shuffle_rng.permutation(len(docs)), labels, cfg.budget,
-                             reward_cfg, k, dt_scale, choose):
-            total += step[2]
-        totals.append(total)
-    return totals

@@ -215,15 +215,21 @@ def save_checkpoint(net: DenseNet, path) -> None:
 
 
 def load_checkpoint(path) -> DenseNet:
-    """Read a save_checkpoint file into a new net, bit for bit. Any other file, layer sizes
-    not two or more integers >= 1, or params not the finite float64 vector they imply raise
-    ValueError("<path>: ..."); a densenet-v1 text checkpoint is named as one."""
+    """Read a save_checkpoint file into a new net, bit for bit. Any other file, a compressed
+    member, layer sizes not two or more integers >= 1, or params not the finite float64 vector
+    they imply raise ValueError("<path>: ..."); a densenet-v1 text checkpoint is named as one."""
     with open(path, "rb") as fh:
         if fh.read(11) == b"densenet-v1":
             raise ValueError(f"{path}: a densenet-v1 text checkpoint; this version reads "
                              f"{CHECKPOINT_MAGIC} only: retrain it with train-agent")
         try:  # NpzFile seeks the zip's directory itself; a non-.npy member reads as bytes
             with np.lib.npyio.NpzFile(fh) as npz:
+                # save_checkpoint stores its members; a deflated one would reach zlib's errors
+                packed = [i.filename for i in npz.zip.infolist()
+                          if i.compress_type != zipfile.ZIP_STORED]
+                if packed:
+                    raise ValueError(f"compressed member {packed[0]!r}; "
+                                     f"save_checkpoint writes uncompressed .npz files")
                 magic, sizes, params = (np.asarray(npz[key])
                                         for key in ("magic", "layer_sizes", "params"))
         except (OSError, EOFError, KeyError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:

@@ -397,9 +397,11 @@ def reference_train_agent(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_
 
 def reference_evaluate_policy(docs, labels, cfg, reward_cfg=RewardConfig(), k=3, dt_scale=1.0,
                               seed=0, episodes=50, net=None):
-    """The evaluation loop as first written, encoding a state only for a net
-    and deciding through ReferenceNet: the reference that evaluate_policy
-    must match exactly."""
+    """Per-episode total reward of the training episode without learning, on
+    a fresh shuffle per episode: greedy decisions through ReferenceNet when a
+    net is given (a state is encoded only then), uniform random actions
+    otherwise. Criterion 6 scores its policies with it; the package has no
+    evaluator of its own. Returns the list of episode totals."""
     num_classes = len(labels)
     ref_net = None if net is None else ReferenceNet(net)
     shuffle_ss, action_ss = np.random.SeedSequence(seed).spawn(2)

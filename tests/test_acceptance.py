@@ -11,12 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_f1_macro
+from helpers import brute_force_f1_macro, reference_evaluate_policy
 from oris.corpus import LabelSpace, generate_synthetic
 from oris.dqn import (
     AgentConfig,
     decide,
-    evaluate_policy,
     train_agent,
     train_step,
     write_training_log,
@@ -185,9 +184,9 @@ def test_criterion_06_policy_learning_toy():
     ratios = []
     for seed in (1, 2, 3, 4, 5):
         net, _ = train_agent(docs, TOY_LABELS, cfg, reward_cfg, seed=seed)
-        greedy = float(np.mean(evaluate_policy(
+        greedy = float(np.mean(reference_evaluate_policy(
             docs, TOY_LABELS, cfg, reward_cfg, seed=seed + 1000, episodes=50, net=net)))
-        random_mean = float(np.mean(evaluate_policy(
+        random_mean = float(np.mean(reference_evaluate_policy(
             docs, TOY_LABELS, cfg, reward_cfg, seed=seed + 1000, episodes=50, net=None)))
         ratios.append(greedy / random_mean)
         if greedy >= 1.2 * random_mean:

@@ -223,6 +223,33 @@ def test_load_dataset_empty_file(tmp_path, tiny_table):
         load_dataset(path, tiny_table, labels)
 
 
+def test_load_dataset_refuses_a_file_with_no_word_in_the_table(tmp_path, tiny_table):
+    labels = LabelSpace(["pos", "neg"])
+    path = tmp_path / "unseen.tsv"
+    path.write_text("zzz yyy\tpos\n\tneg\n... !!\tpos\n")
+    with pytest.raises(ValueError) as info:
+        load_dataset(path, tiny_table, labels)
+    assert str(info.value) == f"{path}: none of its 3 documents has a word in the vector table"
+
+
+def test_load_dataset_warns_once_with_the_count_of_documents_with_no_word(tmp_path,
+                                                                        tiny_table, caplog):
+    labels = LabelSpace(["pos", "neg"])
+    path = tmp_path / "some.tsv"
+    path.write_text("zzz a\tpos\nzzz\tneg\nb\tpos\nyyy xxx\tneg\n\tpos\n")
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        docs = load_dataset(path, tiny_table, labels)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: 3 of 5 documents have no word in the vector table and embed as zeros"]
+    assert [d.embedding.tolist() for d in docs] == [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0],
+                                                     [0.0, 0.0], [0.0, 0.0]]
+    caplog.clear()
+    path.write_text("a\tpos\nzzz b\tneg\n")
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        load_dataset(path, tiny_table, labels)
+    assert not caplog.records
+
+
 def test_load_dataset_record_count_at_scale(tmp_path, tiny_table):
     # corpus-sized file: one line per record, 3845 records
     labels = LabelSpace(["pos", "neg"])

@@ -10,7 +10,6 @@ from helpers import (
     ReferenceAdam,
     ReferenceNet,
     flatten_pairs,
-    reference_evaluate_policy,
     reference_soft_update,
     reference_train_agent,
     reference_train_step,
@@ -23,7 +22,6 @@ from oris.dqn import (
     ReplayBuffer,
     _episode,
     decide,
-    evaluate_policy,
     select_action,
     soft_update,
     train_agent,
@@ -373,11 +371,6 @@ def test_agent_config_refuses_a_non_finite_field(name, value):
         AgentConfig(**{name: value})
 
 
-def test_evaluate_policy_rejects_empty_corpus():
-    with pytest.raises(ValueError, match="nonempty"):
-        evaluate_policy([], LABELS2, AgentConfig(minibatch=4, replay_capacity=100))
-
-
 LABELS3 = LabelSpace(["a", "b", "c"])
 
 
@@ -385,7 +378,7 @@ LABELS3 = LabelSpace(["a", "b", "c"])
 @pytest.mark.parametrize("dt_scale", [1.0, 2.0])
 @pytest.mark.parametrize("m", [1, 4, 10])
 @pytest.mark.parametrize("k", [1, 3])
-def test_train_and_evaluate_match_reference_loops(k, m, dt_scale, budget):
+def test_train_agent_matches_reference_loop(k, m, dt_scale, budget):
     # 30 documents: budget 5 is reached every episode, budget 40 truncates every
     # one; the minibatch of 20 transitions is reached after episode 1 at budget 5
     # and inside it at budget 40
@@ -401,10 +394,6 @@ def test_train_and_evaluate_match_reference_loops(k, m, dt_scale, budget):
     assert all(row.truncated == (budget == 40) for row in logs)
     assert (logs[0].loss == 0.0) == (budget == 5)
     assert logs[-1].loss != 0.0
-    for policy in (net, None):
-        kwargs = dict(k=k, dt_scale=dt_scale, seed=5, episodes=3, net=policy)
-        assert (evaluate_policy(docs, LABELS3, cfg, reward_cfg, **kwargs)
-                == reference_evaluate_policy(docs, LABELS3, cfg, reward_cfg, **kwargs))
 
 
 @given(st.data())

@@ -261,11 +261,11 @@ def test_checkpoint_round_trips_sizes_and_params_bit_for_bit(tmp_path_factory, d
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _npz_bytes(**arrays):
-    """The bytes np.savez writes for these arrays: by default a valid [2, 1] net's."""
+def _npz_bytes(save=np.savez, **arrays):
+    """The bytes save writes for these arrays: by default a valid [2, 1] net's."""
     buf = io.BytesIO()
-    np.savez(buf, **{"magic": np.array("densenet-v2"), "layer_sizes": np.array([2, 1]),
-                     "params": np.array([0.5, -0.5, 0.0]), **arrays})
+    save(buf, **{"magic": np.array("densenet-v2"), "layer_sizes": np.array([2, 1]),
+                 "params": np.array([0.5, -0.5, 0.0]), **arrays})
     return buf.getvalue()
 
 
@@ -318,6 +318,8 @@ def _end_record(data):
     pytest.param(_flipped(lambda d: 29), "not a densenet-v2", id="local-extra-length"),
     pytest.param(_flipped(lambda d: _end_record(d) + 16, 0x01), "not a densenet-v2",
                  id="directory-offset"),
+    pytest.param(_npz_bytes(np.savez_compressed), "compressed member 'magic.npy'",
+                 id="deflated"),
     pytest.param(_without("params.npy"), "params", id="missing-params"),
     pytest.param(_without("magic.npy"), "magic", id="missing-magic"),
     pytest.param(_npz_bytes(params=np.array([0.5, None, 0.0], dtype=object)),
