@@ -155,7 +155,7 @@ class ExperimentConfig:
 def _read_pairs(path):
     pairs = []
     problems = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

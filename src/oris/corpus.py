@@ -2,8 +2,10 @@
 the text formats of the package's files, result CSVs included.
 
 Documents are represented by the mean of the pre-trained word vectors of
-their in-vocabulary tokens. Synthetic corpora draw class-conditional
-Gaussian embeddings so class separability is controlled analytically.
+their in-vocabulary tokens, computed for a whole file at once with
+`np.mean`'s bits. Every reader skips a UTF-8 byte-order mark. Synthetic
+corpora draw class-conditional Gaussian embeddings so class separability is
+controlled analytically.
 """
 
 from __future__ import annotations
@@ -85,9 +87,10 @@ def load_word_vectors(path) -> EmbeddingTable:
     of components is a hard error, and so is a NaN or infinite component
     ("nan", "inf", "1e400"). Each line's numbers are parsed by one
     `np.array(..., dtype=np.float64)` call, which takes and rejects the
-    strings `float()` does, with its bits.
+    strings `float()` does, with its bits. A UTF-8 byte-order mark at the
+    start of the file is skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected header '<count> <dim>', got {header!r}")
@@ -156,34 +159,57 @@ def write_csv(path, header, rows) -> None:
                          for row in rows)
 
 
-def embed_document(tokens, table: EmbeddingTable) -> np.ndarray:
-    """Mean vector of the in-vocabulary tokens; zero vector if there are none.
+# float64 cells (512 KB) one stack of same-length documents may hold, so a stack
+# stays in cache: at E = 300, 8 MB stacks made the embed slower than a
+# per-document mean. This caps only the stack; the read loop's lists hold one
+# reference per in-vocabulary token of the file.
+_EMBED_BLOCK = 1 << 16
 
-    Out-of-vocabulary tokens are excluded from both the sum and the divisor.
-    The sum and the division are the two ufunc calls `np.mean` makes, so the
-    result has its bits.
+
+def mean_embeddings(doc_vectors, dimension: int) -> np.ndarray:
+    """(n, dimension) matrix whose row i is the mean of doc_vectors[i], the
+    list of one document's in-vocabulary word vectors; zeros where it is empty.
+
+    Documents are grouped by their vector count L, and each block of a group
+    is one `np.add.reduce(..., axis=1) / L` over its (rows, L, dimension)
+    stack. That sum adds a row's L vectors in the order `np.mean` adds them,
+    and the division is its other ufunc call, so each row has `np.mean`'s
+    bits. Summing over zero-padded rows, or with `np.add.reduceat`, would
+    not: both add in another order.
     """
-    vectors = table.vectors
-    vecs = [vectors[t] for t in tokens if t in vectors]
-    if not vecs:
-        return np.zeros(table.dimension)
-    return np.add.reduce(np.asarray(vecs), axis=0) / len(vecs)
+    out = np.zeros((len(doc_vectors), dimension))
+    groups: dict[int, list[int]] = {}
+    for i, vecs in enumerate(doc_vectors):
+        if vecs:
+            groups.setdefault(len(vecs), []).append(i)
+    for length, rows in groups.items():
+        step = max(1, _EMBED_BLOCK // (length * dimension))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            stack = np.array([doc_vectors[i] for i in block])
+            out[block] = np.add.reduce(stack, axis=1) / length
+    return out
 
 
 def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
                  start_id: int = 0) -> list[Document]:
     """Read a tab-separated "<text>\\t<label>" file into embedded documents.
 
-    Documents get sequential ids from start_id. All offending lines (unknown
-    labels, missing separators) are reported in one error. A document with no
-    word in the table embeds as zeros: a file of only such documents is an
-    error, and some of them are counted in one warning.
+    The read loop keeps each line's class and the vectors of its
+    in-vocabulary tokens; `mean_embeddings` then embeds the whole file at
+    once, and each document's embedding is a row of that matrix. Documents
+    get sequential ids from start_id. All offending lines (unknown labels,
+    missing separators) are reported in one error. A document with no word
+    in the table embeds as zeros: a file of only such documents is an error,
+    and some of them are counted in one warning. A UTF-8 byte-order mark
+    at the start of the file is skipped.
     """
-    docs: list[Document] = []
+    classes: list[int] = []
+    doc_vectors: list[list[np.ndarray]] = []
     bad: list[str] = []
-    words = table.vectors.keys()
+    vectors = table.vectors
     unseen = 0  # documents with no word in the table
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -198,21 +224,23 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
             except KeyError:
                 bad.append(f"line {lineno}: unknown label {label!r}")
                 continue
-            tokens = tokenize(text)
-            unseen += words.isdisjoint(tokens)  # stops at the first word in the table
-            docs.append(Document(id=start_id + len(docs), true_class=true_class,
-                                 embedding=embed_document(tokens, table)))
+            vecs = [vectors[t] for t in tokenize(text) if t in vectors]
+            unseen += not vecs
+            classes.append(true_class)
+            doc_vectors.append(vecs)
     if bad:
         raise ValueError(f"{path}: " + "; ".join(bad))
-    if not docs:
+    if not classes:
         raise ValueError(f"{path}: no records")
-    if unseen == len(docs):
-        raise ValueError(f"{path}: none of its {len(docs)} documents has a word in the "
+    if unseen == len(classes):
+        raise ValueError(f"{path}: none of its {len(classes)} documents has a word in the "
                          f"vector table")
     if unseen:
         logger.warning("%s: %d of %d documents have no word in the vector table and embed "
-                       "as zeros", path, unseen, len(docs))
-    return docs
+                       "as zeros", path, unseen, len(classes))
+    embeddings = mean_embeddings(doc_vectors, table.dimension)
+    return [Document(id=start_id + i, true_class=c, embedding=e)
+            for i, (c, e) in enumerate(zip(classes, embeddings))]
 
 
 def generate_synthetic(

@@ -310,7 +310,7 @@ def write_record(record: ExperimentRecord, path) -> None:
 
 def read_record(path) -> ExperimentRecord:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:

@@ -110,6 +110,18 @@ def test_every_component_key_reaches_its_field(tmp_path):
     assert cfg.harness_config(agent="diversity") == replace(built["harness"], agent="diversity")
 
 
+def test_config_skips_a_byte_order_mark(tmp_path):
+    text = "data.classes = x, y, z\ndata.train = a.tsv\nseeds = 4, 2\noracle.beta = 3\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = parse_config(plain), parse_config(marked)
+    assert _components(got) == _components(want)
+    assert got.label_space() == want.label_space() == LabelSpace(["x", "y", "z"])
+    assert got["data.train"] == want["data.train"] == "a.tsv"
+    assert got.seeds == want.seeds == [4, 2]
+
+
 def test_config_parses_oracle_block(tmp_path):
     cfg = parse_config(_write(tmp_path, """
 # annotator settings

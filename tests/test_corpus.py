@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oris.corpus
 from oris.corpus import (
     Document,
     EmbeddingTable,
     LabelSpace,
-    embed_document,
     generate_synthetic,
     load_dataset,
     load_word_vectors,
+    mean_embeddings,
     surrogate_table,
     tokenize,
     write_synthetic_corpus,
@@ -89,6 +90,18 @@ def test_load_word_vectors_300dim_count_matches_scan(tmp_path):
     assert len(table) == expected == n_words
 
 
+def test_load_word_vectors_skips_a_byte_order_mark(tmp_path):
+    text = "3 2\nalpha 1 0.5\nbeta 0 1\ngamma -2 3\n"
+    plain, marked = tmp_path / "plain.vec", tmp_path / "bom.vec"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_word_vectors(plain), load_word_vectors(marked)
+    assert got.dimension == want.dimension == 2
+    assert list(got.vectors) == list(want.vectors) == ["alpha", "beta", "gamma"]
+    for word, vec in want.vectors.items():
+        assert np.array_equal(got.vectors[word], vec)
+
+
 def test_word_vector_round_trip(tmp_path, tiny_table):
     out = tmp_path / "out.vec"
     write_word_vectors(tiny_table, out)
@@ -155,44 +168,92 @@ def test_load_word_vectors_refuses_a_non_finite_component(tmp_path, text):
     assert str(info.value) == f"{path}:4: components must be finite, got {float(text)}"
 
 
-def test_embed_document_mean(tiny_table):
-    assert np.allclose(embed_document(["a", "b"], tiny_table), [0.5, 0.5])
-    assert np.allclose(embed_document(["a", "a"], tiny_table), [1.0, 0.0])
+def _vectors(tokens, table):
+    return [table.vectors[t] for t in tokens]
 
 
-def test_embed_document_all_oov_is_zero(tiny_table):
-    assert np.array_equal(embed_document(["zzz"], tiny_table), [0.0, 0.0])
+def test_mean_embeddings_are_row_means(tiny_table):
+    got = mean_embeddings([_vectors(["a", "b"], tiny_table), _vectors(["a", "a"], tiny_table)],
+                          2)
+    assert np.allclose(got, [[0.5, 0.5], [1.0, 0.0]])
 
 
-def test_embed_oov_excluded_from_divisor(tiny_table):
+def test_mean_embeddings_empty_row_is_zero(tiny_table):
+    got = mean_embeddings([[], _vectors(["b"], tiny_table), []], 2)
+    assert got.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    assert mean_embeddings([], 2).shape == (0, 2)
+
+
+def test_embed_oov_excluded_from_divisor(tmp_path, tiny_table):
     # one known word + one OOV word: mean over the known word only
-    assert np.allclose(embed_document(["a", "zzz"], tiny_table), [1.0, 0.0])
+    path = tmp_path / "data.tsv"
+    path.write_text("a zzz\tpos\nzzz b b\tneg\n")
+    docs = load_dataset(path, tiny_table, LabelSpace(["pos", "neg"]))
+    assert [d.embedding.tolist() for d in docs] == [[1.0, 0.0], [0.0, 1.0]]
 
 
 @given(st.permutations(["a", "b", "a", "b", "b"]), st.floats(-3, 3))
 @settings(max_examples=50, deadline=None)
 def test_embed_permutation_invariant_and_linear(perm, scale):
     table = EmbeddingTable(2, {"a": np.array([1.0, 2.0]), "b": np.array([-0.5, 0.25])})
-    base = embed_document(["a", "b", "a", "b", "b"], table)
-    assert np.allclose(embed_document(list(perm), table), base)
+    base = mean_embeddings([_vectors(["a", "b", "a", "b", "b"], table)], 2)[0]
+    assert np.allclose(mean_embeddings([_vectors(perm, table)], 2)[0], base)
     scaled = EmbeddingTable(2, {w: scale * v for w, v in table.vectors.items()})
-    assert np.allclose(embed_document(list(perm), scaled), scale * base, atol=1e-12)
+    assert np.allclose(mean_embeddings([_vectors(perm, scaled)], 2)[0], scale * base,
+                       atol=1e-12)
+
+
+def _assert_np_mean_bits(got, doc_vectors, dim):
+    assert got.shape == (len(doc_vectors), dim)
+    for row, vecs in zip(got, doc_vectors):
+        want = np.mean(vecs, axis=0) if vecs else np.zeros(dim)
+        assert row.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("block", [None, 1, 40])
+@pytest.mark.parametrize("dim", [1, 2, 8, 300])
+def test_mean_embeddings_have_np_mean_bits(monkeypatch, dim, block):
+    # block: the cells one stacked reduce may hold, so groups split into blocks of
+    # one row or several; None keeps the package's size
+    if block is not None:
+        monkeypatch.setattr(oris.corpus, "_EMBED_BLOCK", block * dim)
+    rng = np.random.default_rng(dim)
+    words = [rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 8) for _ in range(12)]
+    # vector counts 0-20 and 40, 129, each several times, in a shuffled order;
+    # repeated vectors, as a real text has
+    lengths = rng.permutation(np.repeat(list(range(21)) + [40, 129], 3))
+    doc_vectors = [[words[i] for i in rng.integers(0, len(words), size=n)] for n in lengths]
+    _assert_np_mean_bits(mean_embeddings(doc_vectors, dim), doc_vectors, dim)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 300])
-def test_embed_document_has_np_mean_bits(dim):
-    rng = np.random.default_rng(dim)
-    words = [f"t{i}" for i in range(12)]
+def test_load_dataset_embeddings_have_np_mean_bits(tmp_path, dim):
+    # 2,000 documents of 0-40 in-vocabulary tokens each, with repeats, capitals,
+    # punctuation, out-of-vocabulary words and punctuation-only tokens between them
+    rng = np.random.default_rng(100 + dim)
+    vocab = [f"w{i}" for i in range(30)]
     table = EmbeddingTable(dim, {w: rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 8)
-                                 for w in words})
-    for n in range(1, 21):
-        # repeated words and out-of-vocabulary tokens, as a real text has
-        tokens = [str(t) for t in rng.choice(words + ["oov", "zzz"], size=n)]
-        vecs = [table.vectors[t] for t in tokens if t in table.vectors]
-        got = embed_document(tokens, table)
-        want = np.mean(vecs, axis=0) if vecs else np.zeros(dim)
-        assert got.shape == (dim,)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+                                 for w in vocab})
+    labels = LabelSpace(["pos", "neg", "mid"])
+    lines, want_vectors, want_classes = [], [], []
+    for _ in range(2000):
+        picks = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 41))]
+        tokens = [w.upper() if rng.random() < 0.2 else w for w in picks]
+        tokens = [f"({t}," if rng.random() < 0.2 else t for t in tokens]
+        for _ in range(rng.integers(0, 4)):
+            tokens.insert(rng.integers(0, len(tokens) + 1),
+                          str(rng.choice(["zzz", "oov9", "--", "...", "w30"])))
+        true_class = int(rng.integers(0, len(labels)))
+        lines.append(" ".join(tokens) + f"\t{labels.name(true_class)}\n")
+        want_vectors.append([table.vectors[w] for w in picks])
+        want_classes.append(true_class)
+    assert sum(not vecs for vecs in want_vectors) > 10
+    path = tmp_path / "data.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    docs = load_dataset(path, table, labels, start_id=7)
+    assert [d.id for d in docs] == list(range(7, 2007))
+    assert [d.true_class for d in docs] == want_classes
+    _assert_np_mean_bits(np.array([d.embedding for d in docs]), want_vectors, dim)
 
 
 def test_load_dataset_sequential_ids(tmp_path, tiny_table):
@@ -248,6 +309,22 @@ def test_load_dataset_warns_once_with_the_count_of_documents_with_no_word(tmp_pa
     with caplog.at_level(logging.WARNING, logger="oris.corpus"):
         load_dataset(path, tiny_table, labels)
     assert not caplog.records
+
+
+def test_load_dataset_skips_a_byte_order_mark(tmp_path, tiny_table, caplog):
+    # unskipped, the mark would join the first token and leave its document unembedded
+    labels = LabelSpace(["pos", "neg"])
+    text = "a\tpos\nb a b\tneg\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want = load_dataset(plain, tiny_table, labels)
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        got = load_dataset(marked, tiny_table, labels)
+    assert not caplog.records
+    assert [(d.id, d.true_class, d.embedding.tolist()) for d in got] == \
+        [(d.id, d.true_class, d.embedding.tolist()) for d in want]
+    assert got[0].embedding.tolist() == [1.0, 0.0]
 
 
 def test_load_dataset_record_count_at_scale(tmp_path, tiny_table):

@@ -269,6 +269,16 @@ def test_write_record_format_and_round_trip(tmp_path):
         assert b.machine_f1_macro == pytest.approx(a.machine_f1_macro, abs=5e-7)
 
 
+def test_read_record_skips_a_byte_order_mark(tmp_path):
+    rows = [RecordRow(run_id=0, budget_exhausted=b, machine_f1_macro=0.25 * b,
+                      human_f1_macro=0.5, picks=b, oracle_errors=1) for b in (1, 2)]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_record(ExperimentRecord(rows=rows, partial_runs=[]), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_record(marked) == read_record(plain) == ExperimentRecord(rows=rows,
+                                                                           partial_runs=[])
+
+
 def test_write_record_exact_bytes(tmp_path):
     # written sorted by (run_id, budget_exhausted), whatever the row order
     rows = [RecordRow(run_id=1, budget_exhausted=2, machine_f1_macro=np.float64(0.9999996),
