@@ -3,9 +3,10 @@ the text formats of the package's files, result CSVs included.
 
 Documents are represented by the mean of the pre-trained word vectors of
 their in-vocabulary tokens, computed for a whole file at once with
-`np.mean`'s bits. Every reader skips a UTF-8 byte-order mark. Synthetic
-corpora draw class-conditional Gaussian embeddings so class separability is
-controlled analytically.
+`np.mean`'s bits. A word-vector table is one matrix, whose numbers are
+parsed in blocks of lines by numpy's C tokenizer. Every reader skips a UTF-8
+byte-order mark. Synthetic corpora draw class-conditional Gaussian
+embeddings so class separability is controlled analytically.
 """
 
 from __future__ import annotations
@@ -58,14 +59,20 @@ class Document:
 
 
 class EmbeddingTable:
-    """word -> vector map with a fixed dimension. Keys are lowercased at load."""
+    """Word vectors as one (n, dimension) float64 matrix and a word -> row
+    map. Keys are lowercased at load; a row no key names (a later duplicate
+    word's line) is never read."""
 
-    def __init__(self, dimension: int, vectors: dict[str, np.ndarray] | None = None):
-        self.dimension = dimension
-        self.vectors = vectors if vectors is not None else {}
+    def __init__(self, matrix: np.ndarray, rows: dict[str, int]):
+        self.matrix = matrix
+        self.rows = rows
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.rows)
 
 
 def tokenize(text: str) -> list[str]:
@@ -78,17 +85,66 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
+# float64 cells of the lines one `np.loadtxt` call parses. A call costs about
+# 3 us, so the size only caps the number text held at once: from 2^14 cells
+# to a whole 20,000 x 300 file, parse times were within noise.
+_PARSE_BLOCK = 1 << 16
+
+
+def _parse(lines) -> np.ndarray:
+    """2-D float64 rows of whitespace-separated number text, one per string,
+    by numpy's C tokenizer. It takes the strings `float()` takes, with its
+    bits, except underscores ("1_0") and non-ASCII digits, which it refuses."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _parse_vectors(path, texts: list[str], linenos: list[int], dim: int) -> np.ndarray:
+    """(len(texts), dim) matrix of the number text of word-vector lines, by
+    one `_parse` call. If the block fails, its lines are parsed again one at
+    a time, so the error names the first bad line: one with the wrong width,
+    an unparseable component or a non-finite one."""
+    try:
+        rows = _parse(texts)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (len(texts), dim):
+        if len(texts) > 1:
+            return np.concatenate([_parse_vectors(path, [text], [lineno], dim)
+                                   for text, lineno in zip(texts, linenos)])
+        if rows is None:
+            raise ValueError(f"{path}:{linenos[0]}: components must be numbers, got "
+                             f"{_unparseable(texts[0])!r}")
+        raise ValueError(f"{path}:{linenos[0]}: expected {dim} components, got {rows.shape[1]}")
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}:{linenos[row]}: components must be finite, got {rows[row, col]}")
+    return rows
+
+
+def _unparseable(text: str) -> str:
+    """The first whitespace-separated field of `text` that `_parse` refuses;
+    `text` itself if each field parses alone."""
+    for field in text.split():
+        try:
+            _parse([field])
+        except ValueError:
+            return field
+    return text
+
+
 def load_word_vectors(path) -> EmbeddingTable:
     """Read a word-vector text file: header "<count> <dim>", then one
     "<word> <v1> ... <vdim>" line per word.
 
-    Words are lowercased (first occurrence wins). Lines whose numeric fields
-    fail to parse are skipped with a log message; a line with the wrong number
-    of components is a hard error, and so is a NaN or infinite component
-    ("nan", "inf", "1e400"). Each line's numbers are parsed by one
-    `np.array(..., dtype=np.float64)` call, which takes and rejects the
-    strings `float()` does, with its bits. A UTF-8 byte-order mark at the
-    start of the file is skipped.
+    Words are lowercased, and the first occurrence of a word wins; blank
+    lines and later duplicates are skipped with a log message. Every other
+    line must hold `dim` finite numbers: a wrong width, an unparseable
+    component ("x", "1_0") and a NaN or infinite one ("nan", "inf", "1e400")
+    are each an error naming the line, duplicates' lines included. The loop
+    splits off each line's word; the numbers of up to `_PARSE_BLOCK` cells'
+    worth of lines are parsed by one `np.loadtxt` call, with `float()`'s bits.
+    A UTF-8 byte-order mark at the start of the file is skipped.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().split()
@@ -100,52 +156,53 @@ def load_word_vectors(path) -> EmbeddingTable:
             raise ValueError(f"{path}: non-integer header fields {header!r}") from None
         if dim < 1:
             raise ValueError(f"{path}: vector dimension must be >= 1, got {dim}")
-        vectors: dict[str, np.ndarray] = {}
-        linenos = []  # of each kept vector
+        step = max(1, _PARSE_BLOCK // dim)
+        rows: dict[str, int] = {}
+        blocks: list[np.ndarray] = []
+        texts: list[str] = []  # number text of the lines not parsed yet
+        linenos: list[int] = []  # and their line numbers
+        n_rows = 0
         skipped = 0
         for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
+            fields = line.split(None, 1)
             if not fields:
                 skipped += 1
                 logger.warning("%s:%d: blank line skipped", path, lineno)
                 continue
-            if len(fields) != dim + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(fields) - 1}"
-                )
+            if len(fields) == 1:
+                # `np.loadtxt` would skip this line; an earlier bad line is named first
+                if texts:
+                    _parse_vectors(path, texts, linenos, dim)
+                raise ValueError(f"{path}:{lineno}: expected {dim} components, got 0")
             word = fields[0].lower()
-            try:
-                vec = np.array(fields[1:], dtype=np.float64)
-            except ValueError:
-                skipped += 1
-                logger.warning("%s:%d: unparseable vector skipped", path, lineno)
-                continue
-            if word in vectors:
+            if word in rows:
                 skipped += 1
                 logger.warning("%s:%d: duplicate word %r skipped", path, lineno, word)
-                continue
-            vectors[word] = vec
+            else:
+                rows[word] = n_rows
+            n_rows += 1
+            texts.append(fields[1])
             linenos.append(lineno)
-    # checked once over the stacked rows: a check per line added about half the parse's time
-    rows = np.array(list(vectors.values())).reshape(len(vectors), dim)
-    bad = np.argwhere(~np.isfinite(rows))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"{path}:{linenos[row]}: components must be finite, got {rows[row, col]}")
-    if len(vectors) != declared_count - skipped:
+            if len(texts) == step:
+                blocks.append(_parse_vectors(path, texts, linenos, dim))
+                texts, linenos = [], []
+        if texts:
+            blocks.append(_parse_vectors(path, texts, linenos, dim))
+    if len(rows) != declared_count - skipped:
         logger.warning(
             "%s: header declares %d words, loaded %d (%d skipped)",
-            path, declared_count, len(vectors), skipped,
+            path, declared_count, len(rows), skipped,
         )
-    return EmbeddingTable(dim, vectors)
+    matrix = np.concatenate(blocks) if blocks else np.empty((0, dim))
+    return EmbeddingTable(matrix, rows)
 
 
 def write_word_vectors(table: EmbeddingTable, path) -> None:
     """Inverse of load_word_vectors; floats round-trip exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dimension}\n")
-        for word, vec in table.vectors.items():
-            fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+        for word, row in table.rows.items():
+            fh.write(word + " " + " ".join(map(repr, table.matrix[row].tolist())) + "\n")
 
 
 def write_csv(path, header, rows) -> None:
@@ -162,31 +219,32 @@ def write_csv(path, header, rows) -> None:
 # float64 cells (512 KB) one stack of same-length documents may hold, so a stack
 # stays in cache: at E = 300, 8 MB stacks made the embed slower than a
 # per-document mean. This caps only the stack; the read loop's lists hold one
-# reference per in-vocabulary token of the file.
+# row id per in-vocabulary token of the file.
 _EMBED_BLOCK = 1 << 16
 
 
-def mean_embeddings(doc_vectors, dimension: int) -> np.ndarray:
-    """(n, dimension) matrix whose row i is the mean of doc_vectors[i], the
-    list of one document's in-vocabulary word vectors; zeros where it is empty.
+def mean_embeddings(doc_rows, matrix: np.ndarray) -> np.ndarray:
+    """(n, E) matrix whose row i is the mean of the rows doc_rows[i] of the
+    (vocabulary, E) `matrix`; zeros where doc_rows[i] is empty.
 
-    Documents are grouped by their vector count L, and each block of a group
-    is one `np.add.reduce(..., axis=1) / L` over its (rows, L, dimension)
-    stack. That sum adds a row's L vectors in the order `np.mean` adds them,
-    and the division is its other ufunc call, so each row has `np.mean`'s
-    bits. Summing over zero-padded rows, or with `np.add.reduceat`, would
-    not: both add in another order.
+    Documents are grouped by their row count L, and each block of a group is
+    one fancy index of `matrix`, a (rows, L, E) stack, and one
+    `np.add.reduce(..., axis=1) / L` over it. That sum adds a document's L
+    vectors in the order `np.mean` adds them, and the division is its other
+    ufunc call, so each row has `np.mean`'s bits. Summing over zero-padded
+    rows, or with `np.add.reduceat`, would not: both add in another order.
     """
-    out = np.zeros((len(doc_vectors), dimension))
+    dimension = matrix.shape[1]
+    out = np.zeros((len(doc_rows), dimension))
     groups: dict[int, list[int]] = {}
-    for i, vecs in enumerate(doc_vectors):
-        if vecs:
-            groups.setdefault(len(vecs), []).append(i)
-    for length, rows in groups.items():
+    for i, ids in enumerate(doc_rows):
+        if ids:
+            groups.setdefault(len(ids), []).append(i)
+    for length, docs in groups.items():
         step = max(1, _EMBED_BLOCK // (length * dimension))
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            stack = np.array([doc_vectors[i] for i in block])
+        for lo in range(0, len(docs), step):
+            block = docs[lo:lo + step]
+            stack = matrix[np.array([doc_rows[i] for i in block])]
             out[block] = np.add.reduce(stack, axis=1) / length
     return out
 
@@ -195,7 +253,7 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
                  start_id: int = 0) -> list[Document]:
     """Read a tab-separated "<text>\\t<label>" file into embedded documents.
 
-    The read loop keeps each line's class and the vectors of its
+    The read loop keeps each line's class and the table rows of its
     in-vocabulary tokens; `mean_embeddings` then embeds the whole file at
     once, and each document's embedding is a row of that matrix. Documents
     get sequential ids from start_id. All offending lines (unknown labels,
@@ -205,9 +263,9 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
     at the start of the file is skipped.
     """
     classes: list[int] = []
-    doc_vectors: list[list[np.ndarray]] = []
+    doc_rows: list[list[int]] = []
     bad: list[str] = []
-    vectors = table.vectors
+    rows = table.rows
     unseen = 0  # documents with no word in the table
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -224,10 +282,10 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
             except KeyError:
                 bad.append(f"line {lineno}: unknown label {label!r}")
                 continue
-            vecs = [vectors[t] for t in tokenize(text) if t in vectors]
-            unseen += not vecs
+            ids = [rows[t] for t in tokenize(text) if t in rows]
+            unseen += not ids
             classes.append(true_class)
-            doc_vectors.append(vecs)
+            doc_rows.append(ids)
     if bad:
         raise ValueError(f"{path}: " + "; ".join(bad))
     if not classes:
@@ -238,7 +296,7 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
     if unseen:
         logger.warning("%s: %d of %d documents have no word in the vector table and embed "
                        "as zeros", path, unseen, len(classes))
-    embeddings = mean_embeddings(doc_vectors, table.dimension)
+    embeddings = mean_embeddings(doc_rows, table.matrix)
     return [Document(id=start_id + i, true_class=c, embedding=e)
             for i, (c, e) in enumerate(zip(classes, embeddings))]
 
@@ -293,5 +351,5 @@ def surrogate_table(docs) -> EmbeddingTable:
     """Embedding table mapping each document's surrogate token to its vector."""
     if not docs:
         raise ValueError("no documents")
-    dim = len(docs[0].embedding)
-    return EmbeddingTable(dim, {synthetic_token(d.id): np.asarray(d.embedding) for d in docs})
+    matrix = np.array([d.embedding for d in docs], dtype=np.float64)
+    return EmbeddingTable(matrix, {synthetic_token(d.id): i for i, d in enumerate(docs)})

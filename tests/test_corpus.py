@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -47,11 +48,15 @@ def test_tokenize_lowercases_and_strips_punctuation():
     assert tokenize("...") == []
 
 
+def _vector(table, word):
+    return table.matrix[table.rows[word]]
+
+
 def test_load_word_vectors_minimal(tiny_table):
     assert tiny_table.dimension == 2
     assert len(tiny_table) == 2
-    assert np.array_equal(tiny_table.vectors["a"], [1.0, 0.0])
-    assert np.array_equal(tiny_table.vectors["b"], [0.0, 1.0])
+    assert tiny_table.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert tiny_table.rows == {"a": 0, "b": 1}
 
 
 def test_load_word_vectors_dimension_mismatch(tmp_path):
@@ -66,12 +71,87 @@ def test_load_word_vectors_missing_file(tmp_path):
         load_word_vectors(tmp_path / "nope.txt")
 
 
-def test_load_word_vectors_skips_unparseable_rows(tmp_path, caplog):
+def test_load_word_vectors_refuses_an_unparseable_row(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("3 2\na 1 0\nbroken x y\nb 0 1\n")
-    table = load_word_vectors(path)
-    assert len(table) == 2
-    assert "broken" not in table.vectors
+    with pytest.raises(ValueError) as info:
+        load_word_vectors(path)
+    assert str(info.value) == f"{path}:3: components must be numbers, got 'x'"
+
+
+def test_load_word_vectors_refuses_a_line_of_only_a_word(tmp_path):
+    # np.loadtxt would skip the line's empty number text and shift every later row
+    path = tmp_path / "vecs.txt"
+    path.write_text("3 2\na 1 0\nb  \nc 0 1\n")
+    with pytest.raises(ValueError) as info:
+        load_word_vectors(path)
+    assert str(info.value) == f"{path}:3: expected 2 components, got 0"
+    # a bad line before it, in the same parse block, is named first
+    path.write_text("3 2\na 1 x\nb\nc 0 1\n")
+    with pytest.raises(ValueError) as info:
+        load_word_vectors(path)
+    assert str(info.value) == f"{path}:2: components must be numbers, got 'x'"
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("A 1 2 3", "expected 2 components, got 3"),
+    ("A 7", "expected 2 components, got 1"),
+    ("A", "expected 2 components, got 0"),
+    ("A 1 1_0", "components must be numbers, got '1_0'"),
+    ("A nan 1", "components must be finite, got nan"),
+])
+def test_load_word_vectors_refuses_a_bad_duplicate(tmp_path, line, problem):
+    # a duplicate word's line is skipped only once it is a complete, finite vector
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"3 2\na 1 0\n{line}\nb 0 1\n")
+    with pytest.raises(ValueError) as info:
+        load_word_vectors(path)
+    assert str(info.value) == f"{path}:3: {problem}"
+
+
+_GOOD_LINES = ["a 1 0", "b 0 1", "A 5 5", "c -2.5 3e-7", "d 1e300 -0.0", "e 4 2", "f 0 0"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_load_word_vectors_parses_in_blocks(monkeypatch, tmp_path, block):
+    # block: the lines one parse call takes; the table is the same at every size
+    path = tmp_path / "vecs.txt"
+    path.write_text("8 2\n" + "\n".join(_GOOD_LINES[:4] + [""] + _GOOD_LINES[4:]) + "\n")
+    want = load_word_vectors(path)
+    monkeypatch.setattr(oris.corpus, "_PARSE_BLOCK", block * 2)
+    got = load_word_vectors(path)
+    assert got.rows == want.rows == {"a": 0, "b": 1, "c": 3, "d": 4, "e": 5, "f": 6}
+    assert got.matrix.view(np.uint64).tolist() == want.matrix.view(np.uint64).tolist()
+    assert want.matrix[3].tolist() == [-2.5, 3e-7]
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("line, problem", [
+    ("g 1 2 3", "expected 2 components, got 3"),
+    ("g", "expected 2 components, got 0"),
+    ("g 0 x", "components must be numbers, got 'x'"),
+    ("g -inf 0", "components must be finite, got -inf"),
+])
+def test_load_word_vectors_names_a_bad_line_of_a_later_block(monkeypatch, tmp_path, block,
+                                                            line, problem):
+    monkeypatch.setattr(oris.corpus, "_PARSE_BLOCK", block * 2)
+    path = tmp_path / "vecs.txt"
+    lines = _GOOD_LINES[:5] + [line] + _GOOD_LINES[5:]
+    path.write_text("8 2\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_word_vectors(path)
+    assert str(info.value) == f"{path}:7: {problem}"
+
+
+def test_load_word_vectors_of_only_blank_lines_is_an_empty_table(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("0 3\n\n   \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on an empty input
+        table = load_word_vectors(path)
+    assert len(table) == 0
+    assert table.dimension == 3
+    assert table.matrix.shape == (0, 3)
 
 
 def test_load_word_vectors_300dim_count_matches_scan(tmp_path):
@@ -97,9 +177,8 @@ def test_load_word_vectors_skips_a_byte_order_mark(tmp_path):
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     want, got = load_word_vectors(plain), load_word_vectors(marked)
     assert got.dimension == want.dimension == 2
-    assert list(got.vectors) == list(want.vectors) == ["alpha", "beta", "gamma"]
-    for word, vec in want.vectors.items():
-        assert np.array_equal(got.vectors[word], vec)
+    assert list(got.rows) == list(want.rows) == ["alpha", "beta", "gamma"]
+    assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_word_vector_round_trip(tmp_path, tiny_table):
@@ -107,8 +186,8 @@ def test_word_vector_round_trip(tmp_path, tiny_table):
     write_word_vectors(tiny_table, out)
     again = load_word_vectors(out)
     assert again.dimension == tiny_table.dimension
-    for word, vec in tiny_table.vectors.items():
-        assert np.array_equal(again.vectors[word], vec)
+    assert again.rows == tiny_table.rows
+    assert np.array_equal(again.matrix, tiny_table.matrix)
 
 
 # Number strings a word-vector file may hold: shortest repr and %.6f forms of
@@ -132,28 +211,68 @@ def _float_or_none(text):
         return None
 
 
+def _loaded_or_none(text):
+    """float(text), or None where the loader refuses text: where float() does,
+    and at an underscore or a non-ASCII digit, which float() takes."""
+    if "_" in text or not text.isascii():
+        return None
+    return _float_or_none(text)
+
+
 @pytest.mark.parametrize("dim", [1, 3])
-def test_load_word_vectors_parses_like_float(tmp_path, caplog, dim):
-    # one line per window of `dim` strings: a line is kept with float()'s bits
-    # exactly when float() takes each of its fields, and skipped otherwise
+def test_load_word_vectors_parses_like_float(tmp_path, dim):
+    # one line per window of `dim` strings: a line loads with float()'s bits when
+    # the loader takes each of its strings, and is refused, naming the line and
+    # its first refused string, otherwise
     rows = [[NUMBER_STRINGS[(i + j) % len(NUMBER_STRINGS)] for j in range(dim)]
             for i in range(len(NUMBER_STRINGS))]
+    expected = [[_loaded_or_none(t) for t in row] for row in rows]
+    kept = [vals for vals in expected if None not in vals]
     path = tmp_path / "numbers.vec"
-    path.write_text(f"{len(rows)} {dim}\n"
-                    + "".join(f"w{i} {' '.join(row)}\n" for i, row in enumerate(rows)),
+    path.write_text(f"{len(kept)} {dim}\n"
+                    + "".join(f"w{i} {' '.join(row)}\n" for i, (row, vals)
+                              in enumerate(zip(rows, expected)) if None not in vals),
                     encoding="utf-8")
-    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
-        table = load_word_vectors(path)
-    expected = {f"w{i}": [_float_or_none(t) for t in row] for i, row in enumerate(rows)}
-    kept = {w for w, vals in expected.items() if None not in vals}
-    assert set(table.vectors) == kept
-    for word in kept:
-        want = np.array(expected[word], dtype=np.float64)
-        assert table.vectors[word].view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    skipped_lines = sorted(int(r.getMessage().split(":")[1]) for r in caplog.records
-                           if "unparseable" in r.getMessage())
-    assert skipped_lines == [i + 2 for i, row in enumerate(rows) if f"w{i}" not in kept]
-    assert skipped_lines  # the list holds strings that both parsers reject
+    table = load_word_vectors(path)
+    want = np.array(kept, dtype=np.float64).reshape(len(kept), dim)
+    assert table.matrix.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    refused = [(row, vals) for row, vals in zip(rows, expected) if None in vals]
+    assert refused  # the list holds strings that the loader refuses
+    for row, vals in refused:
+        path.write_text(f"2 {dim}\nok {' '.join(['1'] * dim)}\nw {' '.join(row)}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == \
+            f"{path}:3: components must be numbers, got {row[vals.index(None)]!r}"
+
+
+_SPELLINGS = [repr, "{:.17e}".format, "{:.5f}".format, "{:g}".format,
+              lambda v: repr(v) if repr(v).startswith("-") else "+" + repr(v)]
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e300, -1e300,
+                 1e-300, -1e-300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("dim", [1, 8, 300])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_load_word_vectors_has_the_bits_of_float(tmp_path_factory, dim, data):
+    # every component of a loaded row has float(s)'s bits, s its spelling in the
+    # file; the drawn doubles and spellings are cycled to fill whole lines
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                                | st.sampled_from(_EDGE_DOUBLES), max_size=64))
+    values += _EDGE_DOUBLES
+    spell = data.draw(st.lists(st.sampled_from(_SPELLINGS), min_size=1, max_size=7))
+    texts = [spell[i % len(spell)](values[i % len(values)])
+             for i in range(-(-len(values) // dim) * dim)]
+    lines = [texts[i:i + dim] for i in range(0, len(texts), dim)]
+    path = tmp_path_factory.mktemp("bits") / "vecs.vec"
+    path.write_text(f"{len(lines)} {dim}\n"
+                    + "".join(f"w{i} {' '.join(line)}\n" for i, line in enumerate(lines)),
+                    encoding="utf-8")
+    table = load_word_vectors(path)
+    want = np.array([float(t) for t in texts]).reshape(len(lines), dim)
+    assert table.matrix.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 NON_FINITE_STRINGS = ["1e400", "-1e400", "inf", "-Infinity", "NaN", "nan", "-nan"]
@@ -162,26 +281,26 @@ NON_FINITE_STRINGS = ["1e400", "-1e400", "inf", "-Infinity", "NaN", "nan", "-nan
 @pytest.mark.parametrize("text", NON_FINITE_STRINGS)
 def test_load_word_vectors_refuses_a_non_finite_component(tmp_path, text):
     path = tmp_path / "bad.vec"
-    path.write_text(f"4 2\na 1 2\nb 3 x\nc 0.5 {text}\nd {text} {text}\n", encoding="utf-8")
+    path.write_text(f"4 2\na 1 2\n\nc 0.5 {text}\nd {text} {text}\n", encoding="utf-8")
     with pytest.raises(ValueError) as info:
         load_word_vectors(path)
     assert str(info.value) == f"{path}:4: components must be finite, got {float(text)}"
 
 
-def _vectors(tokens, table):
-    return [table.vectors[t] for t in tokens]
+def _rows(tokens, table):
+    return [table.rows[t] for t in tokens]
 
 
 def test_mean_embeddings_are_row_means(tiny_table):
-    got = mean_embeddings([_vectors(["a", "b"], tiny_table), _vectors(["a", "a"], tiny_table)],
-                          2)
+    got = mean_embeddings([_rows(["a", "b"], tiny_table), _rows(["a", "a"], tiny_table)],
+                          tiny_table.matrix)
     assert np.allclose(got, [[0.5, 0.5], [1.0, 0.0]])
 
 
 def test_mean_embeddings_empty_row_is_zero(tiny_table):
-    got = mean_embeddings([[], _vectors(["b"], tiny_table), []], 2)
+    got = mean_embeddings([[], _rows(["b"], tiny_table), []], tiny_table.matrix)
     assert got.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
-    assert mean_embeddings([], 2).shape == (0, 2)
+    assert mean_embeddings([], tiny_table.matrix).shape == (0, 2)
 
 
 def test_embed_oov_excluded_from_divisor(tmp_path, tiny_table):
@@ -195,18 +314,19 @@ def test_embed_oov_excluded_from_divisor(tmp_path, tiny_table):
 @given(st.permutations(["a", "b", "a", "b", "b"]), st.floats(-3, 3))
 @settings(max_examples=50, deadline=None)
 def test_embed_permutation_invariant_and_linear(perm, scale):
-    table = EmbeddingTable(2, {"a": np.array([1.0, 2.0]), "b": np.array([-0.5, 0.25])})
-    base = mean_embeddings([_vectors(["a", "b", "a", "b", "b"], table)], 2)[0]
-    assert np.allclose(mean_embeddings([_vectors(perm, table)], 2)[0], base)
-    scaled = EmbeddingTable(2, {w: scale * v for w, v in table.vectors.items()})
-    assert np.allclose(mean_embeddings([_vectors(perm, scaled)], 2)[0], scale * base,
-                       atol=1e-12)
+    table = EmbeddingTable(np.array([[1.0, 2.0], [-0.5, 0.25]]), {"a": 0, "b": 1})
+    base = mean_embeddings([_rows(["a", "b", "a", "b", "b"], table)], table.matrix)[0]
+    assert np.allclose(mean_embeddings([_rows(perm, table)], table.matrix)[0], base)
+    assert np.allclose(mean_embeddings([_rows(perm, table)], scale * table.matrix)[0],
+                       scale * base, atol=1e-12)
 
 
-def _assert_np_mean_bits(got, doc_vectors, dim):
-    assert got.shape == (len(doc_vectors), dim)
-    for row, vecs in zip(got, doc_vectors):
-        want = np.mean(vecs, axis=0) if vecs else np.zeros(dim)
+def _assert_np_mean_bits(got, doc_rows, matrix):
+    # the reference: np.mean over the list of each document's vectors
+    dim = matrix.shape[1]
+    assert got.shape == (len(doc_rows), dim)
+    for row, ids in zip(got, doc_rows):
+        want = np.mean([matrix[i] for i in ids], axis=0) if ids else np.zeros(dim)
         assert row.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
@@ -218,12 +338,12 @@ def test_mean_embeddings_have_np_mean_bits(monkeypatch, dim, block):
     if block is not None:
         monkeypatch.setattr(oris.corpus, "_EMBED_BLOCK", block * dim)
     rng = np.random.default_rng(dim)
-    words = [rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 8) for _ in range(12)]
-    # vector counts 0-20 and 40, 129, each several times, in a shuffled order;
-    # repeated vectors, as a real text has
+    matrix = rng.standard_normal((12, dim)) * 10.0 ** rng.integers(-8, 8, size=(12, 1))
+    # row counts 0-20 and 40, 129, each several times, in a shuffled order;
+    # repeated rows, as a real text has
     lengths = rng.permutation(np.repeat(list(range(21)) + [40, 129], 3))
-    doc_vectors = [[words[i] for i in rng.integers(0, len(words), size=n)] for n in lengths]
-    _assert_np_mean_bits(mean_embeddings(doc_vectors, dim), doc_vectors, dim)
+    doc_rows = [rng.integers(0, len(matrix), size=n).tolist() for n in lengths]
+    _assert_np_mean_bits(mean_embeddings(doc_rows, matrix), doc_rows, matrix)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 300])
@@ -232,10 +352,11 @@ def test_load_dataset_embeddings_have_np_mean_bits(tmp_path, dim):
     # punctuation, out-of-vocabulary words and punctuation-only tokens between them
     rng = np.random.default_rng(100 + dim)
     vocab = [f"w{i}" for i in range(30)]
-    table = EmbeddingTable(dim, {w: rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 8)
-                                 for w in vocab})
+    table = EmbeddingTable(
+        rng.standard_normal((len(vocab), dim)) * 10.0 ** rng.integers(-8, 8, size=(len(vocab), 1)),
+        {w: i for i, w in enumerate(vocab)})
     labels = LabelSpace(["pos", "neg", "mid"])
-    lines, want_vectors, want_classes = [], [], []
+    lines, want_rows, want_classes = [], [], []
     for _ in range(2000):
         picks = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 41))]
         tokens = [w.upper() if rng.random() < 0.2 else w for w in picks]
@@ -245,15 +366,15 @@ def test_load_dataset_embeddings_have_np_mean_bits(tmp_path, dim):
                           str(rng.choice(["zzz", "oov9", "--", "...", "w30"])))
         true_class = int(rng.integers(0, len(labels)))
         lines.append(" ".join(tokens) + f"\t{labels.name(true_class)}\n")
-        want_vectors.append([table.vectors[w] for w in picks])
+        want_rows.append(_rows(picks, table))
         want_classes.append(true_class)
-    assert sum(not vecs for vecs in want_vectors) > 10
+    assert sum(not ids for ids in want_rows) > 10
     path = tmp_path / "data.tsv"
     path.write_text("".join(lines), encoding="utf-8")
     docs = load_dataset(path, table, labels, start_id=7)
     assert [d.id for d in docs] == list(range(7, 2007))
     assert [d.true_class for d in docs] == want_classes
-    _assert_np_mean_bits(np.array([d.embedding for d in docs]), want_vectors, dim)
+    _assert_np_mean_bits(np.array([d.embedding for d in docs]), want_rows, table.matrix)
 
 
 def test_load_dataset_sequential_ids(tmp_path, tiny_table):
