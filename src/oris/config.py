@@ -19,7 +19,7 @@ import math
 from dataclasses import replace
 
 from .checks import CheckError
-from .corpus import LabelSpace
+from .corpus import LabelSpace, open_text
 from .dqn import AgentConfig
 from .harness import AGENT_KINDS, HarnessConfig
 from .oracle import DECAY_KINDS, DecayModel, error_probability
@@ -155,7 +155,7 @@ class ExperimentConfig:
 def _read_pairs(path):
     pairs = []
     problems = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

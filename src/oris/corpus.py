@@ -4,17 +4,21 @@ the text formats of the package's files, result CSVs included.
 Documents are represented by the mean of the pre-trained word vectors of
 their in-vocabulary tokens, computed for a whole file at once with
 `np.mean`'s bits. A word-vector table is one matrix, whose numbers are
-parsed in blocks of lines by numpy's C tokenizer. Every reader skips a UTF-8
-byte-order mark. Synthetic corpora draw class-conditional Gaussian
-embeddings so class separability is controlled analytically.
+parsed by one call of numpy's C tokenizer; only a file that fails it is read
+again, line by line, to name its first bad line. Every reader skips a UTF-8
+byte-order mark and names its file when a byte is not UTF-8. Synthetic
+corpora draw class-conditional Gaussian embeddings so class separability is
+controlled analytically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import string
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,10 +89,16 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-# float64 cells of the lines one `np.loadtxt` call parses. A call costs about
-# 3 us, so the size only caps the number text held at once: from 2^14 cells
-# to a whole 20,000 x 300 file, parse times were within noise.
-_PARSE_BLOCK = 1 << 16
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """`path` opened for reading as UTF-8 text, a leading byte-order mark
+    skipped; a byte that is not UTF-8 is a ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                         f"{exc.reason})") from None
 
 
 def _parse(lines) -> np.ndarray:
@@ -96,30 +106,6 @@ def _parse(lines) -> np.ndarray:
     by numpy's C tokenizer. It takes the strings `float()` takes, with its
     bits, except underscores ("1_0") and non-ASCII digits, which it refuses."""
     return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-
-
-def _parse_vectors(path, texts: list[str], linenos: list[int], dim: int) -> np.ndarray:
-    """(len(texts), dim) matrix of the number text of word-vector lines, by
-    one `_parse` call. If the block fails, its lines are parsed again one at
-    a time, so the error names the first bad line: one with the wrong width,
-    an unparseable component or a non-finite one."""
-    try:
-        rows = _parse(texts)
-    except ValueError:
-        rows = None
-    if rows is None or rows.shape != (len(texts), dim):
-        if len(texts) > 1:
-            return np.concatenate([_parse_vectors(path, [text], [lineno], dim)
-                                   for text, lineno in zip(texts, linenos)])
-        if rows is None:
-            raise ValueError(f"{path}:{linenos[0]}: components must be numbers, got "
-                             f"{_unparseable(texts[0])!r}")
-        raise ValueError(f"{path}:{linenos[0]}: expected {dim} components, got {rows.shape[1]}")
-    bad = np.argwhere(~np.isfinite(rows))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"{path}:{linenos[row]}: components must be finite, got {rows[row, col]}")
-    return rows
 
 
 def _unparseable(text: str) -> str:
@@ -142,11 +128,11 @@ def load_word_vectors(path) -> EmbeddingTable:
     line must hold `dim` finite numbers: a wrong width, an unparseable
     component ("x", "1_0") and a NaN or infinite one ("nan", "inf", "1e400")
     are each an error naming the line, duplicates' lines included. The loop
-    splits off each line's word; the numbers of up to `_PARSE_BLOCK` cells'
-    worth of lines are parsed by one `np.loadtxt` call, with `float()`'s bits.
+    splits off each line's word, and one `np.loadtxt` call parses all their
+    numbers with `float()`'s bits; if it fails, a second read names the line.
     A UTF-8 byte-order mark at the start of the file is skipped.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected header '<count> <dim>', got {header!r}")
@@ -156,45 +142,67 @@ def load_word_vectors(path) -> EmbeddingTable:
             raise ValueError(f"{path}: non-integer header fields {header!r}") from None
         if dim < 1:
             raise ValueError(f"{path}: vector dimension must be >= 1, got {dim}")
-        step = max(1, _PARSE_BLOCK // dim)
         rows: dict[str, int] = {}
-        blocks: list[np.ndarray] = []
-        texts: list[str] = []  # number text of the lines not parsed yet
-        linenos: list[int] = []  # and their line numbers
         n_rows = 0
         skipped = 0
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split(None, 1)
-            if not fields:
-                skipped += 1
-                logger.warning("%s:%d: blank line skipped", path, lineno)
-                continue
-            if len(fields) == 1:
-                # `np.loadtxt` would skip this line; an earlier bad line is named first
-                if texts:
-                    _parse_vectors(path, texts, linenos, dim)
-                raise ValueError(f"{path}:{lineno}: expected {dim} components, got 0")
-            word = fields[0].lower()
-            if word in rows:
-                skipped += 1
-                logger.warning("%s:%d: duplicate word %r skipped", path, lineno, word)
-            else:
-                rows[word] = n_rows
-            n_rows += 1
-            texts.append(fields[1])
-            linenos.append(lineno)
-            if len(texts) == step:
-                blocks.append(_parse_vectors(path, texts, linenos, dim))
-                texts, linenos = [], []
-        if texts:
-            blocks.append(_parse_vectors(path, texts, linenos, dim))
+
+        def number_texts():
+            nonlocal n_rows, skipped
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.split(None, 1)
+                if not fields:
+                    skipped += 1
+                    logger.warning("%s:%d: blank line skipped", path, lineno)
+                    continue
+                if len(fields) == 1:
+                    raise ValueError  # `np.loadtxt` would skip it: a second read names it
+                word = fields[0].lower()
+                if rows.setdefault(word, n_rows) != n_rows:
+                    skipped += 1
+                    logger.warning("%s:%d: duplicate word %r skipped", path, lineno, word)
+                n_rows += 1
+                yield fields[1]
+
+        texts = number_texts()
+        try:
+            first = next(texts, None)  # `np.loadtxt` warns on an empty input
+            matrix = np.empty((0, dim)) if first is None else _parse(chain([first], texts))
+        except UnicodeDecodeError:  # a ValueError, but not a bad line: `open_text` names it
+            raise
+        except ValueError:
+            matrix = None
+    if matrix is None or matrix.shape != (n_rows, dim) or not np.isfinite(matrix).all():
+        _refuse_first_bad_line(path, dim)
     if len(rows) != declared_count - skipped:
         logger.warning(
             "%s: header declares %d words, loaded %d (%d skipped)",
             path, declared_count, len(rows), skipped,
         )
-    matrix = np.concatenate(blocks) if blocks else np.empty((0, dim))
     return EmbeddingTable(matrix, rows)
+
+
+def _refuse_first_bad_line(path, dim: int) -> None:
+    """Raise the error of the first line of word-vector file `path` that is not
+    a word and `dim` finite numbers, reading it again and parsing each line alone."""
+    with open_text(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split(None, 1)
+            if not fields:
+                continue
+            if len(fields) == 1:
+                raise ValueError(f"{path}:{lineno}: expected {dim} components, got 0")
+            try:
+                row = _parse([fields[1]])[0]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: components must be numbers, got "
+                                 f"{_unparseable(fields[1])!r}") from None
+            if len(row) != dim:
+                raise ValueError(f"{path}:{lineno}: expected {dim} components, got {len(row)}")
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: components must be finite, got "
+                                 f"{row[~np.isfinite(row)][0]}")
+    raise ValueError(f"{path}: its lines parse one at a time but not as one table")
 
 
 def write_word_vectors(table: EmbeddingTable, path) -> None:
@@ -267,7 +275,7 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
     bad: list[str] = []
     rows = table.rows
     unseen = 0  # documents with no word in the table
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

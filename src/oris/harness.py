@@ -20,7 +20,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from .checks import check
-from .corpus import LabelSpace, write_csv
+from .corpus import LabelSpace, open_text, write_csv
 from .dqn import decide
 from .encoder import LastSeenTracker, encode_state
 from .learner import f1_macro, fit_many, predict, predict_proba
@@ -310,7 +310,7 @@ def write_record(record: ExperimentRecord, path) -> None:
 
 def read_record(path) -> ExperimentRecord:
     rows = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:

@@ -11,9 +11,9 @@ import oris
 from oris.checks import CheckError
 from oris.cli import main
 from oris.config import _SCHEMA, ConfigError, parse_config
-from oris.corpus import LabelSpace, load_dataset, load_word_vectors
+from oris.corpus import EmbeddingTable, LabelSpace, load_dataset, load_word_vectors
 from oris.dqn import AgentConfig
-from oris.harness import AGENT_KINDS, HarnessConfig, read_record
+from oris.harness import AGENT_KINDS, CSV_HEADER, HarnessConfig, read_record
 from oris.nnet import DenseNet, save_checkpoint
 from oris.oracle import DecayModel, error_probability
 from oris.reward import RewardConfig
@@ -120,6 +120,26 @@ def test_config_skips_a_byte_order_mark(tmp_path):
     assert got.label_space() == want.label_space() == LabelSpace(["x", "y", "z"])
     assert got["data.train"] == want["data.train"] == "a.tsv"
     assert got.seeds == want.seeds == [4, 2]
+
+
+@pytest.mark.parametrize("name, text, read", [
+    ("exp.cfg", "seeds = 1\n{}x = 2\n", parse_config),
+    ("vecs.vec", "2 2\na 1 0\n{}b 0 1\n", load_word_vectors),
+    # read while `np.loadtxt` parses: the header's read decodes only the first 8 KB
+    ("vecs.vec", "1001 2\n" + "".join(f"w{i} 1 0\n" for i in range(1000)) + "{}b 0 1\n",
+     load_word_vectors),
+    ("train.tsv", "some text\tx\n{}more text\ty\n",
+     lambda path: load_dataset(path, EmbeddingTable(np.eye(2), {"some": 0, "more": 1}),
+                               LabelSpace(["x", "y"]))),
+    ("run.csv", ",".join(CSV_HEADER) + "\n{}\n", read_record),
+], ids=["config", "vectors", "vectors-late", "dataset", "record"])
+def test_a_byte_that_is_not_utf8_is_refused_naming_the_file(tmp_path, name, text, read):
+    # the decoder's own position is an offset into a read chunk, so none is given
+    path = tmp_path / name
+    path.write_bytes(text.format("\xff").encode("latin-1"))
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
 
 
 def test_config_parses_oracle_block(tmp_path):

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_load_word_vectors_refuses_a_line_of_only_a_word(tmp_path):
     with pytest.raises(ValueError) as info:
         load_word_vectors(path)
     assert str(info.value) == f"{path}:3: expected 2 components, got 0"
-    # a bad line before it, in the same parse block, is named first
+    # a bad line before it is named first
     path.write_text("3 2\na 1 x\nb\nc 0 1\n")
     with pytest.raises(ValueError) as info:
         load_word_vectors(path)
@@ -112,35 +113,65 @@ def test_load_word_vectors_refuses_a_bad_duplicate(tmp_path, line, problem):
 _GOOD_LINES = ["a 1 0", "b 0 1", "A 5 5", "c -2.5 3e-7", "d 1e300 -0.0", "e 4 2", "f 0 0"]
 
 
-@pytest.mark.parametrize("block", [1, 2, 3])
-def test_load_word_vectors_parses_in_blocks(monkeypatch, tmp_path, block):
-    # block: the lines one parse call takes; the table is the same at every size
+def test_load_word_vectors_parses_every_line_into_one_matrix(tmp_path):
+    # a blank line has no row; a duplicate's line has one, which no word names
     path = tmp_path / "vecs.txt"
     path.write_text("8 2\n" + "\n".join(_GOOD_LINES[:4] + [""] + _GOOD_LINES[4:]) + "\n")
-    want = load_word_vectors(path)
-    monkeypatch.setattr(oris.corpus, "_PARSE_BLOCK", block * 2)
-    got = load_word_vectors(path)
-    assert got.rows == want.rows == {"a": 0, "b": 1, "c": 3, "d": 4, "e": 5, "f": 6}
-    assert got.matrix.view(np.uint64).tolist() == want.matrix.view(np.uint64).tolist()
-    assert want.matrix[3].tolist() == [-2.5, 3e-7]
+    table = load_word_vectors(path)
+    assert table.rows == {"a": 0, "b": 1, "c": 3, "d": 4, "e": 5, "f": 6}
+    want = np.array([[float(v) for v in line.split()[1:]] for line in _GOOD_LINES])
+    assert table.matrix.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert table.matrix[3].tolist() == [-2.5, 3e-7]
 
 
-@pytest.mark.parametrize("block", [1, 2])
-@pytest.mark.parametrize("line, problem", [
-    ("g 1 2 3", "expected 2 components, got 3"),
-    ("g", "expected 2 components, got 0"),
-    ("g 0 x", "components must be numbers, got 'x'"),
-    ("g -inf 0", "components must be finite, got -inf"),
-])
-def test_load_word_vectors_names_a_bad_line_of_a_later_block(monkeypatch, tmp_path, block,
-                                                            line, problem):
-    monkeypatch.setattr(oris.corpus, "_PARSE_BLOCK", block * 2)
+@pytest.mark.parametrize("dim, good", [(2, _GOOD_LINES),
+                                       # more than 2^16 cells of good lines before the bad one
+                                       (300, [f"w{i} " + " ".join([repr(i / 7)] * 300)
+                                              for i in range(300)])])
+@pytest.mark.parametrize("bad, problem", [
+    (lambda dim: " ".join(["1"] * (dim + 1)), "expected {dim} components, got {wider}"),
+    (lambda dim: "", "expected {dim} components, got 0"),
+    (lambda dim: " ".join(["0"] * (dim - 1) + ["x"]), "components must be numbers, got 'x'"),
+    (lambda dim: " ".join(["-inf"] + ["0"] * (dim - 1)), "components must be finite, got -inf"),
+], ids=["wide", "word-only", "x", "-inf"])
+def test_load_word_vectors_names_a_bad_line_after_good_ones(tmp_path, dim, good, bad, problem):
+    # the bad line comes before the last two good ones, which are not named
     path = tmp_path / "vecs.txt"
-    lines = _GOOD_LINES[:5] + [line] + _GOOD_LINES[5:]
-    path.write_text("8 2\n" + "\n".join(lines) + "\n")
+    lines = good[:-2] + [f"g {bad(dim)}"] + good[-2:]
+    path.write_text(f"{len(lines)} {dim}\n" + "\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         load_word_vectors(path)
-    assert str(info.value) == f"{path}:7: {problem}"
+    assert str(info.value) == f"{path}:{len(good)}: " + problem.format(dim=dim, wider=dim + 1)
+
+
+def test_load_word_vectors_refuses_word_only_lines_without_a_numpy_warning(tmp_path):
+    # their number text, were it parsed, would be an input with no data
+    path = tmp_path / "vecs.txt"
+    path.write_text("2 2\na\nb\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on an input with no data
+        with pytest.raises(ValueError) as info:
+            load_word_vectors(path)
+    assert str(info.value) == f"{path}:2: expected 2 components, got 0"
+
+
+def test_load_word_vectors_peaks_near_one_matrix(tmp_path):
+    # at its peak the loader holds about one copy of the table, not two
+    rng = np.random.default_rng(3)
+    n_words, dim = 2000, 300
+    path = tmp_path / "vecs.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n_words} {dim}\n")
+        for i, row in enumerate(rng.standard_normal((n_words, dim)).tolist()):
+            fh.write(f"w{i} " + " ".join(map(repr, row)) + "\n")
+    tracemalloc.start()
+    try:
+        table = load_word_vectors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.matrix.shape == (n_words, dim)
+    assert peak < 1.5 * table.matrix.nbytes, peak / table.matrix.nbytes
 
 
 def test_load_word_vectors_of_only_blank_lines_is_an_empty_table(tmp_path):
