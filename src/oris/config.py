@@ -122,9 +122,7 @@ _SLIP_FREE_BETA = {"sigmoid": "above about -36.74", "exponential": "< 0"}
 
 class ExperimentConfig:
     """The components parse_config built and checked, and the values of the
-    data.* and synth.* keys. The accessors return the checked objects
-    themselves, not copies: HarnessConfig and AgentConfig are mutable, and a
-    caller must not change them."""
+    data.* and synth.* keys."""
 
     def __init__(self, plain, built):
         self._plain = plain  # data.* and synth.* key -> value

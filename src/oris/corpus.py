@@ -130,7 +130,9 @@ def load_word_vectors(path) -> EmbeddingTable:
     are each an error naming the line, duplicates' lines included. The loop
     splits off each line's word, and one `np.loadtxt` call parses all their
     numbers with `float()`'s bits; if it fails, a second read names the line.
-    A UTF-8 byte-order mark at the start of the file is skipped.
+    A header count other than the number of vector lines, duplicates
+    included, is logged. A UTF-8 byte-order mark at the start of the file is
+    skipped.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -143,22 +145,19 @@ def load_word_vectors(path) -> EmbeddingTable:
         if dim < 1:
             raise ValueError(f"{path}: vector dimension must be >= 1, got {dim}")
         rows: dict[str, int] = {}
-        n_rows = 0
-        skipped = 0
+        n_rows = 0  # vector lines, duplicates included
 
         def number_texts():
-            nonlocal n_rows, skipped
+            nonlocal n_rows
             for lineno, line in enumerate(fh, start=2):
                 fields = line.split(None, 1)
                 if not fields:
-                    skipped += 1
                     logger.warning("%s:%d: blank line skipped", path, lineno)
                     continue
                 if len(fields) == 1:
                     raise ValueError  # `np.loadtxt` would skip it: a second read names it
                 word = fields[0].lower()
                 if rows.setdefault(word, n_rows) != n_rows:
-                    skipped += 1
                     logger.warning("%s:%d: duplicate word %r skipped", path, lineno, word)
                 n_rows += 1
                 yield fields[1]
@@ -173,11 +172,9 @@ def load_word_vectors(path) -> EmbeddingTable:
             matrix = None
     if matrix is None or matrix.shape != (n_rows, dim) or not np.isfinite(matrix).all():
         _refuse_first_bad_line(path, dim)
-    if len(rows) != declared_count - skipped:
-        logger.warning(
-            "%s: header declares %d words, loaded %d (%d skipped)",
-            path, declared_count, len(rows), skipped,
-        )
+    if n_rows != declared_count:
+        logger.warning("%s: header declares %d words, the file holds %d vector lines",
+                       path, declared_count, n_rows)
     return EmbeddingTable(matrix, rows)
 
 

@@ -75,7 +75,7 @@ class ReplayBuffer:
         return self._states[idx], self._actions[idx], self._rewards[idx], self._next_states[idx]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentConfig:
     gamma: float = 0.99
     tau: float = 0.005

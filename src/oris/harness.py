@@ -39,7 +39,7 @@ SCORE_AHEAD = 8
 FIT_QUEUE_PICKS = 1 << 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarnessConfig:
     labels: LabelSpace
     agent: str = "random"
@@ -114,39 +114,37 @@ def uncertainty_decide(clf, emb, b: int, budget: int, theta0: float) -> int:
     return PICK if entropy >= theta0 * (1.0 - b / budget) else DISCARD
 
 
-def diversity_select(docs, budget: int, cap: int) -> list[int]:
+def diversity_select(X, budget: int, cap: int) -> list[int]:
     """Offline selection: average-linkage agglomerative clustering of the
-    embeddings into `budget` clusters, keeping the document nearest each
-    cluster mean (ties broken toward the lowest id). Deterministic.
+    rows of the (n, E) matrix X into `budget` clusters, keeping the row
+    nearest each cluster mean (ties broken toward the lower row). Returns
+    the sorted row positions. Deterministic.
 
-    Corpora larger than `cap` are thinned to evenly spaced positions first,
-    so `cap` must be at least `budget`.
+    Matrices of more than `cap` rows are thinned to evenly spaced rows
+    first, so `cap` must be at least `budget`.
     """
-    if len(docs) < budget:
-        raise ValueError(f"need at least {budget} documents, got {len(docs)}")
+    if len(X) < budget:
+        raise ValueError(f"need at least {budget} documents, got {len(X)}")
     if cap < budget:  # the thinned pool could not hold `budget` clusters
         raise ValueError(f"cap must be >= budget; got cap={cap}, B={budget}")
-    pool = docs
-    if len(docs) > cap:
-        keep = np.unique(np.linspace(0, len(docs) - 1, cap).round().astype(int))
-        pool = [docs[i] for i in keep]
-    X = np.stack([d.embedding for d in pool])
-    assignment = fcluster(linkage(X, method="average", metric="euclidean"),
+    rows = np.arange(len(X))
+    if len(X) > cap:
+        rows = np.unique(np.linspace(0, len(X) - 1, cap).round().astype(int))
+    pool = X[rows]
+    assignment = fcluster(linkage(pool, method="average", metric="euclidean"),
                           t=budget, criterion="maxclust")
-    ids = np.array([d.id for d in pool])
     selected = []
     for cluster in np.unique(assignment):
-        members = np.where(assignment == cluster)[0]
-        center = X[members].mean(axis=0)
-        dists = np.linalg.norm(X[members] - center, axis=1)
-        order = np.lexsort((ids[members], dists))
-        selected.append(int(ids[members][order[0]]))
+        members = np.flatnonzero(assignment == cluster)
+        points = pool[members]
+        dists = np.linalg.norm(points - points.mean(axis=0), axis=1)
+        selected.append(int(rows[members[np.argmin(dists)]]))  # the lowest row of a tie
     return sorted(selected)
 
 
-def _oris_picks(net, embeddings, tracker: LastSeenTracker, dt_scale: float):
+def _oris_picks(net, stream_X, tracker: LastSeenTracker, dt_scale: float):
     """The stream positions that the oris agent picks, in order, for the
-    (stream length, E) matrix of the stream's embeddings.
+    (stream length, E) matrix of the stream's embedding rows.
 
     Each call of decide scores the next SCORE_AHEAD positions from one
     tracker reading. Their states hold up to the first pick, whose emission
@@ -154,11 +152,11 @@ def _oris_picks(net, embeddings, tracker: LastSeenTracker, dt_scale: float):
     resumes after the pick, and the later states are dropped. So every
     position is decided on the state that a walk over every document gives.
     """
-    steps = np.arange(len(embeddings))[:, None]
+    steps = np.arange(len(stream_X))[:, None]
     t = 0
-    while t < len(embeddings):
+    while t < len(stream_X):
         ahead = slice(t, t + SCORE_AHEAD)
-        actions = decide(net, encode_state(embeddings[ahead], tracker, steps[ahead], dt_scale))
+        actions = decide(net, encode_state(stream_X[ahead], tracker, steps[ahead], dt_scale))
         if PICK in actions:
             t += actions.index(PICK)
             yield t
@@ -167,51 +165,52 @@ def _oris_picks(net, embeddings, tracker: LastSeenTracker, dt_scale: float):
             t += SCORE_AHEAD
 
 
-def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, true,
-                embeddings):
-    """Stream one seeded run. Its b-th pick's embedding, emitted label and
-    true class go to row b of X, y and true, the run's block of the sweep's
-    row store. At each refit it yields (picks b, fit seed) and receives the
-    classifier fit on rows :b, or None when the agent does not read it; it
-    returns whether the budget was spent.
+def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, seed, X, y, true):
+    """Stream one seeded run over train_docs, document i embedded as row i
+    of train_X. Its b-th pick's embedding, emitted label and true class go
+    to row b of X, y and true, the run's block of the sweep's row store. At
+    each refit it yields (picks b, fit seed) and receives the classifier fit
+    on rows :b, or None when the agent does not read it; it returns whether
+    the budget was spent.
 
-    Only the stream positions the agent has to decide are visited: every
-    one for uncertainty, and only the picks of the other agents. For oris
-    those are the positions _oris_picks finds in `embeddings`, the matrix of
-    train_docs' embeddings, taken in stream order; for diversity those of
-    its selected ids; for random those where the agent generator's double
-    for the document, all drawn in one call, falls below pick_prob. The
-    states and the annotator read the tracker at the visited position, so
-    they see the recency that a walk over every document would give."""
+    Stream position t holds row order[t]. Only the stream positions the
+    agent has to decide are visited: every one for uncertainty, and only
+    the picks of the other agents. For oris those are the positions
+    _oris_picks finds in train_X's rows taken in stream order; for diversity
+    those holding its selected rows; for random those where the agent
+    generator's double for the document, all drawn in one call, falls below
+    pick_prob. The states and the annotator read the tracker at the visited
+    position, so they see the recency that a walk over every document would
+    give."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(cfg.labels), cfg.k)
-    oracle_state = OracleState(cfg.oracle, cfg.labels, tracker, seed=oracle_ss)
+    oracle_state = OracleState(cfg.oracle, tracker, seed=oracle_ss)
     fit_rng = np.random.default_rng(fit_ss)
-    order = np.random.default_rng(seed).permutation(len(train_docs))
-    stream = [train_docs[i] for i in order]
+    order = np.random.default_rng(seed).permutation(len(train_X))
     if cfg.agent == "random":
         pick_prob = cfg.pick_prob
         if pick_prob is None:
-            pick_prob = min(1.0, cfg.budget / len(train_docs))
-        draws = np.random.default_rng(agent_ss).random(len(stream))
+            pick_prob = min(1.0, cfg.budget / len(order))
+        draws = np.random.default_rng(agent_ss).random(len(order))
         positions = np.flatnonzero(draws < pick_prob).tolist()
     elif cfg.agent == "diversity":
-        positions = [t for t, doc in enumerate(stream) if doc.id in diversity_ids]
+        positions = np.flatnonzero(np.isin(order, diversity_rows)).tolist()
     elif cfg.agent == "oris":
-        positions = _oris_picks(net, embeddings[order], tracker, cfg.dt_scale)
+        positions = _oris_picks(net, train_X[order], tracker, cfg.dt_scale)
     else:
-        positions = range(len(stream))
+        positions = range(len(order))
 
     clf = None
     b = 0
     for t in positions:
-        doc = stream[t]
+        row = order[t]
         if cfg.agent == "uncertainty":
-            action = uncertainty_decide(clf, doc.embedding, b, cfg.budget, cfg.theta0)
+            action = uncertainty_decide(clf, train_X[row], b, cfg.budget, cfg.theta0)
         else:
             action = PICK  # every other agent visits only its picks
         if action == PICK:
-            X[b] = doc.embedding
+            doc = train_docs[row]
+            X[b] = train_X[row]
             y[b] = oracle_state.annotate(doc, t)  # also recorded in tracker
             true[b] = doc.true_class
             b += 1
@@ -225,14 +224,17 @@ def _single_run(train_docs, cfg: HarnessConfig, net, diversity_ids, seed, X, y, 
 def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> ExperimentRecord:
     """Run one seeded experiment per cfg.seeds entry and merge the records.
 
-    Run i writes its picks to rows i * budget onward of the sweep's row
-    store, and each of its refits fits the span of its first b rows. Only the
-    uncertainty agent reads its classifier while it streams. Its runs advance
-    in lockstep: each streams to its next refit, and the S spans of that
-    refit, all of f * i rows, are fit in one fit_many call. Every other
-    agent's runs stream to their ends and every refit of the sweep is fit in
-    a single fit_many call over spans of unequal size; a queue that reaches
-    FIT_QUEUE_PICKS picks is fit at once and its runs stream on.
+    The training documents' embedding vectors are stacked once, into the
+    (n, E) matrix that every run streams rows of and that diversity_select
+    clusters. Run i writes its picks to rows i * budget onward of the
+    sweep's row store, and each of its refits fits the span of its first b
+    rows. Only the uncertainty agent reads its classifier while it streams.
+    Its runs advance in lockstep: each streams to its next refit, and the S
+    spans of that refit, all of f * i rows, are fit in one fit_many call.
+    Every other agent's runs stream to their ends and every refit of the
+    sweep is fit in a single fit_many call over spans of unequal size; a
+    queue that reaches FIT_QUEUE_PICKS picks is fit at once and its runs
+    stream on.
 
     The test set must be disjoint from the stream. Runs whose stream ends
     before the budget is exhausted are flagged in partial_runs.
@@ -243,7 +245,8 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
         raise ValueError("empty test set")
     if cfg.agent == "oris" and net is None:
         raise ValueError("the oris agent requires a trained network")
-    E, C = len(train_docs[0].embedding), len(cfg.labels)
+    train_X = np.stack([d.embedding for d in train_docs])
+    E, C = train_X.shape[1], len(cfg.labels)
     if cfg.agent == "oris" and (net.layer_sizes[0], net.layer_sizes[-1]) != (E + C, 2):
         raise ValueError(f"the oris net has layer sizes {net.layer_sizes}; a run with E = {E} "
                          f"embedding dims and C = {C} classes needs {E + C} inputs and 2 outputs")
@@ -251,9 +254,8 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     if any(d.id in train_ids for d in test_docs):
         raise ValueError("test set overlaps the training stream")
 
-    diversity_ids = frozenset(
-        diversity_select(train_docs, cfg.budget, cap=cfg.diversity_cap)
-    ) if cfg.agent == "diversity" else frozenset()
+    diversity_rows = (diversity_select(train_X, cfg.budget, cap=cfg.diversity_cap)
+                      if cfg.agent == "diversity" else [])
     test_X = np.stack([d.embedding for d in test_docs])
     test_y = np.array([d.true_class for d in test_docs])
     reads_clf = cfg.agent == "uncertainty"
@@ -262,10 +264,8 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     X = np.empty((len(cfg.seeds) * B, E))
     y = np.zeros(len(X), dtype=np.intp)  # emitted labels
     true = np.zeros(len(X), dtype=np.intp)
-    embeddings = (np.stack([d.embedding for d in train_docs]) if cfg.agent == "oris"
-                  else None)
-    runs = [_single_run(train_docs, cfg, net, diversity_ids, seed,
-                        X[lo:lo + B], y[lo:lo + B], true[lo:lo + B], embeddings)
+    runs = [_single_run(train_docs, train_X, cfg, net, diversity_rows, seed,
+                        X[lo:lo + B], y[lo:lo + B], true[lo:lo + B])
             for lo, seed in zip(range(0, len(X), B), cfg.seeds)]
     rows: list[list[RecordRow]] = [[] for _ in runs]
     partial = []

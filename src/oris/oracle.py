@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check
-from .corpus import Document, LabelSpace
+from .corpus import Document
 from .encoder import LastSeenTracker
 
 DECAY_KINDS = ("sigmoid", "exponential", "perfect")
@@ -59,20 +59,16 @@ def error_probability(model: DecayModel, dt) -> float:
 
 
 class OracleState:
-    """One annotator over one stream, reading recency from a shared tracker.
+    """One annotator over one stream, reading recency and the class count
+    from a shared tracker.
 
     The tracker records the step of every *emitted* label (the only signal
     an observer has), so the agent's state and the annotator's slips read
     the same recency; every class starts as just-seen at step 0.
     """
 
-    def __init__(self, model: DecayModel, labels: LabelSpace, tracker: LastSeenTracker, seed=0):
-        if tracker.num_classes != len(labels):
-            raise ValueError(
-                f"tracker has {tracker.num_classes} classes, label space has {len(labels)}"
-            )
+    def __init__(self, model: DecayModel, tracker: LastSeenTracker, seed=0):
         self.model = model
-        self.labels = labels
         self.tracker = tracker
         self.rng = np.random.default_rng(seed)
 
@@ -81,13 +77,13 @@ class OracleState:
         with the decay-model's slip probability a uniformly random other
         class. Records whatever label was emitted in the tracker.
         """
-        true = doc.true_class
-        if not 0 <= true < len(self.labels):
+        true, num_classes = doc.true_class, self.tracker.num_classes
+        if not 0 <= true < num_classes:
             raise ValueError(f"document class {true} outside label space")
         p = error_probability(self.model, self.tracker.since_last(true, step))
         emitted = true
         if p > 0.0 and self.rng.random() < p:
-            other = int(self.rng.integers(len(self.labels) - 1))
+            other = int(self.rng.integers(num_classes - 1))
             emitted = other + (other >= true)
         self.tracker.record_emission(emitted, step)
         return emitted

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +259,16 @@ def test_harness_config_override_refuses_an_unknown_agent(tmp_path, capsys):
     assert info.value.problems == [message]
     assert main(["run-al", "--config", cfg_path, "--agent", "bogus", "--out", "x.csv"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_checked_settings_cannot_be_changed(tmp_path):
+    # a field set after the check would skip it: budget 0 is refused above
+    cfg = parse_config(_write(tmp_path, ""))
+    with pytest.raises(FrozenInstanceError):
+        cfg.harness_config().budget = 0
+    with pytest.raises(FrozenInstanceError):
+        cfg.agent_config().minibatch = 0
+    assert (cfg.harness_config().budget, cfg.agent_config().minibatch) == (500, 512)
 
 
 @pytest.mark.parametrize("body, problem", [

@@ -116,12 +116,28 @@ _GOOD_LINES = ["a 1 0", "b 0 1", "A 5 5", "c -2.5 3e-7", "d 1e300 -0.0", "e 4 2"
 def test_load_word_vectors_parses_every_line_into_one_matrix(tmp_path):
     # a blank line has no row; a duplicate's line has one, which no word names
     path = tmp_path / "vecs.txt"
-    path.write_text("8 2\n" + "\n".join(_GOOD_LINES[:4] + [""] + _GOOD_LINES[4:]) + "\n")
+    path.write_text("7 2\n" + "\n".join(_GOOD_LINES[:4] + [""] + _GOOD_LINES[4:]) + "\n")
     table = load_word_vectors(path)
     assert table.rows == {"a": 0, "b": 1, "c": 3, "d": 4, "e": 5, "f": 6}
     want = np.array([[float(v) for v in line.split()[1:]] for line in _GOOD_LINES])
     assert table.matrix.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert table.matrix[3].tolist() == [-2.5, 3e-7]
+
+
+def test_load_word_vectors_counts_vector_lines_against_the_header(tmp_path, caplog):
+    # a blank line is logged, but is no vector line the header counts
+    path = tmp_path / "vecs.txt"
+    path.write_text("3 2\na 1 0\n\nb 0 1\nc 1 1\n")
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        load_word_vectors(path)
+    assert [r.getMessage() for r in caplog.records] == [f"{path}:3: blank line skipped"]
+    caplog.clear()
+    path.write_text("4 2\na 1 0\n\nb 0 1\nc 1 1\n")
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        load_word_vectors(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:3: blank line skipped",
+        f"{path}: header declares 4 words, the file holds 3 vector lines"]
 
 
 @pytest.mark.parametrize("dim, good", [(2, _GOOD_LINES),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import random_decide, reference_single_run
 import oris.harness
-from oris.corpus import Document, LabelSpace, generate_synthetic
+from oris.corpus import LabelSpace, generate_synthetic
 from oris.harness import (
     AGENT_KINDS,
     ExperimentRecord,
@@ -88,46 +88,47 @@ def test_uncertainty_decide_threshold_schedule():
     assert uncertainty_decide(nearly, np.array([1.0, 0.0]), 260, 500, 0.5) == PICK
 
 
+def _matrix(docs):
+    return np.stack([d.embedding for d in docs])
+
+
 def test_diversity_select_hand_case():
-    pts = [(0.0, 0.0), (0.0, 1.0), (10.0, 10.0), (10.0, 11.0)]
-    docs = [Document(i, 0, np.array(p)) for i, p in enumerate(pts)]
-    selected = diversity_select(docs, 2, cap=5000)
-    # one pick per pair; ties to the cluster mean break toward the lower id
+    X = np.array([(0.0, 0.0), (0.0, 1.0), (10.0, 10.0), (10.0, 11.0)])
+    selected = diversity_select(X, 2, cap=5000)
+    # one pick per pair; ties to the cluster mean break toward the lower row
     assert selected == [0, 2]
 
 
 def test_diversity_select_budget_equals_corpus():
-    docs = _docs([3, 3])
-    assert diversity_select(docs, 6, cap=5000) == [0, 1, 2, 3, 4, 5]
+    X = _matrix(_docs([3, 3]))
+    assert diversity_select(X, 6, cap=5000) == [0, 1, 2, 3, 4, 5]
 
 
 def test_diversity_select_duplicated_points_cluster_together():
-    docs = [Document(0, 0, np.array([0.0, 0.0])),
-            Document(1, 0, np.array([0.0, 0.0])),
-            Document(2, 0, np.array([5.0, 5.0]))]
-    selected = diversity_select(docs, 2, cap=5000)
+    X = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    selected = diversity_select(X, 2, cap=5000)
     assert selected == [0, 2]
 
 
 def test_diversity_select_deterministic_and_validates():
-    docs = _docs([10, 10])
-    assert diversity_select(docs, 8, cap=5000) == diversity_select(docs, 8, cap=5000)
+    X = _matrix(_docs([10, 10]))
+    assert diversity_select(X, 8, cap=5000) == diversity_select(X, 8, cap=5000)
     with pytest.raises(ValueError):
-        diversity_select(docs, 21, cap=5000)
+        diversity_select(X, 21, cap=5000)
 
 
 def test_diversity_select_respects_cap():
-    docs = _docs([30, 30])
-    capped = diversity_select(docs, 5, cap=20)
+    X = _matrix(_docs([30, 30]))
+    capped = diversity_select(X, 5, cap=20)
     assert len(capped) == 5
     assert all(0 <= i < 60 for i in capped)
 
 
 def test_diversity_select_refuses_a_cap_below_the_budget():
-    docs = _docs([30, 30])
-    assert len(diversity_select(docs, 20, cap=20)) == 20
+    X = _matrix(_docs([30, 30]))
+    assert len(diversity_select(X, 20, cap=20)) == 20
     with pytest.raises(ValueError, match="cap must be >= budget"):
-        diversity_select(docs, 20, cap=19)
+        diversity_select(X, 20, cap=19)
 
 
 @pytest.mark.parametrize("name,label", [("dt_scale", "dt_scale"), ("theta0", "theta0"),
@@ -373,8 +374,9 @@ def test_run_experiment_matches_reference_loop(reference_corpus, agent, oracle, 
                         seeds=(1, 2, 3), oracle=REFERENCE_ORACLES[oracle], k=k,
                         diversity_cap=200, learner_epochs=5)
     record = run_experiment(train, test, cfg, net=net if agent == "oris" else None)
-    diversity_ids = frozenset(diversity_select(train, cfg.budget, cap=cfg.diversity_cap)
-                              if agent == "diversity" else ())
+    diversity_ids = frozenset(
+        train[row].id for row in diversity_select(_matrix(train), cfg.budget, cap=cfg.diversity_cap)
+    ) if agent == "diversity" else frozenset()
     ref_rows, ref_partial = [], []
     for run_id, seed in enumerate(cfg.seeds):
         rows, completed = reference_single_run(train, test, cfg, net, diversity_ids,
@@ -521,8 +523,9 @@ def test_error_counts_and_human_f1_match_the_replayed_picks(data):
     if cfg.agent != "diversity":  # which needs `budget` documents
         train = PROPERTY_TRAIN[:data.draw(st.sampled_from([30, 5, 1]), label="stream length")]
     record = run_experiment(train, PROPERTY_TEST, cfg, net=net)
-    diversity_ids = frozenset(diversity_select(train, cfg.budget, cap=cfg.diversity_cap)
-                              if cfg.agent == "diversity" else ())
+    diversity_ids = frozenset(
+        train[row].id for row in diversity_select(_matrix(train), cfg.budget, cap=cfg.diversity_cap)
+    ) if cfg.agent == "diversity" else frozenset()
     ref_partial = []
     for run_id, seed in enumerate(cfg.seeds):
         picks = []

@@ -19,7 +19,7 @@ def _doc(cls):
 
 
 def _oracle(model, seed, k=1):
-    return OracleState(model, LABELS5, LastSeenTracker(len(LABELS5), k), seed=seed)
+    return OracleState(model, LastSeenTracker(len(LABELS5), k), seed=seed)
 
 
 def test_sigmoid_midpoint_exact():
@@ -122,9 +122,8 @@ def test_slip_target_uniform_over_other_classes():
 def test_slip_target_draws_as_the_list_of_other_classes(num_classes):
     # one integers(C - 1) draw shifted past the true class picks the same label
     # as indexing the list of the other classes with it, draw for draw
-    labels = LabelSpace([f"c{c}" for c in range(num_classes)])
     model = DecayModel("exponential", alpha=0.0, beta=0.0)  # every label slips
-    state = OracleState(model, labels, LastSeenTracker(num_classes, 1), seed=17)
+    state = OracleState(model, LastSeenTracker(num_classes, 1), seed=17)
     reference = ReferenceOracle(model, num_classes, seed=17)
     for i in range(500):
         doc = _doc(i % num_classes)
@@ -157,9 +156,10 @@ def test_interleaved_emissions_bound_dt():
         state.annotate(_doc(cls), step)
 
 
-def test_oracle_rejects_tracker_of_other_class_count():
-    with pytest.raises(ValueError, match="tracker has 4 classes"):
-        OracleState(DecayModel("perfect"), LABELS5, LastSeenTracker(4, 1), seed=0)
+def test_annotate_refuses_a_class_outside_the_tracker():
+    state = _oracle(DecayModel("perfect"), seed=0)
+    with pytest.raises(ValueError, match="document class 5 outside label space"):
+        state.annotate(_doc(5), 0)
 
 
 def test_oracle_reads_latest_emission_of_deep_tracker():
