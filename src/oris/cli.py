@@ -53,25 +53,20 @@ def _cmd_gen_synth(args) -> int:
     test_counts = cfg["synth.test_per_class"]
     if not train_counts or not test_counts:
         raise ValueError("gen-synth needs synth.train_per_class and synth.test_per_class")
-    rl_counts = cfg["synth.rl_per_class"]
-    dim, sep = cfg["synth.dim"], cfg["synth.sep"]
-    seed_train, seed_test, seed_rl = np.random.SeedSequence(cfg["synth.seed"]).spawn(3)
-
-    train = corpus.generate_synthetic(labels, train_counts, dim, sep, seed_train)
-    test = corpus.generate_synthetic(labels, test_counts, dim, sep, seed_test,
-                                     start_id=len(train))
-    splits = [("train.tsv", train), ("test.tsv", test)]
-    everything = train + test
-    if rl_counts:
-        rl = corpus.generate_synthetic(labels, rl_counts, dim, sep, seed_rl,
-                                       start_id=len(everything))
-        splits.append(("rl.tsv", rl))
-        everything = everything + rl
+    docs, splits = [], []  # every split is generated before any file is written
+    for name, counts, seed in zip(("train.tsv", "test.tsv", "rl.tsv"),
+                                  (train_counts, test_counts, cfg["synth.rl_per_class"]),
+                                  np.random.SeedSequence(cfg["synth.seed"]).spawn(3)):
+        if counts:  # rl.tsv is optional
+            split = corpus.generate_synthetic(labels, counts, cfg["synth.dim"], cfg["synth.sep"],
+                                              seed, start_id=len(docs))
+            splits.append((name, split))
+            docs += split
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, docs in splits:
-        corpus.write_synthetic_corpus(docs, labels, os.path.join(args.out_dir, name))
-    corpus.write_word_vectors(corpus.surrogate_table(everything),
+    for name, split in splits:
+        corpus.write_synthetic_corpus(split, labels, os.path.join(args.out_dir, name))
+    corpus.write_word_vectors(corpus.surrogate_table(docs),
                               os.path.join(args.out_dir, "vectors.vec"))
     print(f"wrote {', '.join(name for name, _ in splits)} and vectors.vec to {args.out_dir}")
     return 0

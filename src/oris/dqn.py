@@ -235,9 +235,7 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
     decisions = 0
 
     def choose(state):
-        nonlocal decisions
-        decisions += 1
-        return select_action(net, state, cfg.epsilon(decisions - 1), action_rng)
+        return select_action(net, state, cfg.epsilon(decisions), action_rng)
 
     for episode in range(1, cfg.episodes + 1):
         picks = 0
@@ -247,6 +245,7 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
         for state, action, r, next_state, incl in _episode(
                 docs, shuffle_rng.permutation(len(docs)), labels, cfg.budget, reward_cfg,
                 k, dt_scale, choose):
+            decisions += 1
             if action == PICK:
                 picks += 1
                 incl_sum += incl

@@ -51,6 +51,6 @@ def encode_state(emb, tracker: LastSeenTracker, step, dt_scale: float = 1.0) -> 
     embeddings with a (rows, 1) column of steps gives the (rows, E + C)
     matrix of their states, row for row those of one embedding and step.
     """
-    if dt_scale <= 0:
-        raise ValueError(f"dt_scale must be > 0, got {dt_scale}")
+    if not 0 < dt_scale < np.inf:
+        raise ValueError(f"dt_scale must be finite and > 0, got {dt_scale}")
     return np.concatenate([emb, tracker.averages(step) / dt_scale], axis=-1)

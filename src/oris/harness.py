@@ -173,20 +173,23 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
     on rows :b, or None when the agent does not read it; it returns whether
     the budget was spent.
 
-    Stream position t holds row order[t]. Only the stream positions the
-    agent has to decide are visited: every one for uncertainty, and only
-    the picks of the other agents. For oris those are the positions
-    _oris_picks finds in train_X's rows taken in stream order; for diversity
-    those holding its selected rows; for random those where the agent
-    generator's double for the document, all drawn in one call, falls below
-    pick_prob. The states and the annotator read the tracker at the visited
-    position, so they see the recency that a walk over every document would
-    give."""
+    Stream position t holds row order[t]. Every agent is an iterator of the
+    positions it picks, and the loop visits only those. For oris they are
+    the positions _oris_picks finds in train_X's rows taken in stream order;
+    for diversity those holding its selected rows; for random those where
+    the agent generator's double for the document, all drawn in one call,
+    falls below pick_prob. Uncertainty decides each position lazily, when
+    the loop asks for its next pick, so it reads the classifier and pick
+    count that the loop's last pick left. The states and the annotator read
+    the tracker at the picked position, so they see the recency that a walk
+    over every document would give."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(cfg.labels), cfg.k)
     oracle_state = OracleState(cfg.oracle, tracker, seed=oracle_ss)
     fit_rng = np.random.default_rng(fit_ss)
     order = np.random.default_rng(seed).permutation(len(train_X))
+    clf = None
+    b = 0
     if cfg.agent == "random":
         pick_prob = cfg.pick_prob
         if pick_prob is None:
@@ -197,27 +200,21 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
         positions = np.flatnonzero(np.isin(order, diversity_rows)).tolist()
     elif cfg.agent == "oris":
         positions = _oris_picks(net, train_X[order], tracker, cfg.dt_scale)
-    else:
-        positions = range(len(order))
+    else:  # lazy: each position is decided on the clf and b of the loop's last pick
+        positions = (t for t, row in enumerate(order)
+                     if uncertainty_decide(clf, train_X[row], b, cfg.budget, cfg.theta0) == PICK)
 
-    clf = None
-    b = 0
     for t in positions:
         row = order[t]
-        if cfg.agent == "uncertainty":
-            action = uncertainty_decide(clf, train_X[row], b, cfg.budget, cfg.theta0)
-        else:
-            action = PICK  # every other agent visits only its picks
-        if action == PICK:
-            doc = train_docs[row]
-            X[b] = train_X[row]
-            y[b] = oracle_state.annotate(doc, t)  # also recorded in tracker
-            true[b] = doc.true_class
-            b += 1
-            if b % cfg.update_freq == 0:
-                clf = yield b, int(fit_rng.integers(2 ** 31))
-            if b >= cfg.budget:
-                break
+        doc = train_docs[row]
+        X[b] = train_X[row]
+        y[b] = oracle_state.annotate(doc, t)  # also recorded in tracker
+        true[b] = doc.true_class
+        b += 1
+        if b % cfg.update_freq == 0:
+            clf = yield b, int(fit_rng.integers(2 ** 31))
+        if b >= cfg.budget:
+            break
     return b >= cfg.budget
 
 

@@ -148,8 +148,8 @@ def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
     for start, n in spans:
         if n < 1 or start < 0 or start + n > len(X):
             raise ValueError(f"span ({start}, {n}) is empty or not within the {len(X)} rows")
-    if epochs < 1 or batch_size < 1 or not lr > 0:
-        raise ValueError("epochs and batch_size must be >= 1 and lr > 0")
+    if epochs < 1 or batch_size < 1 or not 0 < lr < np.inf:
+        raise ValueError("epochs and batch_size must be >= 1 and lr > 0 and finite")
     num_classes = len(labels)
     if y.min() < 0 or y.max() >= num_classes:
         raise ValueError("label outside label space")

@@ -169,8 +169,8 @@ class AdamState:
     net's `params`, plus scratch; the rest of Adam's settings are ADAM_*."""
 
     def __init__(self, net: DenseNet, lr: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {lr}")
         self.lr = lr
         self.step_count = 0
         self.m = np.zeros_like(net.params)

@@ -300,6 +300,14 @@ def test_train_agent_minimal_episode():
     assert logs[0].mean_inclusivity == 0.0  # single pick, single class window
 
 
+def test_train_agent_refuses_non_finite_dt_scale():
+    # NaN states would train a net of non-finite params to a NaN loss
+    docs = generate_synthetic(LABELS2, [10, 10], 2, 1.0, seed=0)
+    cfg = AgentConfig(budget=2, episodes=1, minibatch=4, replay_capacity=100, hidden=(8,))
+    with pytest.raises(ValueError, match="dt_scale must be finite and > 0"):
+        train_agent(docs, LABELS2, cfg, k=2, dt_scale=float("nan"))
+
+
 def test_train_agent_budget_accounting():
     # a stream of 60 docs easily covers a budget of 5 picks per episode,
     # so every episode must stop at the budget (no truncation)

@@ -72,8 +72,10 @@ def test_encode_state_dt_scale():
     # dt at step 200: class0 = 200, class1 = 150
     state = encode_state(np.zeros(1), tracker, 200, dt_scale=100.0)
     assert np.allclose(state, [0.0, 2.0, 1.5])
-    with pytest.raises(ValueError):
-        encode_state(np.zeros(1), tracker, 200, dt_scale=0.0)
+    # a NaN scale would give NaN states, an infinite one a recency tail of zeros
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt_scale must be finite and > 0"):
+            encode_state(np.zeros(1), tracker, 200, dt_scale=bad)
 
 
 def test_dt_entries_nonnegative_and_bounded_by_step():

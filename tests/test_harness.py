@@ -389,6 +389,27 @@ def test_run_experiment_matches_reference_loop(reference_corpus, agent, oracle, 
     assert sum(r.oracle_errors for r in record.rows) > 0  # the annotator did slip
 
 
+def test_uncertainty_reference_run_discards(reference_corpus):
+    """At the default 50 epochs the classifier is sure of some documents, so
+    every run discards: its picks are not the first `budget` documents of
+    its stream. The agent must decide each position on the classifier of
+    the last refit, as the reference loop does."""
+    train, test, _ = reference_corpus
+    cfg = HarnessConfig(labels=LABELS3, agent="uncertainty", budget=60, update_freq=15,
+                        seeds=(1, 2, 3), oracle=REFERENCE_ORACLES["sigmoid"], k=1,
+                        learner_epochs=50)
+    record = run_experiment(train, test, cfg)
+    ref_rows = []
+    for run_id, seed in enumerate(cfg.seeds):
+        picks = []
+        rows, _ = reference_single_run(train, test, cfg, None, frozenset(), run_id, seed,
+                                       picks=picks)
+        ref_rows.extend(rows)
+        first = np.random.default_rng(seed).permutation(len(train))[:cfg.budget]
+        assert [true for true, _ in picks] != [train[row].true_class for row in first]
+    assert record.rows == ref_rows  # floats compared exactly
+
+
 PROPERTY_TRAIN = _docs([14, 10, 6], dim=3, sep=2.0, seed=31, labels=LABELS3)
 PROPERTY_TEST = _docs([5, 5, 5], dim=3, sep=2.0, seed=32, labels=LABELS3, start_id=100)
 PROPERTY_NET = DenseNet([3 + 3, 8, 2], seed=5)

@@ -287,7 +287,7 @@ def test_fit_many_rejects_bad_spans_seeds_and_labels():
             fit_many(X, y, [(0, 10), span], LABELS5, [0, 1])
     with pytest.raises(ValueError, match="one seed per span"):
         fit_many(X, y, [(0, 10), (0, 5)], LABELS5, [0])
-    for lr in (0.0, -0.1, float("nan")):
+    for lr in (0.0, -0.1, float("nan"), float("inf")):  # inf would give weights of +-inf
         with pytest.raises(ValueError, match="lr > 0"):
             fit_many(X, y, [(0, 10)], LABELS5, [0], lr=lr)
     for label in (5, -1):

@@ -526,3 +526,9 @@ def test_copy_owns_its_buffers():
     before = net.params.copy()
     dup.params += 1.0
     assert np.array_equal(net.params, before)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+def test_adam_state_refuses_learning_rate_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning rate must be finite and > 0"):
+        AdamState(DenseNet([2, 2], seed=0), lr)
