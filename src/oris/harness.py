@@ -4,7 +4,9 @@ Per arriving document the configured agent picks or discards; picks are
 labeled by the (possibly error-prone) simulated annotator and written to the
 run's rows of the sweep's one row store. Every update_freq picks the
 classifier is refit from scratch and both machine f1 (held-out test set) and
-human f1 (all picks so far) are recorded. Seeded runs are fully independent;
+human f1 (all picks so far) are recorded. The oris and uncertainty agents
+score blocks of stream positions per call, each row bit for bit as it
+would be scored alone. Seeded runs are fully independent;
 only their refits are stacked, in learner.fit_many calls over spans of the
 store that are bit-identical to separate fits (see run_experiment).
 """
@@ -23,9 +25,9 @@ from .checks import check
 from .corpus import LabelSpace, open_text, write_csv
 from .dqn import decide
 from .encoder import LastSeenTracker, encode_state
-from .learner import f1_macro, fit_many, predict, predict_proba
+from .learner import _class_sum, f1_macro, fit_many, predict, predict_proba
 from .oracle import DecayModel, OracleState
-from .reward import DISCARD, PICK, normalized_entropy
+from .reward import PICK, normalized_entropy
 
 AGENT_KINDS = ("random", "uncertainty", "diversity", "oris")
 
@@ -103,15 +105,22 @@ class ExperimentRecord:
     partial_runs: list[int]  # run ids whose stream ended before the budget
 
 
-def uncertainty_decide(clf, emb, b: int, budget: int, theta0: float) -> int:
-    """Pick when the classifier's normalized prediction entropy reaches a
-    threshold that decays linearly from theta0 to 0 as the budget is spent.
-    Before the first fit, always pick.
-    """
-    if clf is None:
-        return PICK
-    entropy = normalized_entropy(predict_proba(clf, emb))
-    return PICK if entropy >= theta0 * (1.0 - b / budget) else DISCARD
+def uncertainty_scores(clf, X) -> np.ndarray:
+    """normalized_entropy(predict_proba(clf, x)) of every row x of the
+    (rows, E) matrix X, bit for bit. Each row takes the one-row product of
+    the 1-D call, from the (rows, 1, E) stack, and the class-major softmax;
+    the entropy terms are summed over the classes in numpy's order
+    (_class_sum). normalized_entropy sums only the nonzero terms, so a row
+    with an exactly-zero probability is scored by it on its own: at C >= 8
+    the masked full-row sum groups the terms differently."""
+    probs_T = predict_proba(clf, X[:, None]).T[:, 0]  # class-major (C, rows)
+    positive = probs_T > 0
+    terms = np.log2(probs_T, out=np.zeros_like(probs_T), where=positive)
+    terms *= probs_T
+    scores = -_class_sum(terms) / math.log2(len(probs_T))
+    for row in np.flatnonzero(~positive.all(axis=0)):
+        scores[row] = normalized_entropy(probs_T[:, row])
+    return scores
 
 
 def diversity_select(X, budget: int, cap: int) -> list[int]:
@@ -165,6 +174,38 @@ def _oris_picks(net, stream_X, tracker: LastSeenTracker, dt_scale: float):
             t += SCORE_AHEAD
 
 
+def _uncertainty_picks(stream_X, cfg: HarnessConfig, progress):
+    """The stream positions that the uncertainty agent picks, in order, for
+    the (stream length, E) matrix of the stream's embedding rows. progress()
+    gives the classifier of the last refit (None before the first) and the
+    picks b so far, as the caller's last pick left them.
+
+    At position t, with f = update_freq, the next f - b % f picks come
+    before the refit. Without a classifier the next f - b % f positions are
+    all picks, and none is scored. With one, a call of uncertainty_scores
+    scores the next ceil((f - b % f) * t / b) positions, the picks still
+    needed times the positions per pick so far; each is picked when its
+    entropy reaches theta0 * (1 - b / budget) at the current b, and a refit
+    drops the rest of the block. So every position is decided on the
+    classifier and pick count that a walk over every document gives."""
+    f = cfg.update_freq
+    t = 0
+    while t < len(stream_X):
+        clf, b = progress()
+        left = f - b % f
+        if clf is None:
+            yield from range(t, min(t + left, len(stream_X)))
+            t += left
+            continue
+        block = stream_X[t:t - (-left * t // b)]  # ceil(left * t / b) rows
+        for t, entropy in enumerate(uncertainty_scores(clf, block).tolist(), t):
+            if entropy >= cfg.theta0 * (1.0 - progress()[1] / cfg.budget):
+                yield t
+                if progress()[0] is not clf:  # refit: the old classifier scored the rest
+                    break
+        t += 1
+
+
 def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, seed, X, y, true):
     """Stream one seeded run over train_docs, document i embedded as row i
     of train_X. Its b-th pick's embedding, emitted label and true class go
@@ -176,13 +217,12 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
     Stream position t holds row order[t]. Every agent is an iterator of the
     positions it picks, and the loop visits only those. For oris they are
     the positions _oris_picks finds in train_X's rows taken in stream order;
-    for diversity those holding its selected rows; for random those where
-    the agent generator's double for the document, all drawn in one call,
-    falls below pick_prob. Uncertainty decides each position lazily, when
-    the loop asks for its next pick, so it reads the classifier and pick
-    count that the loop's last pick left. The states and the annotator read
-    the tracker at the picked position, so they see the recency that a walk
-    over every document would give."""
+    for uncertainty those _uncertainty_picks finds in the same rows, reading
+    the clf and b that the loop's last pick left; for diversity those
+    holding its selected rows; for random those where the agent generator's
+    double for the document, all drawn in one call, falls below pick_prob.
+    The states and the annotator read the tracker at the picked position,
+    so they see the recency that a walk over every document would give."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(cfg.labels), cfg.k)
     oracle_state = OracleState(cfg.oracle, tracker, seed=oracle_ss)
@@ -200,9 +240,8 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
         positions = np.flatnonzero(np.isin(order, diversity_rows)).tolist()
     elif cfg.agent == "oris":
         positions = _oris_picks(net, train_X[order], tracker, cfg.dt_scale)
-    else:  # lazy: each position is decided on the clf and b of the loop's last pick
-        positions = (t for t, row in enumerate(order)
-                     if uncertainty_decide(clf, train_X[row], b, cfg.budget, cfg.theta0) == PICK)
+    else:
+        positions = _uncertainty_picks(train_X[order], cfg, lambda: (clf, b))
 
     for t in positions:
         row = order[t]

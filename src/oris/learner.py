@@ -189,7 +189,8 @@ def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
 
 
 def predict_proba(clf: SoftmaxClassifier, emb) -> np.ndarray:
-    """Class probabilities for one embedding or a (n, E) batch."""
+    """Class probabilities for one embedding, a (n, E) batch, or a (n, 1, E)
+    stack whose every row is a one-row product, bit for bit the 1-D call's."""
     return _probs(clf.weights, clf.bias, np.asarray(emb, dtype=np.float64))
 
 

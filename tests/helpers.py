@@ -254,12 +254,18 @@ def shuffle_stream(docs, seed) -> list:
     return [docs[i] for i in np.random.default_rng(seed).permutation(len(docs))]
 
 
+def reference_uncertainty_entropy(clf, emb):
+    """Normalized entropy in bits of the classifier's prediction for one
+    embedding, over its nonzero probabilities."""
+    probs = predict_proba(clf, emb)
+    nonzero = probs[probs > 0]
+    return float(-(nonzero * np.log2(nonzero)).sum()) / math.log2(len(probs))
+
+
 def reference_uncertainty_decide(clf, emb, b, budget, theta0):
     if clf is None:
         return PICK
-    probs = predict_proba(clf, emb)
-    nonzero = probs[probs > 0]
-    entropy = float(-(nonzero * np.log2(nonzero)).sum()) / math.log2(len(probs))
+    entropy = reference_uncertainty_entropy(clf, emb)
     return PICK if entropy >= theta0 * (1.0 - b / budget) else DISCARD
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_decide, reference_single_run
+from helpers import random_decide, reference_single_run, reference_uncertainty_entropy
 import oris.harness
 from oris.corpus import LabelSpace, generate_synthetic
 from oris.harness import (
@@ -18,11 +18,11 @@ from oris.harness import (
     diversity_select,
     read_record,
     run_experiment,
-    uncertainty_decide,
+    uncertainty_scores,
     write_aggregate,
     write_record,
 )
-from oris.learner import SoftmaxClassifier, f1_macro
+from oris.learner import SoftmaxClassifier, f1_macro, predict_proba
 from oris.nnet import DenseNet
 from oris.oracle import DecayModel
 from oris.reward import DISCARD, PICK
@@ -68,24 +68,72 @@ def test_random_decide_extremes_and_rate():
     assert abs(picks - n / 2) <= 3 * math.sqrt(n * 0.25)
 
 
-def test_uncertainty_decide_before_first_fit_picks():
-    assert uncertainty_decide(None, np.zeros(3), 0, 500, 0.5) == PICK
+@pytest.mark.parametrize("E", [1, 8, 300])
+@pytest.mark.parametrize("C", [2, 5, 8, 13, 130])
+def test_uncertainty_scores_are_the_one_row_entropies(C, E):
+    """Every row's score is bit for bit the entropy of its own one-row
+    prediction: rows of spread predictions, rows holding exactly-zero
+    probabilities (logit gaps above 745) and uniform rows."""
+    rng = np.random.default_rng(1000 * C + E)
+    X = np.concatenate([rng.normal(size=(40, E)), 1000.0 * rng.normal(size=(10, E)),
+                        np.zeros((3, E))])
+    spread = SoftmaxClassifier(3.0 * rng.normal(size=(C, E)), rng.normal(size=C))
+    uniform = SoftmaxClassifier(np.zeros((C, E)), np.zeros(C))
+    assert (predict_proba(spread, X[40:50]) == 0.0).any()
+    for clf in (spread, uniform):
+        assert np.array_equal(uncertainty_scores(clf, X),
+                              [reference_uncertainty_entropy(clf, x) for x in X])
+    # the sum of C terms of 1/C rounds: one ulp above 1 at C = 13 and 130
+    assert np.all(uncertainty_scores(uniform, X) == (1.0 if C <= 8 else np.nextafter(1.0, 2.0)))
 
 
-def test_uncertainty_decide_threshold_schedule():
-    # uniform prediction -> normalized entropy 1 -> picked at any b < B
-    uniform = SoftmaxClassifier(np.zeros((4, 2)), np.zeros(4))
-    for b in (0, 250, 499):
-        assert uncertainty_decide(uniform, np.ones(2), b, 500, 0.5) == PICK
-    # confident prediction -> entropy ~ 0 -> discarded while the threshold > 0
-    confident = SoftmaxClassifier(np.array([[50.0, 0.0], [-50.0, 0.0]]), np.zeros(2))
-    assert uncertainty_decide(confident, np.array([1.0, 0.0]), 250, 500, 0.5) == DISCARD
-    # threshold at b=250, B=500, theta0=0.5 is exactly 0.25: entropy just above picks
-    p = 0.96  # two-class entropy ~ 0.2423 < 0.25
-    logit = math.log(p / (1 - p))
-    nearly = SoftmaxClassifier(np.array([[logit, 0.0], [0.0, 0.0]]), np.zeros(2))
-    assert uncertainty_decide(nearly, np.array([1.0, 0.0]), 250, 500, 0.5) == DISCARD
-    assert uncertainty_decide(nearly, np.array([1.0, 0.0]), 260, 500, 0.5) == PICK
+def test_uncertainty_scores_take_a_row_with_a_zero_probability_on_its_own():
+    """normalized_entropy sums only the nonzero terms. On this 9-class row
+    the sum of the whole row, its zero term masked, groups the terms in
+    another order and rounds otherwise, so the scorer must score the row on
+    its own."""
+    logits = np.array([-800.0, 3.2, -0.5, -0.6, -0.2, 1.2, 0.3, -3.5, -2.8])
+    clf = SoftmaxClassifier(logits[:, None], np.zeros(9))
+    probs = predict_proba(clf, np.ones(1))
+    assert probs[0] == 0.0
+    terms = np.log2(probs, out=np.zeros(9), where=probs > 0) * probs
+    assert float(-terms.sum()) / math.log2(9) != reference_uncertainty_entropy(clf, np.ones(1))
+    X = np.array([[1.0], [0.5], [-1.0], [1.0]])
+    assert np.array_equal(uncertainty_scores(clf, X),
+                          [reference_uncertainty_entropy(clf, x) for x in X])
+
+
+# a two-class prediction of entropy 1, about 1e-42 and about 0.2423
+UNIFORM = SoftmaxClassifier(np.zeros((2, 2)), np.zeros(2))
+CONFIDENT = SoftmaxClassifier(np.array([[50.0, 0.0], [-50.0, 0.0]]), np.zeros(2))
+NEARLY = SoftmaxClassifier(np.array([[math.log(0.96 / 0.04), 0.0], [0.0, 0.0]]), np.zeros(2))
+# every document embedded as (1, 0)
+FLAT_STREAM = [dataclasses.replace(d, embedding=np.array([1.0, 0.0]))
+               for d in _docs([300, 300], dim=2)]
+
+
+@pytest.mark.parametrize("later,flip,picks", [
+    (CONFIDENT, 10, 10),  # picks before the first fit only
+    (UNIFORM, 10, 500),   # entropy 1 reaches the threshold at every b
+    (CONFIDENT, 250, 250),
+    (NEARLY, 250, 250),   # 0.2423 < 0.5 * (1 - 250 / 500) = 0.25
+    (NEARLY, 260, 500),   # 0.2423 >= 0.5 * (1 - 260 / 500) = 0.24
+])
+def test_uncertainty_threshold_schedule(monkeypatch, later, flip, picks):
+    """Before the first fit the agent picks every position. From then on it
+    picks a position whose prediction entropy reaches theta0 * (1 - b / B)
+    at b picks so far. The refits here return the uniform classifier up to
+    b = flip and `later` from there on."""
+    assert uncertainty_scores(UNIFORM, np.array([[1.0, 0.0]]))[0] == 1.0
+    assert uncertainty_scores(CONFIDENT, np.array([[1.0, 0.0]]))[0] < 1e-40
+    assert 0.24 < uncertainty_scores(NEARLY, np.array([[1.0, 0.0]]))[0] < 0.25
+    monkeypatch.setattr(oris.harness, "fit_many", lambda X, y, spans, *args, **kwargs: [
+        later if b >= flip else UNIFORM for _, b in spans])
+    cfg = HarnessConfig(labels=LABELS2, agent="uncertainty", budget=500, update_freq=10,
+                        seeds=(1,), theta0=0.5)
+    record = run_experiment(FLAT_STREAM, _docs([5, 5], dim=2, seed=1, start_id=600), cfg)
+    assert [r.picks for r in record.rows] == list(range(10, picks + 1, 10))
+    assert record.partial_runs == ([] if picks == 500 else [0])
 
 
 def _matrix(docs):
@@ -410,6 +458,32 @@ def test_uncertainty_reference_run_discards(reference_corpus):
     assert record.rows == ref_rows  # floats compared exactly
 
 
+@pytest.mark.parametrize("short", [False, True], ids=["full", "short"])
+@pytest.mark.parametrize("C", [9, 13])
+def test_uncertainty_sweep_matches_the_reference_above_eight_classes(C, short):
+    """At C >= 8 the scorer sums the entropy terms in numpy's pairwise order.
+    The sweep writes the rows and partial runs of the reference loop, which
+    scores one document at a time. The short stream is about as long as the
+    budget, so the runs that discard end before it."""
+    labels = LabelSpace([f"c{c}" for c in range(C)])
+    budget = 90
+    per_class = -(-budget // C) if short else 40
+    train = _docs([per_class] * C, dim=C, sep=3.0, seed=41, labels=labels)
+    test = _docs([4] * C, dim=C, sep=3.0, seed=42, labels=labels, start_id=1000)
+    cfg = HarnessConfig(labels=labels, agent="uncertainty", budget=budget, update_freq=15,
+                        seeds=(1, 2, 3), oracle=REFERENCE_ORACLES["sigmoid"])
+    record = run_experiment(train, test, cfg)
+    ref_rows, ref_partial = [], []
+    for run_id, seed in enumerate(cfg.seeds):
+        rows, completed = reference_single_run(train, test, cfg, None, frozenset(), run_id, seed)
+        ref_rows.extend(rows)
+        if not completed:
+            ref_partial.append(run_id)
+    assert record.rows == ref_rows  # floats compared exactly
+    assert record.partial_runs == ref_partial
+    assert bool(ref_partial) == short
+
+
 PROPERTY_TRAIN = _docs([14, 10, 6], dim=3, sep=2.0, seed=31, labels=LABELS3)
 PROPERTY_TEST = _docs([5, 5, 5], dim=3, sep=2.0, seed=32, labels=LABELS3, start_id=100)
 PROPERTY_NET = DenseNet([3 + 3, 8, 2], seed=5)
@@ -617,3 +691,81 @@ def test_oris_scores_chunks_and_matches_the_one_document_reference(monkeypatch, 
         assert 0 < picked[0] < picked[-1] < rows
     else:
         assert len(record.rows) == 3 * budget
+
+
+# well apart: after its first refit the classifier is sure of every document
+SEPARATED = _docs([40, 40, 40], dim=5, sep=40.0, seed=23, labels=LABELS3)
+
+
+def _walk_recorded(calls, cfg, stream_length):
+    """Walk the scores of a one-seed uncertainty run's scorer calls, as the
+    agent does from its first refit. Returns, per call, the rows of the
+    block up to the next refit, the rows scored, the rows decided and the
+    picks after it, and checks that a call scores its block."""
+    f = t = b = cfg.update_freq  # the first f positions are picked unscored
+    walked = []
+    for scores in calls:
+        block = -(-(f - b % f) * t // b)  # ceil: picks still needed times positions per pick
+        assert len(scores) == min(block, stream_length - t)
+        for decided, entropy in enumerate(scores, 1):
+            t += 1
+            if entropy >= cfg.theta0 * (1.0 - b / cfg.budget):
+                b += 1
+                if b % f == 0 or b == cfg.budget:
+                    break
+        walked.append((block, len(scores), decided, b))
+    return walked
+
+
+@pytest.mark.parametrize("case", ["f = 1", "budget mid-block", "short stream",
+                                  "refit drops a tail", "never picks again"])
+def test_uncertainty_scores_blocks_and_matches_the_one_document_reference(
+        monkeypatch, reference_corpus, case):
+    """From its first refit the uncertainty agent scores, per call, the
+    positions up to its next refit: ceil((f - b % f) * t / b) from position
+    t at b picks, or the rest of the stream. It walks them at the threshold
+    of the current b, and the budget or a refit drops the rest of the block.
+    Its sweep writes the rows and partial runs of the reference loop, which
+    decides one document at a time."""
+    calls = []  # the scores of every call
+    scores = oris.harness.uncertainty_scores
+
+    def recorded(clf, X):
+        calls.append(scores(clf, X))
+        return calls[-1]
+
+    monkeypatch.setattr(oris.harness, "uncertainty_scores", recorded)
+    train, test, _ = reference_corpus
+    train, budget, update_freq = {
+        "f = 1": (train, 20, 1),
+        "budget mid-block": (train, 10, 4),
+        "short stream": (train[:45], 60, 15),
+        "refit drops a tail": (train, 60, 15),
+        "never picks again": (SEPARATED, 30, 10),
+    }[case]
+    for seed in (1, 2, 3):
+        calls.clear()
+        cfg = HarnessConfig(labels=LABELS3, agent="uncertainty", budget=budget,
+                            update_freq=update_freq, seeds=(seed,),
+                            oracle=REFERENCE_ORACLES["sigmoid"])
+        record = run_experiment(train, test, cfg)
+        rows, completed = reference_single_run(train, test, cfg, None, frozenset(), 0, seed)
+        assert record.rows == rows
+        assert record.partial_runs == ([] if completed else [0])
+
+        walked = _walk_recorded(calls, cfg, len(train))
+        picks = walked[-1][-1]
+        assert len(record.rows) == picks // update_freq
+        cut = [scored - decided for _, scored, decided, _ in walked]  # rows dropped per call
+        if case == "f = 1":  # a refit after every pick ends the block
+            assert completed and any(cut)
+        elif case == "budget mid-block":  # the last pick is not a refit's
+            assert completed and picks % update_freq and cut[-1] > 0
+        elif case == "short stream":  # the last block is cut by the stream's end
+            block, scored, decided, _ = walked[-1]
+            assert not completed and decided == scored < block
+        elif case == "refit drops a tail":
+            assert completed and sum(n > 0 for n in cut[:-1]) > 0
+        else:  # the blocks double: t / b doubles at every call
+            assert not completed and picks == update_freq and cut == [0] * len(cut)
+            assert [len(s) for s in calls] == [10, 20, 40, 40]
