@@ -5,10 +5,10 @@ labeled by the (possibly error-prone) simulated annotator and written to the
 run's rows of the sweep's one row store. Every update_freq picks the
 classifier is refit from scratch and both machine f1 (held-out test set) and
 human f1 (all picks so far) are recorded. The oris and uncertainty agents
-score blocks of stream positions per call, each row bit for bit as it
-would be scored alone. Seeded runs are fully independent;
-only their refits are stacked, in learner.fit_many calls over spans of the
-store that are bit-identical to separate fits (see run_experiment).
+score blocks of stream positions per call (_block_picks), each row bit for
+bit as it would be scored alone. Seeded runs are fully independent; only
+their refits are stacked, in learner.fit_many calls over spans of the store
+that are bit-identical to separate fits (see run_experiment).
 """
 
 from __future__ import annotations
@@ -151,57 +151,21 @@ def diversity_select(X, budget: int, cap: int) -> list[int]:
     return sorted(selected)
 
 
-def _oris_picks(net, stream_X, tracker: LastSeenTracker, dt_scale: float):
-    """The stream positions that the oris agent picks, in order, for the
-    (stream length, E) matrix of the stream's embedding rows.
-
-    Each call of decide scores the next SCORE_AHEAD positions from one
-    tracker reading. Their states hold up to the first pick, whose emission
-    the caller records before it asks for the next position; scoring then
-    resumes after the pick, and the later states are dropped. So every
-    position is decided on the state that a walk over every document gives.
-    """
-    steps = np.arange(len(stream_X))[:, None]
-    t = 0
-    while t < len(stream_X):
-        ahead = slice(t, t + SCORE_AHEAD)
-        actions = decide(net, encode_state(stream_X[ahead], tracker, steps[ahead], dt_scale))
-        if PICK in actions:
-            t += actions.index(PICK)
-            yield t
-            t += 1
-        else:
-            t += SCORE_AHEAD
-
-
-def _uncertainty_picks(stream_X, cfg: HarnessConfig, progress):
-    """The stream positions that the uncertainty agent picks, in order, for
-    the (stream length, E) matrix of the stream's embedding rows. progress()
-    gives the classifier of the last refit (None before the first) and the
-    picks b so far, as the caller's last pick left them.
-
-    At position t, with f = update_freq, the next f - b % f picks come
-    before the refit. Without a classifier the next f - b % f positions are
-    all picks, and none is scored. With one, a call of uncertainty_scores
-    scores the next ceil((f - b % f) * t / b) positions, the picks still
-    needed times the positions per pick so far; each is picked when its
-    entropy reaches theta0 * (1 - b / budget) at the current b, and a refit
-    drops the rest of the block. So every position is decided on the
-    classifier and pick count that a walk over every document gives."""
-    f = cfg.update_freq
-    t = 0
-    while t < len(stream_X):
-        clf, b = progress()
-        left = f - b % f
-        if clf is None:
-            yield from range(t, min(t + left, len(stream_X)))
-            t += left
-            continue
-        block = stream_X[t:t - (-left * t // b)]  # ceil(left * t / b) rows
-        for t, entropy in enumerate(uncertainty_scores(clf, block).tolist(), t):
-            if entropy >= cfg.theta0 * (1.0 - progress()[1] / cfg.budget):
+def _block_picks(stream_len: int, every: int, score, picked):
+    """The positions that an agent picks, in order, from a stream of
+    stream_len. At position t with b picks, score(t, b, left) returns the
+    values of a block from t on, never past the stream's end, that hold for
+    the next left = every - b % every picks. A position is picked when
+    picked(value, b) holds; after `left` picks the rest of the block is
+    dropped and scoring resumes at the next position. b is exact because
+    the caller records each pick before it asks for the next."""
+    b = t = 0
+    while t < stream_len:
+        for t, value in enumerate(score(t, b, every - b % every), t):
+            if picked(value, b):
                 yield t
-                if progress()[0] is not clf:  # refit: the old classifier scored the rest
+                b += 1
+                if not b % every:  # `left` picks made: the block's scores are stale
                     break
         t += 1
 
@@ -215,14 +179,13 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
     the budget was spent.
 
     Stream position t holds row order[t]. Every agent is an iterator of the
-    positions it picks, and the loop visits only those. For oris they are
-    the positions _oris_picks finds in train_X's rows taken in stream order;
-    for uncertainty those _uncertainty_picks finds in the same rows, reading
-    the clf and b that the loop's last pick left; for diversity those
-    holding its selected rows; for random those where the agent generator's
-    double for the document, all drawn in one call, falls below pick_prob.
-    The states and the annotator read the tracker at the picked position,
-    so they see the recency that a walk over every document would give."""
+    positions it picks, and the loop visits only those: oris and
+    uncertainty score train_X's rows in stream order in blocks
+    (_block_picks), diversity picks the positions holding its selected
+    rows, and random those where the agent generator's double for the
+    document, all drawn in one call, falls below pick_prob. The states and
+    the annotator read the tracker at the picked position, so they see the
+    recency that a walk over every document would give."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
     tracker = LastSeenTracker(len(cfg.labels), cfg.k)
     oracle_state = OracleState(cfg.oracle, tracker, seed=oracle_ss)
@@ -239,9 +202,26 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
     elif cfg.agent == "diversity":
         positions = np.flatnonzero(np.isin(order, diversity_rows)).tolist()
     elif cfg.agent == "oris":
-        positions = _oris_picks(net, train_X[order], tracker, cfg.dt_scale)
+        stream_X, steps = train_X[order], np.arange(len(order))[:, None]
+
+        def score(t, b, left):  # a pick changes the tracker that every state reads
+            ahead = slice(t, t + SCORE_AHEAD)
+            return decide(net, encode_state(stream_X[ahead], tracker, steps[ahead], cfg.dt_scale))
+
+        positions = _block_picks(len(order), 1, score, lambda action, b: action == PICK)
     else:
-        positions = _uncertainty_picks(train_X[order], cfg, lambda: (clf, b))
+        stream_X = train_X[order]
+
+        def score(t, b, left):  # a refit replaces the classifier
+            if clf is None:  # before the first refit every position is picked
+                return [math.inf] * min(left, len(order) - t)
+            # ceil(left * t / b) rows: the picks still needed times the positions per pick
+            return uncertainty_scores(clf, stream_X[t:t - (-left * t // b)]).tolist()
+
+        def picked(entropy, b):
+            return entropy >= cfg.theta0 * (1.0 - b / cfg.budget)
+
+        positions = _block_picks(len(order), cfg.update_freq, score, picked)
 
     for t in positions:
         row = order[t]

@@ -11,7 +11,8 @@ import oris
 from oris.checks import CheckError
 from oris.cli import main
 from oris.config import _SCHEMA, ConfigError, parse_config
-from oris.corpus import EmbeddingTable, LabelSpace, load_dataset, load_word_vectors
+from oris.corpus import (EmbeddingTable, LabelSpace, load_dataset, load_word_vectors,
+                         synthetic_token)
 from oris.dqn import AgentConfig
 from oris.harness import AGENT_KINDS, CSV_HEADER, HarnessConfig, read_record
 from oris.nnet import DenseNet, save_checkpoint
@@ -456,6 +457,48 @@ agent.hidden = 8, 8
         assert main(["run-al", "--config", cfg_path, "--agent", "oris",
                      "--checkpoint", str(ckpt), "--out", str(csv_out)]) == 0
         outputs.append((ckpt.read_bytes(), log.read_bytes(), csv_out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_train_agent_reads_the_separate_agent_training_split(tmp_path):
+    """gen-synth with synth.rl_per_class writes rl.tsv with those per-class
+    counts, and vectors.vec holds one word per train, test and rl document;
+    train-agent with data.rl_train set writes the bytes of a run with
+    data.train pointed at rl.tsv."""
+    synth = tmp_path / "synth"
+    agent_keys = f"""
+data.vectors = {synth}/vectors.vec
+agent.episodes = 2
+agent.budget = 5
+agent.minibatch = 8
+agent.replay_capacity = 100
+agent.hidden = 8, 8
+"""
+    rl_cfg = _write(tmp_path, SYNTH_CFG + agent_keys + f"""
+synth.rl_per_class = 12, 7
+data.train = {synth}/train.tsv
+data.rl_train = {synth}/rl.tsv
+""", name="rl.cfg")
+    train_cfg = _write(tmp_path, SYNTH_CFG + agent_keys + f"data.train = {synth}/rl.tsv\n",
+                       name="train.cfg")
+    assert main(["gen-synth", "--config", rl_cfg, "--out-dir", str(synth)]) == 0
+    table = load_word_vectors(synth / "vectors.vec")
+    labels = LabelSpace(["a", "b"])
+    splits = [load_dataset(synth / name, table, labels)
+              for name in ("train.tsv", "test.tsv", "rl.tsv")]
+    assert [sum(d.true_class == c for d in splits[2]) for c in range(2)] == [12, 7]
+    assert [len(split) for split in splits] == [60, 20, 19]
+    words = [line.split("\t")[0] for name in ("train.tsv", "test.tsv", "rl.tsv")
+             for line in (synth / name).read_text().splitlines()]
+    assert sorted(table.rows) == sorted(words) == sorted(map(synthetic_token, range(99)))
+    assert len(table.matrix) == 99
+
+    outputs = []
+    for tag, cfg_path in (("rl", rl_cfg), ("train", train_cfg)):
+        ckpt, log = tmp_path / f"{tag}.ckpt", tmp_path / f"{tag}.log.csv"
+        assert main(["train-agent", "--config", cfg_path, "--out", str(ckpt),
+                     "--log", str(log)]) == 0
+        outputs.append((ckpt.read_bytes(), log.read_bytes()))
     assert outputs[0] == outputs[1]
 
 

@@ -640,6 +640,42 @@ def test_error_counts_and_human_f1_match_the_replayed_picks(data):
     assert record.partial_runs == ref_partial
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_picks_match_a_walk_that_scores_every_position_alone(data):
+    """The oris and uncertainty agents' walker picks what a walk over every
+    position picks when each position is scored on its own. The value at
+    position t depends on t and on the scorer's version b // every, which
+    the `every`-th pick of a block changes; the scorer returns blocks of
+    any length from 1 to the rest of the stream, and the consumer stops at
+    a budget, which may fall in mid-block."""
+    stream_len = data.draw(st.integers(0, 30), label="stream length")
+    every = data.draw(st.integers(1, 5), label="every")
+    budget = data.draw(st.integers(1, 35), label="budget")
+    rate = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="pick rate")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    values = rng.random((stream_len + 1, stream_len))  # [version, position]
+    picks = []
+
+    def score(t, b, left):
+        assert 0 <= t < stream_len and b == len(picks) and left == every - b % every
+        rows = data.draw(st.integers(1, stream_len - t), label="block")
+        return values[b // every, t:t + rows].tolist()
+
+    def picked(value, b):  # the rule reads the current b, as uncertainty's threshold does
+        return value < rate - b / 100
+
+    for t in oris.harness._block_picks(stream_len, every, score, picked):
+        picks.append(t)
+        if len(picks) == budget:
+            break
+    walked = []
+    for t in range(stream_len):
+        if len(walked) < budget and picked(values[len(walked) // every, t], len(walked)):
+            walked.append(t)
+    assert picks == walked
+
+
 @pytest.mark.parametrize("case", ["never picks", "always picks", "short stream",
                                   "budget mid-chunk", "f = 1"])
 def test_oris_scores_chunks_and_matches_the_one_document_reference(monkeypatch, case):
