@@ -7,15 +7,14 @@ classifier is refit from scratch and both machine f1 (held-out test set) and
 human f1 (all picks so far) are recorded. The oris and uncertainty agents
 score blocks of stream positions per call (_block_picks), each row bit for
 bit as it would be scored alone. Seeded runs are fully independent; only
-their refits are stacked, in learner.fit_many calls over spans of the store
-that are bit-identical to separate fits (see run_experiment).
+their refits are stacked, in learner.fit_many calls over spans of the store,
+bit-identical to separate fits and bounded by fit_many (see run_experiment).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -34,11 +33,6 @@ AGENT_KINDS = ("random", "uncertainty", "diversity", "oris")
 # The oris agent scores this many stream positions per call, all from one
 # tracker reading: a walk to the first pick keeps the states up to it.
 SCORE_AHEAD = 8
-
-# A fit_many call holds an id per pick of every queued span and a weight
-# matrix per span, so the queue is fit once it holds this many picks: a sweep
-# at any f then needs bounded memory beyond its row store.
-FIT_QUEUE_PICKS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -244,13 +238,13 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     (n, E) matrix that every run streams rows of and that diversity_select
     clusters. Run i writes its picks to rows i * budget onward of the
     sweep's row store, and each of its refits fits the span of its first b
-    rows. Only the uncertainty agent reads its classifier while it streams.
-    Its runs advance in lockstep: each streams to its next refit, and the S
-    spans of that refit, all of f * i rows, are fit in one fit_many call.
-    Every other agent's runs stream to their ends and every refit of the
-    sweep is fit in a single fit_many call over spans of unequal size; a
-    queue that reaches FIT_QUEUE_PICKS picks is fit at once and its runs
-    stream on.
+    rows. Each live run streams until it yields a refit whose classifier it
+    reads, or until it ends, and the refits yielded are fit in one fit_many
+    call, which bounds its own arrays. Only the uncertainty agent reads its
+    classifier while it streams, so its runs advance in lockstep, one call
+    of S spans of f * i rows per refit level. Every other agent's runs
+    stream to their ends, and every refit of the sweep is fit in a single
+    call over spans of unequal size.
 
     The test set must be disjoint from the stream. Runs whose stream ends
     before the budget is exhausted are flagged in partial_runs.
@@ -285,20 +279,17 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
             for lo, seed in zip(range(0, len(X), B), cfg.seeds)]
     rows: list[list[RecordRow]] = [[] for _ in runs]
     partial = []
-    waiting = deque((run_id, None) for run_id in range(len(runs)))  # (run, classifier to send)
-    while waiting:
-        refits, queued = [], 0  # (run id, b, fit seed)
-        while waiting and queued < FIT_QUEUE_PICKS:
-            run_id, clf = waiting.popleft()
+    sends = dict.fromkeys(range(len(runs)))  # live run id -> the classifier it is sent next
+    while sends:
+        refits = []  # (run id, b, fit seed)
+        for run_id, clf in sends.items():
             try:
                 refits.append((run_id, *runs[run_id].send(clf)))
+                while not reads_clf:  # it streams to its end without its classifier
+                    refits.append((run_id, *runs[run_id].send(None)))
             except StopIteration as done:
                 if not done.value:
                     partial.append(run_id)
-                continue
-            queued += refits[-1][1]
-            if not reads_clf:  # it streams on without its classifier
-                waiting.appendleft((run_id, None))
         if not refits:
             break
         run_ids, picks, fit_seeds = zip(*refits)
@@ -312,8 +303,7 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
             human = f1_macro(truth, emitted, cfg.labels)
             rows[run_id].append(RecordRow(run_id, b, machine, human, b,
                                           int(np.count_nonzero(emitted != truth))))
-        if reads_clf:
-            waiting.extend(zip(run_ids, clfs))
+        sends = dict(zip(run_ids, clfs)) if reads_clf else {}
     return ExperimentRecord(rows=[row for run_rows in rows for row in run_rows],
                             partial_runs=sorted(partial))
 

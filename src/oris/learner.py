@@ -3,9 +3,9 @@
 The classifier is refit from scratch at every evaluation interval, so a run's
 machine performance depends only on the accumulated training set, not on the
 order in which it was collected. fit_many runs any number of such refits, each
-a span of rows of one (X, y) store, as one stacked descent whose every result
-is bit-identical to its own fit; fit is fit_many of one span, so there is one
-SGD path.
+a span of rows of one (X, y) store, as stacked descents of bounded size whose
+every result is bit-identical to its own fit; fit is fit_many of one span, so
+there is one SGD path.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ class SoftmaxClassifier:
         self.bias = bias        # (C,)
 
 
-# fit_many draws each span's row order for several epochs in one call, as
-# many as keep the ids drawn ahead within this many (2 MB), and at least one.
-# An 8 MB bound left a 5-seed sweep's process about 1 MB larger at its peak.
+# fit_many stacks spans while their count times the longest is within this
+# many row ids (2 MB); a lone span fits at any length. It draws each span's
+# row order for as many epochs as stay within it, and at least one. An 8 MB
+# bound left a 5-seed sweep's process about 1 MB larger at its peak.
 ORDER_IDS = 1 << 18
 
 
@@ -137,9 +138,10 @@ def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
     op for op that of cross_entropy_and_grads applied to
     X[order[lo:lo + batch_size]] (see tests/helpers.py).
 
-    A call holds S weight matrices and at least one epoch of row ids, so its
-    memory grows with the number of spans times the longest; run_experiment
-    bounds what it queues per call.
+    A call holds S weight matrices and at least one epoch of row ids, S times
+    the longest n. A call of several spans beyond ORDER_IDS fits each half of
+    its spans as a call of its own, in input order: bit for bit, since each
+    span's descent is its own whatever it is stacked with.
     """
     if not spans:
         raise ValueError("need at least one span to fit")
@@ -153,6 +155,10 @@ def fit_many(X, y, spans, labels: LabelSpace, seeds, epochs: int = 50,
     num_classes = len(labels)
     if y.min() < 0 or y.max() >= num_classes:
         raise ValueError("label outside label space")
+    if len(spans) > 1 and len(spans) * max(n for _, n in spans) > ORDER_IDS:
+        half = len(spans) // 2
+        return (fit_many(X, y, spans[:half], labels, seeds[:half], epochs, batch_size, lr)
+                + fit_many(X, y, spans[half:], labels, seeds[half:], epochs, batch_size, lr))
     longest_first = sorted(range(len(spans)), key=lambda i: -spans[i][1])
     starts, sizes = zip(*(spans[i] for i in longest_first))
     S = len(spans)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import random_decide, reference_single_run, reference_uncertainty_entropy
 import oris.harness
+import oris.learner
 from oris.corpus import LabelSpace, generate_synthetic
 from oris.harness import (
     AGENT_KINDS,
@@ -568,28 +569,33 @@ def test_sweep_fit_many_calls(monkeypatch, reference_corpus, agent, short_stream
 
 
 @pytest.mark.parametrize("agent", AGENT_KINDS)
-def test_full_refit_queue_is_fit_early(monkeypatch, reference_corpus, agent):
-    """At f = 1 a sweep queues a refit per pick. A queue that reaches
-    FIT_QUEUE_PICKS picks is fit at once and its runs stream on, and the
-    record is that of the unbounded queue."""
+def test_fit_many_splits_a_sweep_beyond_order_ids(monkeypatch, reference_corpus, agent):
+    """At f = 1 a sweep fits a refit per pick. With ORDER_IDS small,
+    fit_many fits its spans in groups of a lone span or of at most
+    ORDER_IDS ids, every refit once, and the record is the unsplit one."""
     train, test, net = reference_corpus
     cfg = HarnessConfig(labels=LABELS3, agent=agent, budget=30, update_freq=1, seeds=(1, 2, 3),
                         oracle=REFERENCE_ORACLES["sigmoid"], diversity_cap=200, learner_epochs=2)
     net = net if agent == "oris" else None
     whole = run_experiment(train, test, cfg, net=net)
-    calls = []
-    fit_many = oris.harness.fit_many
+    calls, fitted = [], []  # the spans of every call, and of every call that fit its own
+    fit_many = oris.learner.fit_many
 
-    def counted(X, y, spans, *args, **kwargs):
-        calls.append([n for _, n in spans])
-        return fit_many(X, y, spans, *args, **kwargs)
+    def spied(X, y, spans, *args, **kwargs):
+        calls.append(spans)
+        made = len(calls)
+        clfs = fit_many(X, y, spans, *args, **kwargs)
+        if len(calls) == made:  # it called no fit_many of its own
+            fitted.append([n for _, n in spans])
+        return clfs
 
-    monkeypatch.setattr(oris.harness, "fit_many", counted)
-    monkeypatch.setattr(oris.harness, "FIT_QUEUE_PICKS", 100)
+    monkeypatch.setattr(oris.harness, "fit_many", spied)
+    monkeypatch.setattr(oris.learner, "fit_many", spied)
+    monkeypatch.setattr(oris.learner, "ORDER_IDS", 60)
     assert run_experiment(train, test, cfg, net=net) == whole
-    assert all(sum(sizes[:-1]) < 100 for sizes in calls)  # the last set may overshoot
-    assert sorted(b for sizes in calls for b in sizes) == sorted(r.picks for r in whole.rows)
-    assert len(calls) > 10 if agent != "uncertainty" else len(calls) == cfg.budget
+    assert all(len(sizes) == 1 or len(sizes) * max(sizes) <= 60 for sizes in fitted)
+    assert sorted(b for sizes in fitted for b in sizes) == sorted(r.picks for r in whole.rows)
+    assert len(fitted) < len(calls) and max(map(len, fitted)) > 1  # it split, into groups
 
 
 @given(st.data())

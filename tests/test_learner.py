@@ -11,6 +11,7 @@ from helpers import (
     reference_cross_entropy_grads,
     reference_fit,
 )
+from oris import learner
 from oris.corpus import LabelSpace, generate_synthetic
 from oris.learner import (
     SoftmaxClassifier,
@@ -118,18 +119,24 @@ def _span_pairs(X, y, start, n):
 @pytest.mark.parametrize("batch_size", [1, 7, 32, 600])
 @pytest.mark.parametrize("stacked", [1, 3, 5])
 @pytest.mark.parametrize("n", [1, 25, 31, 32, 33, 250, 500])
-def test_fit_many_bit_identical_to_per_run_fit_and_reference(n, stacked, batch_size):
+def test_fit_many_bit_identical_to_per_run_fit_and_reference(monkeypatch, n, stacked,
+                                                              batch_size):
+    """Also with ORDER_IDS at 2n: a call of 3 or 5 spans then fits groups of
+    one and two spans, which draw their row order two epochs and one epoch
+    at a time."""
     sets = [_noisy_pairs(n, seed=1000 * n + s) for s in range(stacked)]
     X, y = _store(sets)
+    spans = [(s * n, n) for s in range(stacked)]
     seeds = [7 * s + 1 for s in range(stacked)]
     epochs = 2 if n * 50 // batch_size > 5000 else 50
-    clfs = fit_many(X, y, [(s * n, n) for s in range(stacked)], LABELS5, seeds,
-                    epochs=epochs, batch_size=batch_size, lr=0.1)
-    assert len(clfs) == stacked
-    for pairs, seed, clf in zip(sets, seeds, clfs):
+    clfs = fit_many(X, y, spans, LABELS5, seeds, epochs=epochs, batch_size=batch_size, lr=0.1)
+    monkeypatch.setattr(learner, "ORDER_IDS", 2 * n)
+    split = fit_many(X, y, spans, LABELS5, seeds, epochs=epochs, batch_size=batch_size, lr=0.1)
+    assert len(clfs) == len(split) == stacked
+    for pairs, seed, clf, part in zip(sets, seeds, clfs, split):
         alone = fit(pairs, LABELS5, seed=seed, epochs=epochs, batch_size=batch_size, lr=0.1)
         W, b = reference_fit(pairs, 5, seed=seed, epochs=epochs, batch_size=batch_size, lr=0.1)
-        for got in (alone, clf):
+        for got in (alone, clf, part):
             assert np.array_equal(got.weights, W)
             assert np.array_equal(got.bias, b)
 
@@ -278,13 +285,20 @@ def test_fit_many_never_reads_rows_outside_its_spans():
         assert np.array_equal(clf.bias, alone.bias)
 
 
-def test_fit_many_rejects_bad_spans_seeds_and_labels():
+def test_fit_many_rejects_bad_spans_seeds_and_labels(monkeypatch):
     X, y = _store([_noisy_pairs(10, seed=1)])
     with pytest.raises(ValueError, match="at least one span"):
         fit_many(X, y, [], LABELS5, [])
     for span in [(0, 0), (4, -1), (5, 6), (10, 1), (-1, 2)]:
         with pytest.raises(ValueError, match="empty or not within the 10 rows"):
             fit_many(X, y, [(0, 10), span], LABELS5, [0, 1])
+    with monkeypatch.context() as patched:  # a call that splits checks every span first
+        patched.setattr(learner, "ORDER_IDS", 10)
+        for span in [(0, 0), (5, 6), (-1, 2)]:
+            with pytest.raises(ValueError, match="empty or not within the 10 rows$"):
+                fit_many(X, y, [(0, 10), (0, 5), (2, 3), span], LABELS5, [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="one seed per span, got 3 for 4$"):
+            fit_many(X, y, [(0, 10), (0, 5), (2, 3), (1, 4)], LABELS5, [0, 1, 2])
     with pytest.raises(ValueError, match="one seed per span"):
         fit_many(X, y, [(0, 10), (0, 5)], LABELS5, [0])
     for lr in (0.0, -0.1, float("nan"), float("inf")):  # inf would give weights of +-inf
