@@ -23,7 +23,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("train-agent", help="train the sampling agent and save a checkpoint")
+    p = sub.add_parser("train-agent", help="train the sampling agent and save a checkpoint",
+                       description="Train the sampling agent with the first entry of seeds only.")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training-log CSV (default: <out>.log.csv)")

@@ -2,8 +2,9 @@
 the text formats of the package's files, result CSVs included.
 
 Documents are represented by the mean of the pre-trained word vectors of
-their in-vocabulary tokens, computed for a whole file at once with
-`np.mean`'s bits. A word-vector table is one matrix, whose numbers are
+their in-vocabulary tokens. A dataset file is read in one pass, one dict
+lookup per label and per token, and embedded at once with `np.mean`'s
+bits. A word-vector table is one matrix, whose numbers are
 parsed by one call of numpy's C tokenizer; only a file that fails it is read
 again, line by line, to name its first bad line. Every reader skips a UTF-8
 byte-order mark and names its file when a byte is not UTF-8. Synthetic
@@ -77,16 +78,6 @@ class EmbeddingTable:
 
     def __len__(self):
         return len(self.rows)
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, strip leading/trailing punctuation."""
-    out = []
-    for raw in text.lower().split():
-        tok = raw.strip(string.punctuation)
-        if tok:
-            out.append(tok)
-    return out
 
 
 @contextlib.contextmanager
@@ -224,7 +215,7 @@ def write_csv(path, header, rows) -> None:
 # float64 cells (512 KB) one stack of same-length documents may hold, so a stack
 # stays in cache: at E = 300, 8 MB stacks made the embed slower than a
 # per-document mean. This caps only the stack; the read loop's lists hold one
-# row id per in-vocabulary token of the file.
+# row id per in-vocabulary token of the file, and the embed one flat copy of them.
 _EMBED_BLOCK = 1 << 16
 
 
@@ -233,23 +224,28 @@ def mean_embeddings(doc_rows, matrix: np.ndarray) -> np.ndarray:
     (vocabulary, E) `matrix`; zeros where doc_rows[i] is empty.
 
     Documents are grouped by their row count L, and each block of a group is
-    one fancy index of `matrix`, a (rows, L, E) stack, and one
-    `np.add.reduce(..., axis=1) / L` over it. That sum adds a document's L
-    vectors in the order `np.mean` adds them, and the division is its other
-    ufunc call, so each row has `np.mean`'s bits. Summing over zero-padded
-    rows, or with `np.add.reduceat`, would not: both add in another order.
+    one gather from the flat array of all row ids, one fancy index of
+    `matrix`, a (rows, L, E) stack, and one `np.add.reduce(..., axis=1) / L`
+    over it. That sum adds a document's L vectors in the order `np.mean` adds
+    them, and the division is its other ufunc call, so each row has
+    `np.mean`'s bits. Summing over zero-padded rows, or with
+    `np.add.reduceat`, would not: both add in another order.
     """
     dimension = matrix.shape[1]
     out = np.zeros((len(doc_rows), dimension))
-    groups: dict[int, list[int]] = {}
-    for i, ids in enumerate(doc_rows):
-        if ids:
-            groups.setdefault(len(ids), []).append(i)
-    for length, docs in groups.items():
+    lengths = np.fromiter(map(len, doc_rows), np.intp, len(doc_rows))
+    flat = np.fromiter(chain.from_iterable(doc_rows), np.intp, lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    # where each group starts in `order`; the empty documents' group, first, has none
+    firsts = np.flatnonzero(np.diff(lengths[order], prepend=0)).tolist()
+    for lo, hi in zip(firsts, firsts[1:] + [len(order)]):
+        docs = order[lo:hi]
+        length = int(lengths[docs[0]])
         step = max(1, _EMBED_BLOCK // (length * dimension))
-        for lo in range(0, len(docs), step):
-            block = docs[lo:lo + step]
-            stack = matrix[np.array([doc_rows[i] for i in block])]
+        for first in range(0, len(docs), step):
+            block = docs[first:first + step]
+            stack = matrix[flat[starts[block, None] + np.arange(length)]]
             out[block] = np.add.reduce(stack, axis=1) / length
     return out
 
@@ -258,36 +254,40 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
                  start_id: int = 0) -> list[Document]:
     """Read a tab-separated "<text>\\t<label>" file into embedded documents.
 
-    The read loop keeps each line's class and the table rows of its
-    in-vocabulary tokens; `mean_embeddings` then embeds the whole file at
-    once, and each document's embedding is a row of that matrix. Documents
-    get sequential ids from start_id. All offending lines (unknown labels,
-    missing separators) are reported in one error. A document with no word
-    in the table embeds as zeros: a file of only such documents is an error,
-    and some of them are counted in one warning. A UTF-8 byte-order mark
-    at the start of the file is skipped.
+    One pass reads each line once: its label, after the last tab and
+    stripped, is one dict lookup, and each whitespace-separated token of its
+    text, lowercased and stripped of ASCII punctuation at both ends, is one
+    lookup of its table row. Blank lines are skipped. `mean_embeddings` then
+    embeds the whole file at once. Documents get sequential ids from
+    start_id. All offending lines (unknown labels, missing separators) are
+    reported in one error. A document with no word in the table embeds as
+    zeros: a file of only such documents is an error, and some of them are
+    counted in one warning. A UTF-8 byte-order mark is skipped.
     """
+    index = {name: i for i, name in enumerate(labels.classes)}
+    rows = table.rows
+    # a token that strips to "" names no row, even in a table built with a "" key
+    row_of = rows.get if "" not in rows else {w: r for w, r in rows.items() if w}.get
+    punctuation = string.punctuation
     classes: list[int] = []
     doc_rows: list[list[int]] = []
     bad: list[str] = []
-    rows = table.rows
     unseen = 0  # documents with no word in the table
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            text, sep, label = line.rpartition("\t")
-            if not sep:
-                bad.append(f"line {lineno}: missing tab separator")
-                continue
+            text, tab, label = line.rpartition("\t")
             label = label.strip()
-            try:
-                true_class = labels.index(label)
-            except KeyError:
-                bad.append(f"line {lineno}: unknown label {label!r}")
-                continue
-            ids = [rows[t] for t in tokenize(text) if t in rows]
+            true_class = index.get(label) if tab and label else None
+            if true_class is None:  # a blank or bad line, or a line of the class ""
+                if not line.strip():
+                    continue
+                true_class = index.get(label) if tab else None
+                if true_class is None:
+                    bad.append(f"line {lineno}: unknown label {label!r}" if tab else
+                               f"line {lineno}: missing tab separator")
+                    continue
+            ids = [r for t in text.lower().split()
+                   if (r := row_of(t.strip(punctuation))) is not None]
             unseen += not ids
             classes.append(true_class)
             doc_rows.append(ids)
@@ -302,8 +302,7 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
         logger.warning("%s: %d of %d documents have no word in the vector table and embed "
                        "as zeros", path, unseen, len(classes))
     embeddings = mean_embeddings(doc_rows, table.matrix)
-    return [Document(id=start_id + i, true_class=c, embedding=e)
-            for i, (c, e) in enumerate(zip(classes, embeddings))]
+    return list(map(Document, range(start_id, start_id + len(classes)), classes, embeddings))
 
 
 def generate_synthetic(

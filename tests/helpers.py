@@ -3,10 +3,12 @@ confusion-matrix f1, scalar entropy, and plain reference versions of the
 optimized or refactored code. Deliberately slow and simple."""
 
 import math
+import string
 from collections import deque
 
 import numpy as np
 
+from oris.corpus import open_text
 from oris.dqn import (
     EpisodeLog,
     ReplayBuffer,
@@ -252,6 +254,56 @@ def shuffle_stream(docs, seed) -> list:
     """The documents in stream order: the seeded permutation that
     `harness._single_run` applies to its stream."""
     return [docs[i] for i in np.random.default_rng(seed).permutation(len(docs))]
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Lowercase, split on whitespace, strip leading/trailing punctuation."""
+    out = []
+    for raw in text.lower().split():
+        tok = raw.strip(string.punctuation)
+        if tok:
+            out.append(tok)
+    return out
+
+
+def reference_load_dataset(path, table, labels, start_id=0):
+    """`corpus.load_dataset` as a plain loop over the file's lines, with a
+    `reference_tokenize` call per line and each document's `np.mean`: its
+    documents as (id, class, embedding) triples, and the messages it warns.
+    Raises the ValueError the loader raises."""
+    classes, doc_rows, bad = [], [], []
+    rows = table.rows
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            text, sep, label = line.rpartition("\t")
+            if not sep:
+                bad.append(f"line {lineno}: missing tab separator")
+                continue
+            label = label.strip()
+            try:
+                true_class = labels.index(label)
+            except KeyError:
+                bad.append(f"line {lineno}: unknown label {label!r}")
+                continue
+            classes.append(true_class)
+            doc_rows.append([rows[t] for t in reference_tokenize(text) if t in rows])
+    if bad:
+        raise ValueError(f"{path}: " + "; ".join(bad))
+    if not classes:
+        raise ValueError(f"{path}: no records")
+    unseen = sum(not ids for ids in doc_rows)
+    if unseen == len(classes):
+        raise ValueError(f"{path}: none of its {len(classes)} documents has a word in the "
+                         f"vector table")
+    warned = [f"{path}: {unseen} of {len(classes)} documents have no word in the vector "
+              f"table and embed as zeros"] if unseen else []
+    dim = table.matrix.shape[1]
+    docs = [(start_id + i, c, np.mean([table.matrix[r] for r in ids], axis=0) if ids
+             else np.zeros(dim)) for i, (c, ids) in enumerate(zip(classes, doc_rows))]
+    return docs, warned
 
 
 def reference_uncertainty_entropy(clf, emb):

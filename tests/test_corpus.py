@@ -17,13 +17,12 @@ from oris.corpus import (
     load_word_vectors,
     mean_embeddings,
     surrogate_table,
-    tokenize,
     write_synthetic_corpus,
     write_word_vectors,
 )
 from oris.learner import f1_macro, fit, predict
 
-from helpers import shuffle_stream
+from helpers import reference_load_dataset, shuffle_stream
 
 
 @pytest.fixture
@@ -44,9 +43,20 @@ def test_label_space_basics():
         LabelSpace(["a", "a"])
 
 
-def test_tokenize_lowercases_and_strips_punctuation():
-    assert tokenize("Hello, World!  foo-bar") == ["hello", "world", "foo-bar"]
-    assert tokenize("...") == []
+def test_tokenize_lowercases_and_strips_punctuation(tmp_path, caplog):
+    # the loader's token rule: lowercase, split on whitespace, strip leading and
+    # trailing punctuation; a token of only punctuation is no word
+    table = EmbeddingTable(np.array([[1.0, 0.1], [0.3, -2.0], [0.7, 5.0]]),
+                           {"hello": 0, "world": 1, "foo-bar": 2})
+    path = tmp_path / "tokens.tsv"
+    path.write_text("Hello, World!  foo-bar\tpos\n...\tneg\n")
+    with caplog.at_level(logging.WARNING, logger="oris.corpus"):
+        docs = load_dataset(path, table, LabelSpace(["pos", "neg"]))
+    want = np.mean([table.matrix[0], table.matrix[1], table.matrix[2]], axis=0)
+    assert docs[0].embedding.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert docs[1].embedding.tolist() == [0.0, 0.0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: 1 of 2 documents have no word in the vector table and embed as zeros"]
 
 
 def _vector(table, word):
@@ -386,9 +396,11 @@ def test_mean_embeddings_have_np_mean_bits(monkeypatch, dim, block):
         monkeypatch.setattr(oris.corpus, "_EMBED_BLOCK", block * dim)
     rng = np.random.default_rng(dim)
     matrix = rng.standard_normal((12, dim)) * 10.0 ** rng.integers(-8, 8, size=(12, 1))
-    # row counts 0-20 and 40, 129, each several times, in a shuffled order;
-    # repeated rows, as a real text has
-    lengths = rng.permutation(np.repeat(list(range(21)) + [40, 129], 3))
+    # row counts 1-60 and 64, 100, 129, 257 three times each, and 1 and 2 fifty more
+    # times, so that block = 40 splits their groups too, with 200 empty documents
+    # between them, in a shuffled order; repeated rows, as a real text has
+    counts = list(range(1, 61)) + [64, 100, 129, 257]
+    lengths = rng.permutation(np.repeat(counts, 3).tolist() + [1, 2] * 50 + [0] * 200)
     doc_rows = [rng.integers(0, len(matrix), size=n).tolist() for n in lengths]
     _assert_np_mean_bits(mean_embeddings(doc_rows, matrix), doc_rows, matrix)
 
@@ -422,6 +434,66 @@ def test_load_dataset_embeddings_have_np_mean_bits(tmp_path, dim):
     assert [d.id for d in docs] == list(range(7, 2007))
     assert [d.true_class for d in docs] == want_classes
     _assert_np_mean_bits(np.array([d.embedding for d in docs]), want_rows, table.matrix)
+
+
+_TOKENS = ["hello", "World", "FOO-BAR", "(hello,", "world!", "'foo-bar'", "...", "--",
+           "zzz", "Zzz.", "héllo", "w\x0cb", "a\u00a0world"]
+_SPACES = ["", " ", "  ", "\t", " \t ", "\t\t", "\x0c", "\u00a0"]
+
+
+@st.composite
+def _dataset_line(draw, classes, refused):
+    # one line of a dataset file, its ending not included: with refused lines, a
+    # line may lack its tab or hold a label that is no class
+    kind = draw(st.sampled_from(["record", "tabs", "blank"] + ["no tab"] * refused))
+    tokens = draw(st.lists(st.sampled_from(_TOKENS), max_size=5))
+    glue = draw(st.sampled_from([" ", "  ", " \x0c"]))
+    pad = draw(st.sampled_from(["{}", " {} ", "{}\x0c "]))
+    label = pad.format(draw(st.sampled_from(classes + ["zeal", "", "POS"] * refused)))
+    if kind == "blank":
+        return draw(st.sampled_from(_SPACES))
+    if kind == "no tab":
+        return glue.join(tokens + [label] * draw(st.booleans()))
+    text = "\t".join(glue.join(tokens[i::2]) for i in range(2 if kind == "tabs" else 1))
+    return text + "\t" + label
+
+
+@given(data=st.data(), ending=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans(),
+       classes=st.sampled_from([["pos", "neg", "mid"], ["pos", ""], ["neg", "zeal", "POS"]]),
+       empty_key=st.booleans(), start_id=st.sampled_from([0, 7]))
+@settings(max_examples=300, deadline=None)
+def test_load_dataset_matches_the_reference_loop(tmp_path_factory, data, ending, last,
+                                                 classes, empty_key, start_id):
+    # blank, whitespace-only and tab-only lines, missing tabs, unknown and empty labels,
+    # several tabs on a line, CRLF and CR endings, and tokens of only punctuation,
+    # of mixed case and out of the table: the ids, classes and embedding bits of the
+    # loop that tokenizes each line, or else its error, and its warnings
+    refused = data.draw(st.booleans())
+    lines = data.draw(st.lists(_dataset_line(classes, refused), min_size=1, max_size=12))
+    words = ["hello", "world", "foo-bar", "w\x0cb"] + [""] * empty_key
+    table = EmbeddingTable(np.random.default_rng(len(words)).standard_normal((len(words), 3)),
+                           {w: i for i, w in enumerate(words)})
+    labels = LabelSpace(classes)
+    path = tmp_path_factory.mktemp("ref") / "data.tsv"
+    path.write_bytes((ending.join(lines) + ending * last).encode("utf-8"))
+    try:
+        want, want_warned = reference_load_dataset(path, table, labels, start_id)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            load_dataset(path, table, labels, start_id)
+        assert str(info.value) == str(exc)
+        return
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logging.getLogger("oris.corpus").addHandler(handler)
+    try:
+        got = load_dataset(path, table, labels, start_id)
+    finally:
+        logging.getLogger("oris.corpus").removeHandler(handler)
+    assert [r.getMessage() for r in records] == want_warned
+    assert [(d.id, d.true_class, d.embedding.view(np.uint64).tolist()) for d in got] == \
+        [(i, c, e.view(np.uint64).tolist()) for i, c, e in want]
 
 
 def test_load_dataset_sequential_ids(tmp_path, tiny_table):
