@@ -264,7 +264,7 @@ def load_dataset(path, table: EmbeddingTable, labels: LabelSpace,
     zeros: a file of only such documents is an error, and some of them are
     counted in one warning. A UTF-8 byte-order mark is skipped.
     """
-    index = {name: i for i, name in enumerate(labels.classes)}
+    index = labels._index
     rows = table.rows
     # a token that strips to "" names no row, even in a table built with a "" key
     row_of = rows.get if "" not in rows else {w: r for w, r in rows.items() if w}.get
@@ -327,14 +327,13 @@ def generate_synthetic(
             f"embedding dimension {dim} < {len(labels)} classes; one-hot class means need dim >= C"
         )
     rng = np.random.default_rng(seed)
-    docs: list[Document] = []
+    rows: list[np.ndarray] = []
     for c, count in enumerate(per_class):
         mean = np.zeros(dim)
         mean[c] = sep
-        samples = mean + rng.standard_normal((count, dim))
-        for row in samples:
-            docs.append(Document(id=start_id + len(docs), true_class=c, embedding=row))
-    return docs
+        rows.extend(mean + rng.standard_normal((count, dim)))
+    classes = [c for c, count in enumerate(per_class) for _ in range(count)]
+    return list(map(Document, range(start_id, start_id + len(rows)), classes, rows))
 
 
 def synthetic_token(doc_id: int) -> str:

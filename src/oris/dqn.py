@@ -1,12 +1,12 @@
 """The sampling agent: replay buffer, epsilon-greedy policy, episode training
 loop with soft target updates, and greedy inference decisions.
 
-One generator, _episode, streams a shuffled copy of the corpus per training
-episode: a pick queries an error-free annotator (so the learned policy is not
-tied to one decay behavior), updates the pick window and recency tracker, and
-earns the inclusivity reward. Training stores every step's transition and,
-once the buffer holds a minibatch, performs one Q-update followed by a soft
-target blend.
+train_agent streams a shuffled copy of the corpus per training episode: a
+pick queries an error-free annotator (so the learned policy is not tied to one
+decay behavior), updates the pick window and recency tracker, and earns the
+inclusivity reward. Training stores every step's transition and, once the
+buffer holds a minibatch, performs one Q-update followed by a soft target
+blend.
 """
 
 from __future__ import annotations
@@ -178,52 +178,23 @@ def write_training_log(logs, path) -> None:
     write_csv(path, TRAINING_LOG_HEADER, map(astuple, logs))
 
 
-def _episode(docs, order, labels, budget: int, reward_cfg: RewardConfig, k: int,
-             dt_scale: float, choose):
-    """One training episode: stream docs in order with error-free labels until
-    budget picks; per step yield (state, action, reward, next_state,
-    inclusivity or None), with choose(state) supplying the action (train_agent
-    passes its epsilon-greedy choice). Document t's state reads the tracker
-    at step t, and nothing changes the tracker before the next document is
-    read, so next_state is the next step's state (the last document's is its
-    own state).
-    """
-    num_classes = len(labels)
-    tracker = LastSeenTracker(num_classes, k)
-    window = deque(maxlen=reward_cfg.m)
-    picks = 0
-    state = encode_state(docs[order[0]].embedding, tracker, 0, dt_scale)
-    for t in range(len(order)):
-        action = choose(state)
-        incl = None
-        if action == PICK:
-            picks += 1
-            emitted = docs[order[t]].true_class
-            window.append(emitted)
-            tracker.record_emission(emitted, t)
-            incl = inclusivity(window, num_classes)
-        reward = compute_reward(action, incl, reward_cfg)
-        next_state = (encode_state(docs[order[t + 1]].embedding, tracker, t + 1, dt_scale)
-                      if t + 1 < len(order) else state)
-        yield state, action, reward, next_state, incl
-        if picks >= budget:
-            return
-        state = next_state
-
-
 def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = RewardConfig(),
                 k: int = 3, dt_scale: float = 1.0, seed=0):
     """Run the full episode loop and return (trained net, per-episode log).
 
-    Each episode streams a fresh shuffle of the corpus through _episode until
-    the pick budget is exhausted (or the stream ends, in which case the
-    episode is logged as truncated). Every step stores a transition, makes
-    one Q-update once the buffer holds a minibatch, and blends the target.
-    Epsilon decays with the count of decisions across episodes.
+    Each episode streams a fresh shuffle of the corpus with error-free labels
+    until the pick budget is exhausted (or the stream ends, in which case the
+    episode is logged as truncated). Every step makes an epsilon-greedy
+    decision, stores a transition, makes one Q-update once the buffer holds a
+    minibatch, and blends the target. Document t's state reads the tracker at
+    step t, and nothing changes the tracker before the next document is read,
+    so a step's next state is the next step's state (the last document's is
+    its own state). Epsilon decays with the count of decisions across episodes.
     """
     if not docs:
         raise ValueError("need a nonempty training corpus")
-    state_dim = len(docs[0].embedding) + len(labels)
+    num_classes = len(labels)
+    state_dim = len(docs[0].embedding) + num_classes
     net_ss, shuffle_ss, action_ss, buffer_ss = np.random.SeedSequence(seed).spawn(4)
     net = DenseNet([state_dim, *cfg.hidden, 2], seed=net_ss)
     target = net.copy()
@@ -234,26 +205,37 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
     logs: list[EpisodeLog] = []
     decisions = 0
 
-    def choose(state):
-        return select_action(net, state, cfg.epsilon(decisions), action_rng)
-
     for episode in range(1, cfg.episodes + 1):
+        order = shuffle_rng.permutation(len(docs))
+        tracker = LastSeenTracker(num_classes, k)
+        window = deque(maxlen=reward_cfg.m)
         picks = 0
         total_reward = 0.0
         incl_sum = 0.0
         losses: list[float] = []
-        for state, action, r, next_state, incl in _episode(
-                docs, shuffle_rng.permutation(len(docs)), labels, cfg.budget, reward_cfg,
-                k, dt_scale, choose):
+        state = encode_state(docs[order[0]].embedding, tracker, 0, dt_scale)
+        for t in range(len(order)):
+            action = select_action(net, state, cfg.epsilon(decisions), action_rng)
             decisions += 1
+            incl = None
             if action == PICK:
                 picks += 1
+                emitted = docs[order[t]].true_class
+                window.append(emitted)
+                tracker.record_emission(emitted, t)
+                incl = inclusivity(window, num_classes)
                 incl_sum += incl
+            r = compute_reward(action, incl, reward_cfg)
             total_reward += r
+            next_state = (encode_state(docs[order[t + 1]].embedding, tracker, t + 1, dt_scale)
+                          if t + 1 < len(order) else state)
             buf.push(state, action, r, next_state)
             if len(buf) >= cfg.minibatch:
                 losses.append(train_step(net, target, buf.sample(cfg.minibatch), cfg, opt))
             soft_update(net, target, cfg.tau)
+            if picks >= cfg.budget:
+                break
+            state = next_state
         logs.append(EpisodeLog(
             episode=episode,
             total_reward=total_reward,
@@ -263,4 +245,3 @@ def train_agent(docs, labels, cfg: AgentConfig, reward_cfg: RewardConfig = Rewar
             truncated=picks < cfg.budget,
         ))
     return net, logs
-

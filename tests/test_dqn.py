@@ -1,5 +1,6 @@
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from oris.dqn import (
     AgentConfig,
     EpisodeLog,
     ReplayBuffer,
-    _episode,
     decide,
     select_action,
     soft_update,
@@ -407,41 +407,58 @@ def test_train_agent_matches_reference_loop(k, m, dt_scale, budget):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_episode_steps_budget_rewards_and_state_carry(data):
+    # one episode whose minibatch exceeds the stream, so no Q-update runs; the
+    # actions follow a drawn script, and document i embeds as np.full(2, i), so
+    # each pushed state names the document it was read from
     num_classes = data.draw(st.integers(2, 4), label="num_classes")
     true = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=1, max_size=25),
                      label="true classes")
     n = len(true)
-    order = data.draw(st.permutations(range(n)), label="order")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     budget = data.draw(st.integers(1, 30), label="budget")
     script = data.draw(st.lists(st.sampled_from([DISCARD, PICK]), min_size=n, max_size=n),
                        label="actions")
-    cfg = RewardConfig(m=data.draw(st.integers(1, 12), label="m"))
+    reward_cfg = RewardConfig(m=data.draw(st.integers(1, 12), label="m"))
     docs = [Document(i, c, np.full(2, float(i))) for i, c in enumerate(true)]
     labels = LabelSpace([f"c{c}" for c in range(num_classes)])
+    cfg = AgentConfig(budget=budget, episodes=1, minibatch=26, replay_capacity=26, hidden=(2,))
     chosen_on = []
 
-    def choose(state):
+    def scripted(net, state, eps, rng):
         chosen_on.append(state)
         return script[len(chosen_on) - 1]
 
-    steps = list(_episode(docs, order, labels, budget, cfg, 2, 1.0, choose))
+    with (patch("oris.dqn.select_action", side_effect=scripted),
+          patch.object(ReplayBuffer, "push", autospec=True,
+                       side_effect=ReplayBuffer.push) as push):
+        _, logs = train_agent(docs, labels, cfg, reward_cfg, k=2, seed=seed)
+    steps = [c.args[1:] for c in push.call_args_list]
 
     pick_steps = [t for t, action in enumerate(script) if action == PICK]
     expected_steps = pick_steps[budget - 1] + 1 if len(pick_steps) >= budget else n
-    assert len(steps) == min(n, expected_steps)
-    assert sum(action == PICK for _, action, _, _, _ in steps) <= budget
+    assert len(steps) == len(chosen_on) == min(n, expected_steps)
+    picks = sum(action == PICK for _, action, _, _ in steps)
+    assert picks <= budget
     picked = []
-    for t, (state, action, reward, next_state, incl) in enumerate(steps):
+    incls = []
+    for t, (state, action, reward, next_state) in enumerate(steps):
         assert action == script[t]
         assert state is chosen_on[t]
         if action == PICK:
-            picked.append(true[order[t]])
-            h = scalar_entropy_bits(picked[-cfg.m:]) / math.log2(num_classes)
-            assert incl == pytest.approx(h, abs=1e-12)
-            assert reward == pytest.approx(cfg.rho * math.exp(cfg.delta * (h - 1.0)),
-                                           rel=1e-12, abs=1e-15)
+            picked.append(true[int(state[0])])
+            h = scalar_entropy_bits(picked[-reward_cfg.m:]) / math.log2(num_classes)
+            incls.append(h)
+            assert reward == pytest.approx(
+                reward_cfg.rho * math.exp(reward_cfg.delta * (h - 1.0)), rel=1e-12, abs=1e-15)
         else:
-            assert incl is None
-            assert reward == cfg.lam
+            assert reward == reward_cfg.lam
         if t + 1 < len(steps):
             assert np.array_equal(next_state, steps[t + 1][0])
+    if len(steps) == n:
+        assert steps[-1][3] is steps[-1][0]
+    read = [int(state[0]) for state, *_ in steps]
+    assert len(set(read)) == len(read)
+    [log] = logs
+    assert log.total_reward == sum(reward for _, _, reward, _ in steps)
+    assert log.mean_inclusivity == pytest.approx(np.mean(incls) if incls else 0.0, abs=1e-12)
+    assert log.truncated == (picks < budget)
