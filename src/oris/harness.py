@@ -5,10 +5,12 @@ labeled by the (possibly error-prone) simulated annotator and written to the
 run's rows of the sweep's one row store. Every update_freq picks the
 classifier is refit from scratch and both machine f1 (held-out test set) and
 human f1 (all picks so far) are recorded. The oris and uncertainty agents
-score blocks of stream positions per call (_block_picks), each row bit for
-bit as it would be scored alone. Seeded runs are fully independent; only
-their refits are stacked, in learner.fit_many calls over spans of the store,
-bit-identical to separate fits and bounded by fit_many (see run_experiment).
+score blocks of stream positions per call, each row bit for bit as it would
+be scored alone: uncertainty through _block_picks, oris in rounds of one
+decide call over a block of every live run. Seeded runs are fully
+independent; only their blocks and refits are stacked, the refits in
+learner.fit_many calls over spans of the store, bit-identical to separate
+fits and bounded by fit_many (see run_experiment).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import astuple, dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -30,8 +33,9 @@ from .reward import PICK, normalized_entropy
 
 AGENT_KINDS = ("random", "uncertainty", "diversity", "oris")
 
-# The oris agent scores this many stream positions per call, all from one
-# tracker reading: a walk to the first pick keeps the states up to it.
+# Rows of an oris run's block, all states from one tracker reading: a walk
+# to the first pick keeps the states up to it. Each round of a sweep scores
+# at most this many rows per live run, in one decide call.
 SCORE_AHEAD = 8
 
 
@@ -164,20 +168,23 @@ def _block_picks(stream_len: int, every: int, score, picked):
         t += 1
 
 
-def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, seed, X, y, true):
+def _single_run(train_docs, train_X, cfg: HarnessConfig, diversity_rows, seed, X, y, true):
     """Stream one seeded run over train_docs, document i embedded as row i
     of train_X. Its b-th pick's embedding, emitted label and true class go
     to row b of X, y and true, the run's block of the sweep's row store. At
     each refit it yields (picks b, fit seed) and receives the classifier fit
-    on rows :b, or None when the agent does not read it; it returns whether
-    the budget was spent.
+    on rows :b, or None when the agent does not read it. An oris run also
+    yields the (rows, E + C) states of each block it walks and receives
+    their actions. It returns whether the budget was spent.
 
-    Stream position t holds row order[t]. Every agent is an iterator of the
-    positions it picks, and the loop visits only those: oris and
-    uncertainty score train_X's rows in stream order in blocks
-    (_block_picks), diversity picks the positions holding its selected
-    rows, and random those where the agent generator's double for the
-    document, all drawn in one call, falls below pick_prob. The states and
+    Stream position t holds row order[t], and the run visits only the
+    positions its agent picks. random picks those where the agent
+    generator's double for the document, all drawn in one call, falls below
+    pick_prob, and diversity those holding its selected rows. uncertainty
+    scores train_X's rows in stream order in blocks (_block_picks). oris
+    walks blocks of the next SCORE_AHEAD positions: it picks the first
+    PICK, as _block_picks does with every = 1, and its next block starts
+    after that pick, or after the block when it holds none. The states and
     the annotator read the tracker at the picked position, so they see the
     recency that a walk over every document would give."""
     oracle_ss, agent_ss, fit_ss = np.random.SeedSequence(seed).spawn(3)
@@ -187,6 +194,33 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
     order = np.random.default_rng(seed).permutation(len(train_X))
     clf = None
     b = 0
+
+    def take(t):  # store the pick at position t and yield its refit; True once the budget is spent
+        nonlocal b, clf
+        row = order[t]
+        doc = train_docs[row]
+        X[b] = train_X[row]
+        y[b] = oracle_state.annotate(doc, t)  # also recorded in tracker
+        true[b] = doc.true_class
+        b += 1
+        if b % cfg.update_freq == 0:
+            clf = yield b, int(fit_rng.integers(2 ** 31))
+        return b >= cfg.budget
+
+    if cfg.agent == "oris":  # a pick changes the tracker that every state reads
+        stream_X, steps = train_X[order], np.arange(len(order))[:, None]
+        t = 0
+        while t < len(order):
+            ahead = slice(t, t + SCORE_AHEAD)
+            actions = yield encode_state(stream_X[ahead], tracker, steps[ahead], cfg.dt_scale)
+            if PICK not in actions:
+                t += len(actions)
+                continue
+            t += actions.index(PICK)
+            if (yield from take(t)):
+                break
+            t += 1
+        return b >= cfg.budget
     if cfg.agent == "random":
         pick_prob = cfg.pick_prob
         if pick_prob is None:
@@ -195,14 +229,6 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
         positions = np.flatnonzero(draws < pick_prob).tolist()
     elif cfg.agent == "diversity":
         positions = np.flatnonzero(np.isin(order, diversity_rows)).tolist()
-    elif cfg.agent == "oris":
-        stream_X, steps = train_X[order], np.arange(len(order))[:, None]
-
-        def score(t, b, left):  # a pick changes the tracker that every state reads
-            ahead = slice(t, t + SCORE_AHEAD)
-            return decide(net, encode_state(stream_X[ahead], tracker, steps[ahead], cfg.dt_scale))
-
-        positions = _block_picks(len(order), 1, score, lambda action, b: action == PICK)
     else:
         stream_X = train_X[order]
 
@@ -218,15 +244,7 @@ def _single_run(train_docs, train_X, cfg: HarnessConfig, net, diversity_rows, se
         positions = _block_picks(len(order), cfg.update_freq, score, picked)
 
     for t in positions:
-        row = order[t]
-        doc = train_docs[row]
-        X[b] = train_X[row]
-        y[b] = oracle_state.annotate(doc, t)  # also recorded in tracker
-        true[b] = doc.true_class
-        b += 1
-        if b % cfg.update_freq == 0:
-            clf = yield b, int(fit_rng.integers(2 ** 31))
-        if b >= cfg.budget:
+        if (yield from take(t)):
             break
     return b >= cfg.budget
 
@@ -238,13 +256,16 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     (n, E) matrix that every run streams rows of and that diversity_select
     clusters. Run i writes its picks to rows i * budget onward of the
     sweep's row store, and each of its refits fits the span of its first b
-    rows. Each live run streams until it yields a refit whose classifier it
-    reads, or until it ends, and the refits yielded are fit in one fit_many
-    call, which bounds its own arrays. Only the uncertainty agent reads its
-    classifier while it streams, so its runs advance in lockstep, one call
-    of S spans of f * i rows per refit level. Every other agent's runs
-    stream to their ends, and every refit of the sweep is fit in a single
-    call over spans of unequal size.
+    rows. The runs advance in rounds. In each round every live run streams
+    until it yields what it waits on: an oris block, a refit whose
+    classifier it reads, or its end. The oris runs' blocks, of at most
+    SCORE_AHEAD rows each, are stacked in run order and scored in one
+    decide call, each row bit for bit as it would be scored alone. Only the
+    uncertainty agent reads its classifier while it streams, so its runs
+    refit in lockstep, one fit_many call of S spans of f * i rows per refit
+    level. Every other agent's refits are kept until its runs have ended
+    and are fit in a single call over spans of unequal size; fit_many
+    bounds its own arrays.
 
     The test set must be disjoint from the stream. Runs whose stream ends
     before the budget is exhausted are flagged in partial_runs.
@@ -274,36 +295,48 @@ def run_experiment(train_docs, test_docs, cfg: HarnessConfig, net=None) -> Exper
     X = np.empty((len(cfg.seeds) * B, E))
     y = np.zeros(len(X), dtype=np.intp)  # emitted labels
     true = np.zeros(len(X), dtype=np.intp)
-    runs = [_single_run(train_docs, train_X, cfg, net, diversity_rows, seed,
+    runs = [_single_run(train_docs, train_X, cfg, diversity_rows, seed,
                         X[lo:lo + B], y[lo:lo + B], true[lo:lo + B])
             for lo, seed in zip(range(0, len(X), B), cfg.seeds)]
     rows: list[list[RecordRow]] = [[] for _ in runs]
     partial = []
-    sends = dict.fromkeys(range(len(runs)))  # live run id -> the classifier it is sent next
+    refits = []  # (run id, b, fit seed) of the refits not yet fit
+    sends = dict.fromkeys(range(len(runs)))  # live run id -> what it is sent next
     while sends:
-        refits = []  # (run id, b, fit seed)
-        for run_id, clf in sends.items():
+        blocks = {}  # oris run id -> the states of the block it waits on
+        for run_id, sent in sends.items():
             try:
-                refits.append((run_id, *runs[run_id].send(clf)))
-                while not reads_clf:  # it streams to its end without its classifier
-                    refits.append((run_id, *runs[run_id].send(None)))
+                out = runs[run_id].send(sent)
+                while isinstance(out, tuple):  # a refit
+                    refits.append((run_id, *out))
+                    if reads_clf:
+                        break
+                    out = runs[run_id].send(None)
+                else:  # an oris block
+                    blocks[run_id] = out
             except StopIteration as done:
                 if not done.value:
                     partial.append(run_id)
-        if not refits:
-            break
-        run_ids, picks, fit_seeds = zip(*refits)
-        clfs = fit_many(X, y, [(run_id * B, b) for run_id, b in zip(run_ids, picks)],
-                        cfg.labels, fit_seeds, epochs=cfg.learner_epochs,
-                        batch_size=cfg.learner_batch, lr=cfg.learner_lr)
-        for run_id, b, clf in zip(run_ids, picks, clfs):
-            lo = run_id * B
-            emitted, truth = y[lo:lo + b], true[lo:lo + b]
-            machine = f1_macro(test_y, predict(clf, test_X), cfg.labels)
-            human = f1_macro(truth, emitted, cfg.labels)
-            rows[run_id].append(RecordRow(run_id, b, machine, human, b,
-                                          int(np.count_nonzero(emitted != truth))))
-        sends = dict(zip(run_ids, clfs)) if reads_clf else {}
+        sends = {}
+        if blocks:  # forward_each gives each row its one-row bits at any stack height
+            actions = iter(decide(net, np.concatenate(list(blocks.values()))))
+            sends = {run_id: list(islice(actions, len(states)))
+                     for run_id, states in blocks.items()}
+        elif refits:
+            run_ids, picks, fit_seeds = zip(*sorted(refits))  # by run, as they are recorded
+            refits = []
+            clfs = fit_many(X, y, [(run_id * B, b) for run_id, b in zip(run_ids, picks)],
+                            cfg.labels, fit_seeds, epochs=cfg.learner_epochs,
+                            batch_size=cfg.learner_batch, lr=cfg.learner_lr)
+            for run_id, b, clf in zip(run_ids, picks, clfs):
+                lo = run_id * B
+                emitted, truth = y[lo:lo + b], true[lo:lo + b]
+                machine = f1_macro(test_y, predict(clf, test_X), cfg.labels)
+                human = f1_macro(truth, emitted, cfg.labels)
+                rows[run_id].append(RecordRow(run_id, b, machine, human, b,
+                                              int(np.count_nonzero(emitted != truth))))
+            if reads_clf:
+                sends = dict(zip(run_ids, clfs))
     return ExperimentRecord(rows=[row for run_rows in rows for row in run_rows],
                             partial_runs=sorted(partial))
 

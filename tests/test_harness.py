@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -649,8 +650,8 @@ def test_error_counts_and_human_f1_match_the_replayed_picks(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_block_picks_match_a_walk_that_scores_every_position_alone(data):
-    """The oris and uncertainty agents' walker picks what a walk over every
-    position picks when each position is scored on its own. The value at
+    """The uncertainty agent's walker picks what a walk over every position
+    picks when each position is scored on its own. The value at
     position t depends on t and on the scorer's version b // every, which
     the `every`-th pick of a block changes; the scorer returns blocks of
     any length from 1 to the rest of the stream, and the consumer stops at
@@ -685,19 +686,11 @@ def test_block_picks_match_a_walk_that_scores_every_position_alone(data):
 @pytest.mark.parametrize("case", ["never picks", "always picks", "short stream",
                                   "budget mid-chunk", "f = 1"])
 def test_oris_scores_chunks_and_matches_the_one_document_reference(monkeypatch, case):
-    """The oris agent scores up to SCORE_AHEAD positions per decide call,
-    from the position after the last pick, and its sweep writes the rows
-    and partial runs of the reference loop, which decides one document at
-    a time."""
-    calls = []  # (rows scored, positions picked) per decide call
-    decide = oris.harness.decide
-
-    def recorded(net, states):
-        actions = decide(net, states)
-        calls.append((len(states), [j for j, action in enumerate(actions) if action == PICK]))
-        return actions
-
-    monkeypatch.setattr(oris.harness, "decide", recorded)
+    """The oris runs of a sweep advance in rounds: each decide call holds
+    one block of up to SCORE_AHEAD positions per live run, in run order,
+    each from the position after the run's last pick, and the sweep writes
+    the rows and partial runs of the reference loop, which decides one
+    document at a time."""
     net, train, budget, update_freq = {
         "never picks": (PROPERTY_NETS["never"], PROPERTY_TRAIN, 10, 5),
         "always picks": (PROPERTY_NETS["always"], PROPERTY_TRAIN, 12, 4),
@@ -708,6 +701,39 @@ def test_oris_scores_chunks_and_matches_the_one_document_reference(monkeypatch, 
     cfg = HarnessConfig(labels=LABELS3, agent="oris", budget=budget, update_freq=update_freq,
                         seeds=(1, 2, 3), oracle=REFERENCE_ORACLES["sigmoid"],
                         learner_epochs=2, learner_batch=4)
+    streams = [_matrix(train)[np.random.default_rng(seed).permutation(len(train))]
+               for seed in cfg.seeds]
+    blocks = []  # (run id, first position, states) of each block built since the last call
+    rounds = []  # per decide call, (run id, first position, rows, positions picked) per block
+    calls = []  # (rows scored, positions picked) per decide call
+    encode_state, decide = oris.harness.encode_state, oris.harness.decide
+
+    def encoded(emb, tracker, steps, dt_scale):
+        t = int(steps[0, 0])
+        assert steps[:, 0].tolist() == list(range(t, t + len(steps)))
+        run_ids = [run_id for run_id, stream in enumerate(streams)
+                   if np.array_equal(emb, stream[t:t + len(steps)])]
+        assert len(run_ids) == 1  # the block's rows are one run's stream from t on
+        blocks.append((run_ids[0], t, encode_state(emb, tracker, steps, dt_scale)))
+        return blocks[-1][-1]
+
+    def recorded(net, states):
+        actions = decide(net, states)
+        assert np.array_equal(states, np.concatenate([block for *_, block in blocks]))
+        picked = [j for j, action in enumerate(actions) if action == PICK]
+        calls.append((len(states), picked))
+        rounds.append([])
+        start = 0
+        for run_id, t, block in blocks:
+            end = start + len(block)
+            rounds[-1].append((run_id, t, len(block),
+                               [j - start for j in picked if start <= j < end]))
+            start = end
+        blocks.clear()
+        return actions
+
+    monkeypatch.setattr(oris.harness, "encode_state", encoded)
+    monkeypatch.setattr(oris.harness, "decide", recorded)
     record = run_experiment(train, PROPERTY_TEST, cfg, net=net)
     ref_rows, ref_partial = [], []
     for run_id, seed in enumerate(cfg.seeds):
@@ -720,19 +746,77 @@ def test_oris_scores_chunks_and_matches_the_one_document_reference(monkeypatch, 
     assert record.partial_runs == ref_partial
 
     ahead = oris.harness.SCORE_AHEAD
-    assert ahead == 8 and all(1 <= rows <= ahead for rows, _ in calls)
-    if case == "never picks":  # 30 documents: three full chunks and one of 6
+    assert ahead == 8 and not blocks
+    live = [0, 1, 2]
+    for blocks_of_round in rounds:  # the live runs, in run order, a block each
+        run_ids = [run_id for run_id, *_ in blocks_of_round]
+        assert run_ids == [run_id for run_id in live if run_id in run_ids]
+        live = run_ids
+    for run_id in range(3):  # a run's next block starts after its first pick, or its block
+        walk = [(t, rows, picked) for blocks_of_round in rounds
+                for r, t, rows, picked in blocks_of_round if r == run_id]
+        assert walk[0][0] == 0 and all(rows == min(ahead, len(train) - t) for t, rows, _ in walk)
+        for (t, rows, picked), (t_next, _, _) in zip(walk, walk[1:]):
+            assert t_next == t + (picked[0] + 1 if picked else rows)
+    if case == "never picks":  # 30 documents: three full chunks and one of 6 per run
         assert record.rows == [] and record.partial_runs == [0, 1, 2]
-        assert calls == [(8, []), (8, []), (8, []), (6, [])] * 3
+        assert calls == [(24, []), (24, []), (24, []), (18, [])]
     elif case in ("always picks", "short stream"):  # a chunk per pick, from the next document
         chunks = [min(ahead, len(train) - t) for t in range(min(budget, len(train)))]
-        assert calls == [(rows, list(range(rows))) for rows in chunks] * 3
+        assert calls == [(3 * rows, list(range(3 * rows))) for rows in chunks]
     elif case == "budget mid-chunk":  # later positions were scored, and are dropped
         assert not record.partial_runs
-        rows, picked = calls[-1]  # the chunk of the last run's last pick
+        _, _, rows, picked = rounds[-1][-1]  # the chunk of the last run's last pick
         assert 0 < picked[0] < picked[-1] < rows
     else:
         assert len(record.rows) == 3 * budget
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_lockstep_oris_sweep_scores_the_rows_of_its_one_seed_sweeps(data):
+    """A lockstep oris sweep scores, in total, exactly the state rows that
+    its one-seed sweeps score, in as many decide calls as the run with the
+    most blocks makes, and writes their rows. The nets never pick, always
+    pick or pick by the embedding; the streams may be shorter than a block,
+    and the budget may stop a run in mid-block."""
+    update_freq = data.draw(st.integers(1, 4), label="update_freq")
+    cfg = HarnessConfig(
+        labels=LABELS3, agent="oris",
+        budget=data.draw(st.integers(update_freq, 12), label="budget"),
+        update_freq=update_freq,
+        seeds=tuple(data.draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=5,
+                                       unique=True), label="seeds")),
+        oracle=REFERENCE_ORACLES["sigmoid"], learner_epochs=2, learner_batch=4,
+    )
+    net = PROPERTY_NETS[data.draw(st.sampled_from(["never", "always", "threshold"]), label="net")]
+    train = PROPERTY_TRAIN[:data.draw(st.sampled_from([30, 5, 1]), label="stream length")]
+    decide = oris.harness.decide
+
+    def sweep(seeds):
+        """The record of a sweep over seeds, and the states of each decide call."""
+        scored = []
+
+        def recorded(net, states):
+            scored.append(states)
+            return decide(net, states)
+
+        with patch.object(oris.harness, "decide", recorded):
+            record = run_experiment(train, PROPERTY_TEST, dataclasses.replace(cfg, seeds=seeds),
+                                    net=net)
+        return record, scored
+
+    def rows(calls):
+        return sorted(map(tuple, np.concatenate(calls).tolist()))
+
+    record, calls = sweep(cfg.seeds)
+    singles = [sweep((seed,)) for seed in cfg.seeds]
+    assert rows(calls) == rows([states for _, single in singles for states in single])
+    assert len(calls) == max(len(single) for _, single in singles)
+    assert record.rows == [dataclasses.replace(row, run_id=run_id)
+                           for run_id, (single, _) in enumerate(singles) for row in single.rows]
+    assert record.partial_runs == [run_id for run_id, (single, _) in enumerate(singles)
+                                   if single.partial_runs == [0]]
 
 
 # well apart: after its first refit the classifier is sure of every document
